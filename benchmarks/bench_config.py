@@ -131,13 +131,26 @@ PERF_ENGINE_LOCKSTEP_MAX_LAG = 16
 # native kernel tier (PR 7)
 # --------------------------------------------------------------------- #
 
-#: Interior ReHeap ACF kernel workload: a batch of interior-only segments
-#: (well away from the series edges) large enough that kernel time, not
-#: dispatch, dominates.  The fused C loop must beat the NumPy kernel by
-#: >= 2x measured in the same process (ISSUE floor).
+#: Fused ReHeap kernel workloads (gaps in, impacts out), native tier vs
+#: the NumPy chain in the same process, >= 2x each (PR 7's floor for the
+#: interior-only kernel this one replaced).  *Interior*: a batch of gaps
+#: well away from the edges of the 10k-point series, large enough that
+#: kernel time, not dispatch, dominates.  *Edge*: one ReHeap's worth of
+#: gaps on a 500-point series at L=24 (the end-to-end benchmark's shape),
+#: where most segments have boundary-clipped lag ranges.
 PERF_NATIVE_ACF_SEGMENTS = 400
 PERF_NATIVE_ACF_SEGMENT_LEN = 8
-PERF_MIN_NATIVE_INTERIOR_SPEEDUP = 2.0
+PERF_NATIVE_EDGE_LENGTH = 500
+PERF_NATIVE_EDGE_MAX_LAG = 24
+PERF_NATIVE_EDGE_GAPS = 80
+PERF_MIN_NATIVE_SEGMENT_SPEEDUP = 2.0
+
+#: The end-to-end benchmark's fleet shape for ``cameo.compress_fleet_500x32``:
+#: four copies of the eight paper datasets at 500 points, codec defaults.
+PERF_FLEET_LENGTH = 500
+PERF_FLEET_COPIES = 4
+PERF_FLEET_MAX_LAG = 24
+PERF_FLEET_EPSILON = 0.01
 
 #: End-to-end CAMEO with the native tier vs the same run on the NumPy
 #: tier (kept-point sets asserted identical).  Measured ~3x on the dev

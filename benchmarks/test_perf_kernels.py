@@ -49,11 +49,18 @@ from bench_config import (
     PERF_MIN_ENGINE_PROCESS_SPEEDUP,
     PERF_MIN_HEAP_BULK_SPEEDUP,
     PERF_MIN_HOPS_BATCH_SPEEDUP,
+    PERF_FLEET_COPIES,
+    PERF_FLEET_EPSILON,
+    PERF_FLEET_LENGTH,
+    PERF_FLEET_MAX_LAG,
     PERF_MIN_NATIVE_E2E_SPEEDUP,
-    PERF_MIN_NATIVE_INTERIOR_SPEEDUP,
+    PERF_MIN_NATIVE_SEGMENT_SPEEDUP,
     PERF_MIN_PACF_SPEEDUP,
     PERF_NATIVE_ACF_SEGMENT_LEN,
     PERF_NATIVE_ACF_SEGMENTS,
+    PERF_NATIVE_EDGE_GAPS,
+    PERF_NATIVE_EDGE_LENGTH,
+    PERF_NATIVE_EDGE_MAX_LAG,
     PERF_NATIVE_HEAP_DRAINS,
     PERF_PACF_MAX_LAG,
     PERF_PACF_ROWS,
@@ -75,10 +82,10 @@ from repro._kernels.reference import (
 from repro.benchlib import PerfReport, bench
 from repro.core import cameo_compress
 from repro.core.heap import IndexedMinHeap, NativeIndexedMinHeap
-from repro.core.impact import batched_contiguous_acf
 from repro.core.neighbors import NeighborList
+from repro.core.tracker import StatisticTracker
+from repro.data.datasets import dataset_names, load_dataset
 from repro.lossless import ChimpCodec, GorillaCodec
-from repro.stats.aggregates import ACFAggregateState
 
 pytestmark = pytest.mark.perf
 
@@ -451,52 +458,65 @@ class TestNativeTier:
         yield
         _kernels.set_native_enabled(None)
 
-    def test_interior_acf_block_speedup(self, report):
-        """``native.interior_acf_block``: fused C loop vs the NumPy kernel.
-
-        Interior-only segments (every position at least ``max_lag`` away
-        from both edges) so both tiers run their fast path end to end; the
-        outputs must agree bit for bit before anything is timed.
-        """
+    @staticmethod
+    def _gap_request(case: str):
+        """``(tracker, lefts, rights)`` for one fused-kernel entry."""
         rng = np.random.default_rng(2026)
         t = np.arange(PERF_CAMEO_LENGTH)
         signal = (5.0 + 2.0 * np.sin(2 * np.pi * t / 24)
                   + rng.normal(0, 0.3, t.size))
-        state = ACFAggregateState(signal, PERF_CAMEO_MAX_LAG)
-        margin = PERF_CAMEO_MAX_LAG + PERF_NATIVE_ACF_SEGMENT_LEN + 1
-        starts = rng.choice(
-            np.arange(margin, PERF_CAMEO_LENGTH - margin),
-            PERF_NATIVE_ACF_SEGMENTS, replace=False)
-        lengths = np.full(PERF_NATIVE_ACF_SEGMENTS,
-                          PERF_NATIVE_ACF_SEGMENT_LEN, dtype=np.int64)
-        positions = (starts[:, None]
-                     + np.arange(PERF_NATIVE_ACF_SEGMENT_LEN)).ravel()
-        deltas = rng.normal(0.0, 0.3, positions.size)
+        if case == "interior":
+            # every changed position at least max_lag from both ends
+            margin = PERF_CAMEO_MAX_LAG + PERF_NATIVE_ACF_SEGMENT_LEN + 1
+            lefts = rng.choice(np.arange(margin, PERF_CAMEO_LENGTH - margin),
+                               PERF_NATIVE_ACF_SEGMENTS, replace=False)
+            return (StatisticTracker(signal, PERF_CAMEO_MAX_LAG), lefts,
+                    lefts + PERF_NATIVE_ACF_SEGMENT_LEN + 1)
+        # Edge-heavy: one ReHeap on a short series — gap sizes like a run in
+        # progress (mostly 1-4 points), three in four within max_lag of an end.
+        n, max_lag = PERF_NATIVE_EDGE_LENGTH, PERF_NATIVE_EDGE_MAX_LAG
+        gaps = PERF_NATIVE_EDGE_GAPS
+        sizes = np.minimum(rng.geometric(0.35, gaps), 20)
+        near_left = rng.integers(0, max_lag, gaps)
+        lefts = np.where(
+            rng.random(gaps) < 0.25,
+            rng.integers(max_lag, n - max_lag - 21, gaps),
+            np.where(rng.random(gaps) < 0.5, near_left,
+                     n - 1 - sizes - 1 - near_left))
+        return StatisticTracker(signal[:n], max_lag), lefts, lefts + sizes + 1
+
+    @pytest.mark.parametrize("case", ["interior", "edge_500"])
+    def test_segment_impacts_speedup(self, report, case):
+        """``native.segment_impacts_*``: one fused C call per ReHeap vs the
+        NumPy chain (batched deltas, ACF rows, row-wise deviation).
+
+        The impacts must agree bit for bit before anything is timed.
+        """
+        tracker, lefts, rights = self._gap_request(case)
 
         def run():
-            return batched_contiguous_acf(state, lengths, positions, deltas)
+            return tracker.gap_impacts(lefts, rights, "mae")
 
         _kernels.set_native_enabled(True)
-        native_rows = run()
+        native_impacts = run()
         _kernels.set_native_enabled(False)
-        assert np.array_equal(native_rows, run())
+        assert np.array_equal(native_impacts, run())
 
-        ops = PERF_NATIVE_ACF_SEGMENTS * state.lags.size
-        timed_numpy = report.add(bench("numpy.interior_acf_block", run,
-                                       ops=ops, repeats=7,
-                                       segments=PERF_NATIVE_ACF_SEGMENTS,
-                                       segment_len=PERF_NATIVE_ACF_SEGMENT_LEN))
+        ops = lefts.size * tracker.max_lag
+        meta = dict(gaps=int(lefts.size), max_lag=tracker.max_lag,
+                    positions=int((rights - lefts - 1).sum()))
+        timed_numpy = report.add(bench(f"numpy.segment_impacts_{case}", run,
+                                       ops=ops, repeats=7, **meta))
         _kernels.set_native_enabled(True)
-        report.add(bench("native.interior_acf_block", run, ops=ops, repeats=7,
-                         segments=PERF_NATIVE_ACF_SEGMENTS,
-                         segment_len=PERF_NATIVE_ACF_SEGMENT_LEN))
-        speedup = report.speedup("native_interior_acf_block",
-                                 "native.interior_acf_block",
-                                 "numpy.interior_acf_block")
+        report.add(bench(f"native.segment_impacts_{case}", run, ops=ops,
+                         repeats=7, **meta))
+        speedup = report.speedup(f"native_segment_impacts_{case}",
+                                 f"native.segment_impacts_{case}",
+                                 f"numpy.segment_impacts_{case}")
         assert timed_numpy.seconds > 0
-        assert speedup >= PERF_MIN_NATIVE_INTERIOR_SPEEDUP, (
-            f"native interior kernel at {speedup:.2f}x the NumPy kernel is "
-            f"below the {PERF_MIN_NATIVE_INTERIOR_SPEEDUP}x floor")
+        assert speedup >= PERF_MIN_NATIVE_SEGMENT_SPEEDUP, (
+            f"fused ReHeap kernel ({case}) at {speedup:.2f}x the NumPy chain "
+            f"is below the {PERF_MIN_NATIVE_SEGMENT_SPEEDUP}x floor")
 
     def test_pop_loop_throughput(self, report):
         """``native.pop_loop``: heapify + full drain, C sifts vs hybrid.
@@ -564,6 +584,85 @@ class TestNativeTier:
             assert speedup >= PERF_MIN_NATIVE_E2E_SPEEDUP, (
                 f"native end-to-end at {speedup:.2f}x the NumPy tier is "
                 f"below the {PERF_MIN_NATIVE_E2E_SPEEDUP}x floor")
+
+
+    def test_cameo_fleet_500x32(self, report):
+        """``cameo.compress_fleet_500x32_native``: the end-to-end benchmark's
+        ``fleet_cameo`` shape (32 short series, where most ReHeaps touch a
+        series boundary), per series, kept sets identical across tiers."""
+        fleet = [np.round(load_dataset(name, length=PERF_FLEET_LENGTH,
+                                       seed=7 + copy).values, 2)
+                 for copy in range(PERF_FLEET_COPIES)
+                 for name in dataset_names()]
+
+        def run():
+            return [cameo_compress(series, max_lag=PERF_FLEET_MAX_LAG,
+                                   epsilon=PERF_FLEET_EPSILON)
+                    for series in fleet]
+
+        _kernels.set_native_enabled(False)
+        numpy_results = run()
+        _kernels.set_native_enabled(True)
+        for native_result, numpy_result in zip(run(), numpy_results):
+            assert (native_result.indices.tolist()
+                    == numpy_result.indices.tolist())
+        ops = len(fleet) * PERF_FLEET_LENGTH
+        meta = dict(series=len(fleet), length=PERF_FLEET_LENGTH,
+                    max_lag=PERF_FLEET_MAX_LAG, epsilon=PERF_FLEET_EPSILON,
+                    kept=sum(len(result) for result in numpy_results))
+        report.add(bench("cameo.compress_fleet_500x32_native", run, ops=ops,
+                         repeats=3, **meta))
+        _kernels.set_native_enabled(False)
+        report.add(bench("cameo.compress_fleet_500x32_numpy", run, ops=ops,
+                         repeats=2, warmup=False, **meta))
+        report.speedup("cameo_fleet_native_vs_numpy",
+                       "cameo.compress_fleet_500x32_native",
+                       "cameo.compress_fleet_500x32_numpy")
+
+    def test_cameo_lockstep_vs_native_perseries(self, report):
+        """``engine_cameo_lockstep_native``: the lock-step fast path against
+        per-series runs *on the native tier*.
+
+        ``engine_cameo_lockstep`` (below, NumPy tier) is the ratio the fast
+        path was built on; its stacked kernel is NumPy on either tier, while
+        the per-series path it bypasses now makes one compiled call per
+        ReHeap.  Recorded without a floor: a ratio under 1 makes lock-step
+        ROADMAP item 4's deletion candidate.
+        """
+        _kernels.set_native_enabled(True)
+        _bench_cameo_lockstep(report, "_native", repeats=2)
+
+
+def _bench_cameo_lockstep(report, suffix: str, *, repeats: int) -> None:
+    """Time lock-step vs per-series CAMEO on the active tier (kept sets
+    asserted equal) as ``engine.cameo_{lockstep,perseries}_64x192<suffix>``
+    and their ratio as ``engine_cameo_lockstep<suffix>``."""
+    from repro.engine import BatchEngine
+
+    fleet = TestBatchEngine._fleet(PERF_ENGINE_LOCKSTEP_SERIES,
+                                   PERF_ENGINE_LOCKSTEP_LENGTH, seed=31)
+    options = dict(max_lag=PERF_ENGINE_LOCKSTEP_MAX_LAG,
+                   epsilon=PERF_CAMEO_EPSILON)
+    ops = PERF_ENGINE_LOCKSTEP_SERIES * PERF_ENGINE_LOCKSTEP_LENGTH
+    stacked_engine = BatchEngine("cameo", codec_options=options,
+                                 backend="serial", fastpath=True)
+    scalar_engine = BatchEngine("cameo", codec_options=options,
+                                backend="serial", fastpath=False)
+    stacked = stacked_engine.compress(fleet)
+    scalar = scalar_engine.compress(fleet)
+    assert stacked.report.fastpath_series == PERF_ENGINE_LOCKSTEP_SERIES
+    for left, right in zip(stacked, scalar):
+        assert (left.unwrap().payload.indices.tolist()
+                == right.unwrap().payload.indices.tolist())
+    report.add(bench(f"engine.cameo_lockstep_64x192{suffix}",
+                     lambda: stacked_engine.compress(fleet), ops=ops,
+                     repeats=repeats, warmup=False))
+    report.add(bench(f"engine.cameo_perseries_64x192{suffix}",
+                     lambda: scalar_engine.compress(fleet), ops=ops,
+                     repeats=repeats, warmup=False))
+    report.speedup(f"engine_cameo_lockstep{suffix}",
+                   f"engine.cameo_lockstep_64x192{suffix}",
+                   f"engine.cameo_perseries_64x192{suffix}")
 
 
 @pytest.mark.usefixtures("numpy_tier")
@@ -663,31 +762,7 @@ class TestBatchEngine:
 
     def test_cameo_lockstep_fastpath(self, report):
         """``engine.cameo_lockstep``: lock-step vs per-series, kept sets equal."""
-        from repro.engine import BatchEngine
-
-        fleet = self._fleet(PERF_ENGINE_LOCKSTEP_SERIES,
-                            PERF_ENGINE_LOCKSTEP_LENGTH, seed=31)
-        options = dict(max_lag=PERF_ENGINE_LOCKSTEP_MAX_LAG,
-                       epsilon=PERF_CAMEO_EPSILON)
-        ops = PERF_ENGINE_LOCKSTEP_SERIES * PERF_ENGINE_LOCKSTEP_LENGTH
-        stacked_engine = BatchEngine("cameo", codec_options=options,
-                                     backend="serial", fastpath=True)
-        scalar_engine = BatchEngine("cameo", codec_options=options,
-                                    backend="serial", fastpath=False)
-        stacked = stacked_engine.compress(fleet)
-        scalar = scalar_engine.compress(fleet)
-        assert stacked.report.fastpath_series == PERF_ENGINE_LOCKSTEP_SERIES
-        for left, right in zip(stacked, scalar):
-            assert (left.unwrap().payload.indices.tolist()
-                    == right.unwrap().payload.indices.tolist())
-        report.add(bench("engine.cameo_lockstep_64x192",
-                         lambda: stacked_engine.compress(fleet), ops=ops,
-                         repeats=1, warmup=False))
-        report.add(bench("engine.cameo_perseries_64x192",
-                         lambda: scalar_engine.compress(fleet), ops=ops,
-                         repeats=1, warmup=False))
-        report.speedup("engine_cameo_lockstep", "engine.cameo_lockstep_64x192",
-                       "engine.cameo_perseries_64x192")
+        _bench_cameo_lockstep(report, "", repeats=1)
 
 
 # Keep a module-level reference so static analysers see the marker is used.

@@ -12,9 +12,9 @@ of the library routes through:
   turns many candidate ACF rows into PACF rows at once (the
   ``statistic="pacf"`` hot path),
 * :mod:`repro._kernels._native` — the *optional* compiled tier: the fused
-  interior-segment ReHeap ACF kernel, the indexed-min-heap primitives, and
-  the greedy-pop gap deltas as C loops (OpenMP when available), verified
-  bit-identical to the NumPy kernels at import time,
+  ReHeap kernel (gaps in, impacts out), the indexed-min-heap primitives,
+  and the greedy-pop gap deltas as C loops (OpenMP when available),
+  verified bit-identical to the NumPy kernels at import time,
 * :mod:`repro._kernels.reference` — the original per-bit / per-row
   implementations, kept as the ground truth for bit-exact cross-checks and
   as the baseline the perf harness measures speedups against.
@@ -60,7 +60,7 @@ __all__ = [
 NATIVE_ENV = "REPRO_NATIVE"
 
 #: The kernels with a native implementation (reported by active_tier).
-_NATIVE_KERNELS = ("interior_acf_block", "heap", "gap_deltas")
+_NATIVE_KERNELS = ("segment_impacts", "heap", "gap_deltas")
 
 
 def _env_allows_native() -> bool:

@@ -10,10 +10,15 @@ admitting the extension:
 * ``reduceat_check`` — the extension's transcription of NumPy's pairwise
   segment summation must reproduce ``np.add.reduceat`` *bit for bit* on a
   battery of segment lengths crossing every accumulation-regime boundary
-  (sequential < 8, unrolled <= 128, recursive splits above).  A NumPy
-  build whose reduction order differs (e.g. a SIMD pairwise path the C
-  model does not cover) disqualifies the native tier on that machine
-  rather than silently changing kept-point sets.
+  (sequential < 8, unrolled <= 128, recursive splits above), both 1-D and
+  down the columns of a C-contiguous matrix (``axis=0``, the masked
+  ``(T, L)`` sums of the ReHeap kernel).  A NumPy build whose reduction
+  order differs (e.g. a SIMD pairwise path the C model does not cover)
+  disqualifies the native tier on that machine rather than silently
+  changing kept-point sets.
+* ``rowwise_check`` — the extension's closed-form deviations must
+  reproduce ``np.mean``/``np.max`` along the contiguous axis (the
+  pairwise sum *without* reduceat's first-element seed).
 * ``fma_probe`` — ``a*b - a*b`` must be exactly ``0.0``; a non-zero
   result means the compiler contracted a product into a fused
   multiply-add, which rounds differently from NumPy's separate ops.
@@ -64,6 +69,34 @@ def _check_reduceat_model(mod) -> bool:
             got = mod.reduceat_check(values, offsets)
             if not np.array_equal(expected, got):
                 return False
+    # axis=0 over a C-contiguous matrix: every column is summed with the
+    # same model, strided
+    matrix = rng.normal(0.0, 1.0, (150, 3)) * 10.0 ** rng.integers(
+        -6, 7, (150, 3))
+    offsets = np.array([0, 1, 8, 20], dtype=np.int64)
+    expected = np.add.reduceat(matrix, offsets, axis=0)
+    return all(
+        np.array_equal(expected[:, column], mod.reduceat_check(
+            np.ascontiguousarray(matrix[:, column]), offsets))
+        for column in range(matrix.shape[1]))
+
+
+def _check_rowwise_model(mod) -> bool:
+    """Do the extension's row deviations match this NumPy, bit for bit?"""
+    rng = np.random.default_rng(0xCA3E1)
+    for num_lags in (1, 7, 8, 9, 24, 129, 300):
+        rows = rng.normal(0.0, 1.0, (3, num_lags)) * 10.0 ** rng.integers(
+            -6, 7, (3, num_lags))
+        reference = rng.normal(0.0, 1.0, num_lags)
+        diff = rows - reference
+        expected = {"mae": np.mean(np.abs(diff), axis=1),
+                    "cheb": np.max(np.abs(diff), axis=1),
+                    "mse": np.mean(diff * diff, axis=1),
+                    "rmse": np.sqrt(np.mean(diff * diff, axis=1))}
+        for kind, values in expected.items():
+            if not np.array_equal(values,
+                                  mod.rowwise_check(reference, rows, kind)):
+                return False
     return True
 
 
@@ -74,6 +107,8 @@ def _self_check(mod) -> str | None:
             return "build contracted multiplies into FMA"
         if not _check_reduceat_model(mod):
             return "np.add.reduceat accumulation order not reproduced"
+        if not _check_rowwise_model(mod):
+            return "np.mean/np.max row reductions not reproduced"
     except Exception as exc:  # pragma: no cover - defensive
         return f"self-check crashed: {exc!r}"
     return None

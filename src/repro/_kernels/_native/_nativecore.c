@@ -2,11 +2,12 @@
  *
  * Implements, in portable C99:
  *
- *   - ``interior_acf_block``: the interior-segment ReHeap ACF kernel as one
- *     fused loop per segment — per-segment delta/energy sums, the head/tail
- *     lag gathers, and the pairable-lag cross terms — parallelised over the
- *     segment axis with OpenMP when available, with no ``(T, L)``
- *     temporaries;
+ *   - ``segment_impacts``: the whole ReHeap evaluation as one call — gaps
+ *     in, impacts out.  Per gap: the re-interpolation deltas, the ACF row
+ *     of the changed segment (boundary-clipped head/tail lag ranges and
+ *     the pairable-lag cross terms included) and its deviation from the
+ *     reference, parallelised over the segment axis with OpenMP when
+ *     available, with no ``(T, L)`` or ``(k, L)`` temporaries;
  *   - the indexed-min-heap primitives (sift, push, pop, remove, update,
  *     bulk push/update, destructive multi-pop, non-destructive frontier
  *     peek) operating on flat float64/int64 arrays owned by the caller;
@@ -24,7 +25,8 @@
  *      multiple-of-8 midpoint above that).  The loader cross-checks this
  *      model against the running NumPy at import time and refuses the
  *      native tier on mismatch (e.g. a NumPy built with a SIMD pairwise
- *      path for strides this file does not model).
+ *      path for strides this file does not model).  Row means replicate
+ *      ``np.mean(axis=1)``: the same pairwise sum, without the seed.
  *   2. The build disables floating-point contraction (``-ffp-contract=off``
  *      and the ``FP_CONTRACT OFF`` pragma): a fused multiply-add would
  *      round differently from NumPy's separate multiply and add.  The
@@ -42,6 +44,7 @@
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -134,67 +137,121 @@ reduceat_sum(const double *a, npy_intp n)
 }
 
 /* ------------------------------------------------------------------ */
-/* interior-segment ReHeap ACF kernel                                  */
+/* fused ReHeap kernel: gaps in, impacts out                           */
 /* ------------------------------------------------------------------ */
 
-static void
-interior_segment_row(const double *current, npy_intp n,
-                     const double *counts, const double *sx,
-                     const double *sxl, const double *sx2,
-                     const double *sx2l, const double *sxxl,
-                     npy_intp num_lags,
-                     const double *deltas_all, npy_intp total,
-                     const npy_int64 *pos, const double *d,
-                     npy_intp off, npy_intp len,
-                     int has_cross, npy_intp num_cross_lags, int use_bincount,
-                     double *buf, double *row)
+enum { METRIC_MAE, METRIC_CHEB, METRIC_MSE, METRIC_RMSE };
+
+/* Everything one ReHeap evaluation shares across its segments. */
+typedef struct {
+    const double *current;
+    npy_intp n;
+    const double *counts, *sx, *sxl, *sx2, *sx2l, *sxxl;
+    const double *reference;
+    npy_intp num_lags;
+    int metric;
+    /* cross-term path selection, decided for the whole request exactly as
+     * _segment_cross_terms does from the longest segment */
+    int has_cross;
+    npy_intp num_cross_lags;
+    int use_bincount;
+} reheap_ctx;
+
+/* One segment of ``np.add.reduceat(values * mask, offsets, axis=0)`` for a
+ * boolean mask that is true exactly on ``[lo, hi)``.  The masked slots
+ * stay in the buffer as ``x * 0.0`` because dropping them would change
+ * the pairwise blocking of the sum; ``x * 1.0 == x`` makes the all-true
+ * case the plain segment sum. */
+static double
+masked_reduceat_sum(const double *values, npy_intp len, npy_intp lo,
+                    npy_intp hi, double *buf)
 {
-    npy_intp t, j;
-    double d_seg, e_seg;
+    npy_intp t;
 
-    d_seg = reduceat_sum(d, len);
-    for (t = 0; t < len; t++) {
-        /* energy = delta * (2*old + delta) */
-        buf[t] = d[t] * (2.0 * current[pos[t]] + d[t]);
+    if (lo == 0 && hi == len) {
+        return reduceat_sum(values, len);
     }
-    e_seg = reduceat_sum(buf, len);
+    for (t = 0; t < lo; t++) {
+        buf[t] = values[t] * 0.0;
+    }
+    for (; t < hi; t++) {
+        buf[t] = values[t];
+    }
+    for (; t < len; t++) {
+        buf[t] = values[t] * 0.0;
+    }
+    return reduceat_sum(buf, len);
+}
 
-    for (j = 0; j < num_lags; j++) {
+/* ACF row after changing positions ``start .. start+len-1`` by ``d`` —
+ * the masked NumPy kernel (_edge_acf_block) one segment at a time.  Its
+ * head mask (pos + lag <= n-1) is true on a prefix of the segment and its
+ * tail mask (pos - lag >= 0) on a suffix, so interior segments, whose
+ * masks are all-true, fall out of the same code. */
+static void
+segment_row(const reheap_ctx *c, npy_intp start, npy_intp len,
+            const double *d, const double *energy, double *buf, double *row)
+{
+    const double *current = c->current;
+    const double d_seg = reduceat_sum(d, len);
+    const double e_seg = reduceat_sum(energy, len);
+    npy_intp t, j;
+
+    for (j = 0; j < c->num_lags; j++) {
         const npy_intp lag = j + 1;
-        double d_head, d_tail;
+        npy_intp head_count = c->n - lag - start;
+        npy_intp tail_start = lag - start;
+        double d_sx, d_sxl, d_sx2, d_sx2l, d_head, d_tail;
         double new_sx, new_sxl, new_sx2, new_sx2l, new_sxxl;
         double numerator, var_head, var_tail;
 
-        for (t = 0; t < len; t++) {
-            /* interior segments guarantee pos±lag stays in range; the
-             * clip mirrors np.take(..., mode="clip") defensively. */
-            npy_intp idx = pos[t] + lag;
-            if (idx > n - 1) {
-                idx = n - 1;
-            }
-            buf[t] = d[t] * current[idx];
+        head_count = head_count < 0 ? 0 : head_count > len ? len : head_count;
+        tail_start = tail_start < 0 ? 0 : tail_start > len ? len : tail_start;
+
+        if (head_count == len) {
+            d_sx = d_seg;
+            d_sx2 = e_seg;
+        }
+        else {
+            d_sx = masked_reduceat_sum(d, len, 0, head_count, buf);
+            d_sx2 = masked_reduceat_sum(energy, len, 0, head_count, buf);
+        }
+        if (tail_start == 0) {
+            d_sxl = d_seg;
+            d_sx2l = e_seg;
+        }
+        else {
+            d_sxl = masked_reduceat_sum(d, len, tail_start, len, buf);
+            d_sx2l = masked_reduceat_sum(energy, len, tail_start, len, buf);
+        }
+
+        /* masked slots gather the clipped index, as np.take does */
+        for (t = 0; t < head_count; t++) {
+            buf[t] = d[t] * current[start + t + lag];
+        }
+        for (; t < len; t++) {
+            buf[t] = (d[t] * current[c->n - 1]) * 0.0;
         }
         d_head = reduceat_sum(buf, len);
-        for (t = 0; t < len; t++) {
-            npy_intp idx = pos[t] - lag;
-            if (idx < 0) {
-                idx = 0;
-            }
-            buf[t] = d[t] * current[idx];
+        for (t = 0; t < tail_start; t++) {
+            buf[t] = (d[t] * current[0]) * 0.0;
+        }
+        for (; t < len; t++) {
+            buf[t] = d[t] * current[start + t - lag];
         }
         d_tail = reduceat_sum(buf, len);
 
-        new_sx = sx[j] + d_seg;
-        new_sxl = sxl[j] + d_seg;
-        new_sx2 = sx2[j] + e_seg;
-        new_sx2l = sx2l[j] + e_seg;
+        new_sx = c->sx[j] + d_sx;
+        new_sxl = c->sxl[j] + d_sxl;
+        new_sx2 = c->sx2[j] + d_sx2;
+        new_sx2l = c->sx2l[j] + d_sx2l;
         /* same association order as the NumPy kernel */
-        new_sxxl = (sxxl[j] + d_head) + d_tail;
+        new_sxxl = (c->sxxl[j] + d_head) + d_tail;
 
-        if (has_cross) {
+        if (c->has_cross) {
             double cross = 0.0;
-            if (j < num_cross_lags) {
-                if (use_bincount) {
+            if (j < c->num_cross_lags) {
+                if (c->use_bincount) {
                     /* np.bincount accumulates sequentially in increasing
                      * index order, starting from zero. */
                     for (t = lag; t < len; t++) {
@@ -202,20 +259,17 @@ interior_segment_row(const double *current, npy_intp n,
                     }
                 }
                 else {
-                    /* Partner-matrix path: masked products (preserving
-                     * the sign of masked zeros) reduced per segment with
-                     * the reduceat model. */
-                    const npy_intp seg_end = off + len;
-                    for (t = 0; t < len; t++) {
-                        const npy_intp g = off + t;
-                        npy_intp partner = g + lag;
-                        npy_intp clipped =
-                            partner < total ? partner : total - 1;
-                        double prod = deltas_all[g] * deltas_all[clipped];
-                        double keep =
-                            (partner < total && partner < seg_end)
-                            ? 1.0 : 0.0;
-                        buf[t] = prod * keep;
+                    /* Partner-matrix path: products with the partner
+                     * ``lag`` slots on, masked where it leaves the
+                     * segment, reduced with the reduceat model.  NumPy
+                     * clips the partner at the end of the concatenation
+                     * rather than of the segment; either way the slot is
+                     * a zero whose sign cannot reach the sum's value. */
+                    for (t = 0; t + lag < len; t++) {
+                        buf[t] = d[t] * d[t + lag];
+                    }
+                    for (; t < len; t++) {
+                        buf[t] = (d[t] * d[len - 1]) * 0.0;
                     }
                     cross = reduceat_sum(buf, len);
                 }
@@ -223,9 +277,9 @@ interior_segment_row(const double *current, npy_intp n,
             new_sxxl = new_sxxl + cross;
         }
 
-        numerator = counts[j] * new_sxxl - new_sx * new_sxl;
-        var_head = counts[j] * new_sx2 - new_sx * new_sx;
-        var_tail = counts[j] * new_sx2l - new_sxl * new_sxl;
+        numerator = c->counts[j] * new_sxxl - new_sx * new_sxl;
+        var_head = c->counts[j] * new_sx2 - new_sx * new_sx;
+        var_tail = c->counts[j] * new_sx2l - new_sxl * new_sxl;
         if (var_head > 0.0 && var_tail > 0.0) {
             row[j] = numerator / sqrt(var_head * var_tail);
         }
@@ -235,114 +289,238 @@ interior_segment_row(const double *current, npy_intp n,
     }
 }
 
+/* ACF of the unchanged state (ACFAggregateState._acf_from): the row of a
+ * zero-length segment. */
+static void
+current_row(const reheap_ctx *c, double *row)
+{
+    npy_intp j;
+
+    for (j = 0; j < c->num_lags; j++) {
+        const double numerator =
+            c->counts[j] * c->sxxl[j] - c->sx[j] * c->sxl[j];
+        const double var_head =
+            c->counts[j] * c->sx2[j] - c->sx[j] * c->sx[j];
+        const double var_tail =
+            c->counts[j] * c->sx2l[j] - c->sxl[j] * c->sxl[j];
+        row[j] = 0.0;
+        if (var_head > 0.0 && var_tail > 0.0) {
+            const double denom = sqrt(var_head * var_tail);
+            if (denom != 0.0) {
+                row[j] = numerator / denom;
+            }
+        }
+    }
+}
+
+/* ``ResolvedMetric.rowwise`` for one row (overwritten as workspace).
+ * ``np.mean(..., axis=1)`` of a C-contiguous matrix is the plain pairwise
+ * sum of the row — no first-element seed, unlike reduceat — over its
+ * length; ``np.max`` is ``np.maximum.reduce`` (NaN-propagating). */
+static double
+row_deviation(int metric, const double *reference, npy_intp num_lags,
+              double *row)
+{
+    npy_intp j;
+    double result;
+
+    if (metric == METRIC_CHEB) {
+        result = fabs(row[0] - reference[0]);
+        for (j = 1; j < num_lags; j++) {
+            const double value = fabs(row[j] - reference[j]);
+            if (!(result >= value || result != result)) {
+                result = value;
+            }
+        }
+        return result;
+    }
+    for (j = 0; j < num_lags; j++) {
+        const double diff = row[j] - reference[j];
+        row[j] = metric == METRIC_MAE ? fabs(diff) : diff * diff;
+    }
+    result = pairwise_sum(row, num_lags) / (double)num_lags;
+    return metric == METRIC_RMSE ? sqrt(result) : result;
+}
+
+static int
+parse_metric(const char *name, int *metric)
+{
+    static const char *const names[] = {"mae", "cheb", "mse", "rmse"};
+    int code;
+
+    for (code = 0; code < 4; code++) {
+        if (strcmp(name, names[code]) == 0) {
+            *metric = code;
+            return 1;
+        }
+    }
+    PyErr_Format(PyExc_ValueError, "unknown closed-form metric '%s'", name);
+    return 0;
+}
+
+/* segment_impacts(current, counts, sx, sxl, sx2, sx2l, sxxl, reference,
+ *                 lefts, rights, metric, cell_budget) -> impacts | None
+ *
+ * Gap ``s`` re-interpolates the points strictly inside
+ * ``(lefts[s], rights[s])`` on the line between its two anchors; the
+ * result is the deviation of the ACF each gap alone would produce from
+ * ``reference``.  Returns ``None`` when the request's positions exceed
+ * ``cell_budget`` — the point at which batched_contiguous_acf splits
+ * into blocks, each with its own cross-term path choice — so the caller
+ * can take that path instead. */
 static PyObject *
-py_interior_acf_block(PyObject *self, PyObject *args)
+py_segment_impacts(PyObject *self, PyObject *args)
 {
     PyArrayObject *current, *counts, *sx, *sxl, *sx2, *sx2l, *sxxl;
-    PyArrayObject *lens, *offsets, *positions, *deltas, *out;
-    long max_len_arg;
-    npy_intp num_segments, num_lags, total, n, max_len;
-    int has_cross, use_bincount;
-    npy_intp num_cross_lags;
-    const double *current_p, *counts_p, *sx_p, *sxl_p, *sx2_p, *sx2l_p, *sxxl_p;
-    const double *deltas_p;
-    const npy_int64 *lens_p, *offsets_p, *positions_p;
-    double *out_p;
-    double *scratch;
+    PyArrayObject *reference, *lefts, *rights;
+    const char *metric_name;
+    Py_ssize_t cell_budget;
+    reheap_ctx ctx;
+    const npy_int64 *lefts_p, *rights_p;
+    npy_intp num_gaps, total = 0, max_len = 0, stride, s;
+    npy_intp dims[1];
+    PyObject *out;
+    double *out_p, *scratch;
+    double current_deviation;
     int nthreads = 1;
-    npy_intp s;
 
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O!O!O!lO!",
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O!O!sn",
                           &PyArray_Type, &current, &PyArray_Type, &counts,
                           &PyArray_Type, &sx, &PyArray_Type, &sxl,
                           &PyArray_Type, &sx2, &PyArray_Type, &sx2l,
-                          &PyArray_Type, &sxxl, &PyArray_Type, &lens,
-                          &PyArray_Type, &offsets, &PyArray_Type, &positions,
-                          &PyArray_Type, &deltas, &max_len_arg,
-                          &PyArray_Type, &out)) {
+                          &PyArray_Type, &sxxl, &PyArray_Type, &reference,
+                          &PyArray_Type, &lefts, &PyArray_Type, &rights,
+                          &metric_name, &cell_budget)) {
         return NULL;
     }
     if (!CHECK_F64(current, "current") || !CHECK_F64(counts, "counts")
             || !CHECK_F64(sx, "sx") || !CHECK_F64(sxl, "sxl")
             || !CHECK_F64(sx2, "sx2") || !CHECK_F64(sx2l, "sx2l")
-            || !CHECK_F64(sxxl, "sxxl") || !CHECK_I64(lens, "lens")
-            || !CHECK_I64(offsets, "offsets")
-            || !CHECK_I64(positions, "positions")
-            || !CHECK_F64(deltas, "deltas")) {
+            || !CHECK_F64(sxxl, "sxxl") || !CHECK_F64(reference, "reference")
+            || !CHECK_I64(lefts, "lefts") || !CHECK_I64(rights, "rights")
+            || !parse_metric(metric_name, &ctx.metric)) {
         return NULL;
     }
-    if (PyArray_TYPE(out) != NPY_FLOAT64 || PyArray_NDIM(out) != 2
-            || !PyArray_IS_C_CONTIGUOUS(out)) {
+    ctx.n = PyArray_DIM(current, 0);
+    ctx.num_lags = PyArray_DIM(counts, 0);
+    num_gaps = PyArray_DIM(lefts, 0);
+    if (ctx.num_lags < 1 || PyArray_DIM(sx, 0) != ctx.num_lags
+            || PyArray_DIM(sxl, 0) != ctx.num_lags
+            || PyArray_DIM(sx2, 0) != ctx.num_lags
+            || PyArray_DIM(sx2l, 0) != ctx.num_lags
+            || PyArray_DIM(sxxl, 0) != ctx.num_lags
+            || PyArray_DIM(reference, 0) != ctx.num_lags
+            || PyArray_DIM(rights, 0) != num_gaps) {
         PyErr_SetString(PyExc_ValueError,
-                        "out must be a C-contiguous 2-D float64 array");
+                        "inconsistent segment_impacts array shapes");
         return NULL;
     }
-    num_segments = PyArray_DIM(lens, 0);
-    num_lags = PyArray_DIM(counts, 0);
-    total = PyArray_DIM(deltas, 0);
-    n = PyArray_DIM(current, 0);
-    max_len = (npy_intp)max_len_arg;
-    if (PyArray_DIM(out, 0) != num_segments
-            || PyArray_DIM(out, 1) != num_lags
-            || PyArray_DIM(offsets, 0) != num_segments
-            || PyArray_DIM(positions, 0) != total
-            || PyArray_DIM(sx, 0) != num_lags || max_len <= 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "inconsistent interior_acf_block array shapes");
-        return NULL;
+    lefts_p = (const npy_int64 *)PyArray_DATA(lefts);
+    rights_p = (const npy_int64 *)PyArray_DATA(rights);
+    for (s = 0; s < num_gaps; s++) {
+        const npy_int64 left = lefts_p[s], right = rights_p[s];
+        npy_intp len;
+        /* [-1, n] admits a neighbour list's end sentinels on gaps that
+         * hold no point, and keeps the subtraction from overflowing; a
+         * gap that holds points needs both anchors inside the series */
+        if (left < -1 || left > ctx.n || right < -1 || right > ctx.n
+                || (right - left > 1 && (left < 0 || right >= ctx.n))) {
+            PyErr_SetString(PyExc_ValueError, "gap anchors out of range");
+            return NULL;
+        }
+        len = (npy_intp)(right - left - 1);
+        if (len <= 0) {
+            continue;
+        }
+        total += len;
+        if (len > max_len) {
+            max_len = len;
+        }
+    }
+    if (total > (cell_budget > max_len ? cell_budget : max_len)) {
+        Py_RETURN_NONE;
     }
 
-    current_p = (const double *)PyArray_DATA(current);
-    counts_p = (const double *)PyArray_DATA(counts);
-    sx_p = (const double *)PyArray_DATA(sx);
-    sxl_p = (const double *)PyArray_DATA(sxl);
-    sx2_p = (const double *)PyArray_DATA(sx2);
-    sx2l_p = (const double *)PyArray_DATA(sx2l);
-    sxxl_p = (const double *)PyArray_DATA(sxxl);
-    lens_p = (const npy_int64 *)PyArray_DATA(lens);
-    offsets_p = (const npy_int64 *)PyArray_DATA(offsets);
-    positions_p = (const npy_int64 *)PyArray_DATA(positions);
-    deltas_p = (const double *)PyArray_DATA(deltas);
-    out_p = (double *)PyArray_DATA(out);
+    ctx.current = (const double *)PyArray_DATA(current);
+    ctx.counts = (const double *)PyArray_DATA(counts);
+    ctx.sx = (const double *)PyArray_DATA(sx);
+    ctx.sxl = (const double *)PyArray_DATA(sxl);
+    ctx.sx2 = (const double *)PyArray_DATA(sx2);
+    ctx.sx2l = (const double *)PyArray_DATA(sx2l);
+    ctx.sxxl = (const double *)PyArray_DATA(sxxl);
+    ctx.reference = (const double *)PyArray_DATA(reference);
+    ctx.has_cross = max_len > 1;
+    ctx.num_cross_lags =
+        max_len - 1 < ctx.num_lags ? max_len - 1 : ctx.num_lags;
+    ctx.use_bincount = ctx.num_cross_lags <= 8;
 
-    /* cross-term path selection, decided for the whole block exactly as
-     * _segment_cross_terms does */
-    has_cross = max_len > 1;
-    num_cross_lags = max_len - 1 < num_lags ? max_len - 1 : num_lags;
-    use_bincount = num_cross_lags <= 8;
+    dims[0] = num_gaps;
+    out = PyArray_SimpleNew(1, dims, NPY_FLOAT64);
+    if (out == NULL) {
+        return NULL;
+    }
+    out_p = (double *)PyArray_DATA((PyArrayObject *)out);
 
 #ifdef _OPENMP
     nthreads = omp_get_max_threads();
 #endif
-    scratch = (double *)malloc((size_t)nthreads * (size_t)max_len
+    /* per thread: deltas, energies and a product buffer of the longest
+     * segment, plus one ACF row */
+    stride = 3 * max_len + ctx.num_lags;
+    scratch = (double *)malloc((size_t)nthreads * (size_t)stride
                                * sizeof(double));
     if (scratch == NULL) {
+        Py_DECREF(out);
         return PyErr_NoMemory();
     }
 
     Py_BEGIN_ALLOW_THREADS
+    /* zero-length gaps change nothing: they get the current deviation */
+    current_row(&ctx, scratch);
+    current_deviation = row_deviation(ctx.metric, ctx.reference,
+                                      ctx.num_lags, scratch);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (num_segments > 1 && total * num_lags > 16384)
+    if (num_gaps > 1 && total * ctx.num_lags > 16384)
 #endif
-    for (s = 0; s < num_segments; s++) {
+    for (s = 0; s < num_gaps; s++) {
+        const npy_intp left = (npy_intp)lefts_p[s];
+        const npy_intp len = (npy_intp)(rights_p[s] - lefts_p[s] - 1);
         int tid = 0;
+        double *d, *energy, *buf, *row;
+        double span, cl, cr;
+        npy_intp t;
+
+        if (len <= 0) {
+            out_p[s] = current_deviation;
+            continue;
+        }
 #ifdef _OPENMP
         tid = omp_get_thread_num();
 #endif
-        interior_segment_row(current_p, n, counts_p, sx_p, sxl_p, sx2_p,
-                             sx2l_p, sxxl_p, num_lags, deltas_p, total,
-                             positions_p + offsets_p[s],
-                             deltas_p + offsets_p[s],
-                             offsets_p[s], (npy_intp)lens_p[s],
-                             has_cross, num_cross_lags, use_bincount,
-                             scratch + (npy_intp)tid * max_len,
-                             out_p + s * num_lags);
+        d = scratch + (npy_intp)tid * stride;
+        energy = d + max_len;
+        buf = energy + max_len;
+        row = buf + max_len;
+        /* segment_interpolation_deltas_batched, one gap */
+        span = (double)(len + 1);
+        cl = ctx.current[left];
+        cr = ctx.current[left + len + 1];
+        for (t = 0; t < len; t++) {
+            const double w = (double)(t + 1) / span;
+            const double old = ctx.current[left + 1 + t];
+            d[t] = (cl * (1.0 - w) + cr * w) - old;
+            /* energy = delta * (2*old + delta) */
+            energy[t] = d[t] * (2.0 * old + d[t]);
+        }
+        segment_row(&ctx, left + 1, len, d, energy, buf, row);
+        out_p[s] = row_deviation(ctx.metric, ctx.reference, ctx.num_lags,
+                                 row);
     }
     Py_END_ALLOW_THREADS
 
     free(scratch);
-    Py_RETURN_NONE;
+    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -942,6 +1120,55 @@ py_reduceat_check(PyObject *self, PyObject *args)
     return out;
 }
 
+/* ``ResolvedMetric.rowwise`` under this module's model, for the loader's
+ * cross-check of the contiguous-axis mean against the running NumPy. */
+static PyObject *
+py_rowwise_check(PyObject *self, PyObject *args)
+{
+    PyArrayObject *reference, *rows;
+    const char *metric_name;
+    int metric;
+    npy_intp num_rows, num_lags, r;
+    npy_intp dims[1];
+    PyObject *out;
+    double *out_p, *row;
+
+    if (!PyArg_ParseTuple(args, "O!O!s", &PyArray_Type, &reference,
+                          &PyArray_Type, &rows, &metric_name)) {
+        return NULL;
+    }
+    if (!CHECK_F64(reference, "reference")
+            || !parse_metric(metric_name, &metric)) {
+        return NULL;
+    }
+    num_lags = PyArray_DIM(reference, 0);
+    if (PyArray_TYPE(rows) != NPY_FLOAT64 || PyArray_NDIM(rows) != 2
+            || !PyArray_IS_C_CONTIGUOUS(rows) || num_lags < 1
+            || PyArray_DIM(rows, 1) != num_lags) {
+        PyErr_SetString(PyExc_ValueError,
+                        "rows must be a C-contiguous (k, L) float64 array");
+        return NULL;
+    }
+    num_rows = PyArray_DIM(rows, 0);
+    dims[0] = num_rows;
+    out = PyArray_SimpleNew(1, dims, NPY_FLOAT64);
+    row = (double *)malloc((size_t)num_lags * sizeof(double));
+    if (out == NULL || row == NULL) {
+        Py_XDECREF(out);
+        free(row);
+        return PyErr_NoMemory();
+    }
+    out_p = (double *)PyArray_DATA((PyArrayObject *)out);
+    for (r = 0; r < num_rows; r++) {
+        memcpy(row, (const double *)PyArray_DATA(rows) + r * num_lags,
+               (size_t)num_lags * sizeof(double));
+        out_p[r] = row_deviation(
+            metric, (const double *)PyArray_DATA(reference), num_lags, row);
+    }
+    free(row);
+    return out;
+}
+
 /* ``a*b - a*b`` in the shape the ACF numerator uses.  Exactly 0.0 unless
  * the compiler contracted one of the products into an FMA. */
 static PyObject *
@@ -1025,8 +1252,8 @@ py_get_max_threads(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef nativecore_methods[] = {
-    {"interior_acf_block", py_interior_acf_block, METH_VARARGS,
-     "Fused interior-segment ReHeap ACF kernel (fills `out` in place)."},
+    {"segment_impacts", py_segment_impacts, METH_VARARGS,
+     "Fused ReHeap kernel: gaps in, impacts out (None when over budget)."},
     {"gap_deltas", py_gap_deltas, METH_VARARGS,
      "Linear re-interpolation deltas for positions inside (left, right)."},
     {"heap_heapify", py_heap_heapify, METH_VARARGS,
@@ -1049,6 +1276,8 @@ static PyMethodDef nativecore_methods[] = {
      "Push pre-validated absent items; returns the new size."},
     {"reduceat_check", py_reduceat_check, METH_VARARGS,
      "Per-segment sums under the module's np.add.reduceat model."},
+    {"rowwise_check", py_rowwise_check, METH_VARARGS,
+     "Per-row deviations under the module's ResolvedMetric.rowwise model."},
     {"fma_probe", py_fma_probe, METH_VARARGS,
      "a*b - a*b; non-zero iff the build contracted to FMA."},
     {"build_info", py_build_info, METH_NOARGS,

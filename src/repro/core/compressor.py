@@ -53,11 +53,7 @@ from ..stats.descriptors import Statistic
 from .blocking import resolve_blocking_hops
 from .custom import GenericStatisticTracker
 from .heap import IndexedMinHeap, make_heap
-from .impact import (
-    resolve_rowwise_metric,
-    segment_interpolation_deltas,
-    segment_interpolation_deltas_batched,
-)
+from .impact import resolve_rowwise_metric, segment_interpolation_deltas
 from .neighbors import NeighborList
 from .tracker import StatisticTracker
 
@@ -413,9 +409,9 @@ class CameoCompressor:
 
         Fused pipeline: the surviving neighbourhood is collected once (one
         windowed gather over the alive mask), the in-heap filter is a
-        vectorized mask query, all neighbour segment deltas are computed in
-        a single batched pass, their impacts in one vectorized kernel call,
-        and the heap keys in one ``update_many``.
+        vectorized mask query, all neighbour segment deltas and their
+        impacts are computed in one batched kernel call
+        (``tracker.gap_impacts``), and the heap keys in one ``update_many``.
 
         When speculation is on, the ``batch_size - 1`` cheapest in-heap
         candidates (peeked non-destructively) join the same kernel call:
@@ -449,10 +445,7 @@ class CameoCompressor:
         else:
             combined = np.concatenate((candidates, spec_items))
         lefts, rights = neighbours.gaps_of(combined)
-        starts, lengths, positions, deltas = segment_interpolation_deltas_batched(
-            tracker.current_values, lefts, rights)
-        impacts = tracker.batch_impacts_segments(starts, lengths, positions,
-                                                 deltas, metric)
+        impacts = tracker.gap_impacts(lefts, rights, metric)
         refreshed = int(candidates.size)
         if refreshed:
             heap.update_many(candidates, impacts[:refreshed])

@@ -21,7 +21,11 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..stats.descriptors import Statistic, TumblingAggregateStatistic
-from .impact import initial_interpolation_deltas, metric_rowwise
+from .impact import (
+    initial_interpolation_deltas,
+    metric_rowwise,
+    segment_interpolation_deltas_batched,
+)
 
 __all__ = ["GenericStatisticTracker"]
 
@@ -166,6 +170,14 @@ class GenericStatisticTracker:
             impacts[index] = self.deviation(
                 metric, self.preview(int(starts[index]), segment))
         return impacts
+
+    def gap_impacts(self, lefts, rights, metric) -> np.ndarray:
+        """Impacts of re-interpolating each gap ``(lefts[s], rights[s])``;
+        same contract as :meth:`StatisticTracker.gap_impacts`."""
+        starts, lengths, positions, deltas = segment_interpolation_deltas_batched(
+            self._current, lefts, rights)
+        return self.batch_impacts_segments(starts, lengths, positions, deltas,
+                                           metric)
 
     def initial_impacts(self, metric) -> tuple[np.ndarray, np.ndarray]:
         """Impact of removing each interior point in isolation (Algorithm 2)."""

@@ -16,6 +16,9 @@ Entry points:
   every already-removed point in the surviving gap ``(left, right)`` is
   re-interpolated on the new segment.  The batched variant computes the
   deltas of many gaps in one pass over a concatenated position array.
+* :func:`native_gap_impacts` — the compiled tier's whole ReHeap evaluation
+  (batched deltas, :func:`batched_contiguous_acf` rows and the closed-form
+  deviation) as one call, bit-identical to chaining the three above.
 
 The deviation measure ``D`` is vectorised for the common metrics (MAE,
 Chebyshev, RMSE/MSE); any other callable falls back to a row-wise loop.
@@ -45,6 +48,7 @@ __all__ = [
     "segment_interpolation_deltas",
     "segment_interpolation_deltas_batched",
     "initial_interpolation_deltas",
+    "native_gap_impacts",
 ]
 
 _VECTORISED_METRICS = {"mae", "cheb", "chebyshev", "max", "rmse", "mse"}
@@ -427,31 +431,7 @@ def _segment_cross_terms(deltas: np.ndarray, lens: np.ndarray, lags: np.ndarray,
 def _interior_acf_block(state: ACFAggregateState, lens: np.ndarray,
                         offsets: np.ndarray, positions: np.ndarray,
                         deltas: np.ndarray, max_len: int) -> np.ndarray:
-    """Fast path for segments whose lag windows never leave the series.
-
-    Dispatches to the compiled tier when it is active (one fused C loop
-    per segment, no ``(T, 2L)`` temporaries, bit-identical by the
-    import-time contract of :mod:`repro._kernels._native`); otherwise runs
-    the NumPy formulation below.
-    """
-    native = _get_native()
-    if (native is not None and lens.size
-            and state.current.flags.c_contiguous):
-        sums = state.sums
-        out = np.empty((lens.size, state.lags.size), dtype=np.float64)
-        native.interior_acf_block(state.current, sums.counts, sums.sx,
-                                  sums.sxl, sums.sx2, sums.sx2l, sums.sxxl,
-                                  lens, offsets, positions, deltas,
-                                  max_len, out)
-        return out
-    return _interior_acf_block_numpy(state, lens, offsets, positions,
-                                     deltas, max_len)
-
-
-def _interior_acf_block_numpy(state: ACFAggregateState, lens: np.ndarray,
-                              offsets: np.ndarray, positions: np.ndarray,
-                              deltas: np.ndarray, max_len: int) -> np.ndarray:
-    """The NumPy formulation (and bit-identity reference) of the fast path."""
+    """Fast path for segments whose lag windows never leave the series."""
     sums = state.sums
     lags = state.lags
     counts = sums.counts
@@ -923,3 +903,27 @@ def segment_interpolation_deltas_batched(current: np.ndarray, lefts, rights
     new_values = left_values * (1.0 - weights) + right_values * weights
     deltas = new_values - current[positions]
     return starts, lengths, positions, deltas
+
+
+def native_gap_impacts(state: ACFAggregateState, reference: np.ndarray,
+                       lefts: np.ndarray, rights: np.ndarray,
+                       metric: ResolvedMetric) -> np.ndarray | None:
+    """Impacts of re-interpolating each gap, through the compiled tier.
+
+    One fused C call replaces :func:`segment_interpolation_deltas_batched`
+    → :func:`batched_contiguous_acf` → :meth:`ResolvedMetric.rowwise` and
+    reproduces that chain bit for bit without its ``(T, L)`` and ``(k, L)``
+    intermediates.  ``lefts``/``rights`` must be C-contiguous ``int64``
+    arrays.  Returns ``None`` when the chain has to run instead: the native
+    tier is not active, the metric is a callable, or the request is large
+    enough for :func:`batched_contiguous_acf` to split it into several
+    ``_MAX_BLOCK_CELLS`` blocks (each block picks its own cross-term path).
+    """
+    native = _get_native()
+    if native is None or metric.kind == "callable":
+        return None
+    sums = state.sums
+    return native.segment_impacts(
+        state.current, sums.counts, sums.sx, sums.sxl, sums.sx2, sums.sx2l,
+        sums.sxxl, reference, lefts, rights, metric.kind,
+        _MAX_BLOCK_CELLS // state.lags.size)

@@ -33,11 +33,7 @@ from ..data.timeseries import IrregularSeries, TimeSeries
 from ..exceptions import InvalidParameterError
 from ..stats.windowed import tumbling_window_aggregate
 from .compressor import CameoCompressor
-from .impact import (
-    metric_rowwise,
-    resolve_rowwise_metric,
-    segment_interpolation_deltas_batched,
-)
+from .impact import metric_rowwise, resolve_rowwise_metric
 from .tracker import StatisticTracker
 
 __all__ = ["ParallelReport", "FineGrainedCameo", "CoarseGrainedCameo"]
@@ -117,10 +113,7 @@ class FineGrainedCameo(CameoCompressor):
 
         def evaluate(chunk: np.ndarray) -> np.ndarray:
             lefts, rights = neighbours.gaps_of(chunk)
-            starts, lengths, positions, deltas = segment_interpolation_deltas_batched(
-                tracker.current_values, lefts, rights)
-            return tracker.batch_impacts_segments(starts, lengths, positions,
-                                                  deltas, metric)
+            return tracker.gap_impacts(lefts, rights, metric)
 
         impacts = np.concatenate(list(self._pool.map(evaluate, chunks)))
         heap.update_many(candidates, impacts)

@@ -10,8 +10,10 @@ tiny interface:
 * ``preview(positions, deltas)`` — statistic after hypothetical changes,
 * ``apply(positions, deltas)`` — commit changes,
 * ``initial_impacts(metric)`` — Algorithm 2's vectorised initial heap keys,
-* ``batch_impacts_segments(...)`` — the fused ReHeap evaluation: impacts of
-  many contiguous-range changes in one vectorized pass.
+* ``gap_impacts(lefts, rights, metric)`` — the ReHeap evaluation: impacts
+  of re-interpolating many gaps (one compiled call on the native tier),
+* ``batch_impacts_segments(...)`` — impacts of many contiguous-range
+  changes in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .impact import (
     batched_contiguous_acf,
     batched_single_change_impacts,
     initial_interpolation_deltas,
+    native_gap_impacts,
     resolve_rowwise_metric,
+    segment_interpolation_deltas_batched,
 )
 
 __all__ = ["StatisticTracker", "SUPPORTED_STATISTICS"]
@@ -132,6 +136,28 @@ class StatisticTracker:
     # ------------------------------------------------------------------ #
     # batched hypothetical impacts (used by the ReHeap step)
     # ------------------------------------------------------------------ #
+    def gap_impacts(self, lefts, rights, metric) -> np.ndarray:
+        """Impacts of re-interpolating each surviving gap, in isolation.
+
+        Gap ``s`` puts every point strictly inside ``(lefts[s], rights[s])``
+        on the straight line between the two anchors.  The raw ACF under a
+        closed-form metric goes through the compiled tier's fused kernel
+        when it is active; everything else (and the NumPy tier) computes
+        the same numbers through :meth:`batch_impacts_segments`.
+        """
+        metric = resolve_rowwise_metric(metric)
+        lefts = np.ascontiguousarray(lefts, dtype=np.int64)
+        rights = np.ascontiguousarray(rights, dtype=np.int64)
+        if self._statistic == "acf" and self._agg_window == 1:
+            impacts = native_gap_impacts(self._state, self._reference,
+                                         lefts, rights, metric)
+            if impacts is not None:
+                return impacts
+        starts, lengths, positions, deltas = segment_interpolation_deltas_batched(
+            self.current_values, lefts, rights)
+        return self.batch_impacts_segments(starts, lengths, positions, deltas,
+                                           metric)
+
     def batch_impacts_segments(self, starts, lengths, positions, deltas, metric
                                ) -> np.ndarray:
         """Impacts of many contiguous-range changes in one vectorized pass.

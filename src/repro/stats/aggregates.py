@@ -310,19 +310,37 @@ class ACFAggregateState:
         if start < 0 or start + m > n:
             raise IndexError("contiguous range out of bounds")
         lags = self._lags
-        current = self._current
-        old = current[start:start + m]
+        # Per-thread work buffers, reused across calls: this runs once per
+        # accepted pop and per scalar preview, on a handful of values.
+        scratch = self._preview_scratch
+        head_counts = getattr(scratch, "head_counts", None)
+        if head_counts is None:
+            head_counts = scratch.head_counts = np.empty_like(lags)
+            scratch.tail_starts = np.empty_like(lags)
+            scratch.prefix_d = np.empty(n + 1, dtype=np.float64)
+            scratch.prefix_e = np.empty(n + 1, dtype=np.float64)
+        tail_starts = scratch.tail_starts
+        prefix_d = scratch.prefix_d[:m + 1]
+        prefix_e = scratch.prefix_e[:m + 1]
+
+        old = self._current[start:start + m]
         energy = deltas * (2.0 * old + deltas)
-        prefix_d = np.empty(m + 1, dtype=np.float64)
         prefix_d[0] = 0.0
         np.cumsum(deltas, out=prefix_d[1:])
-        prefix_e = np.empty(m + 1, dtype=np.float64)
         prefix_e[0] = 0.0
         np.cumsum(energy, out=prefix_e[1:])
 
-        # For lag l the head covers positions <= n-1-l, the tail positions >= l.
-        head_counts = np.clip(np.minimum(start + m, n - lags) - start, 0, m)
-        tail_starts = np.clip(lags - start, 0, m)
+        # For lag l the head covers positions <= n-1-l, the tail positions
+        # >= l: the first clip(n - l - start, 0, m) values of the range are
+        # in the head, all but the first clip(l - start, 0, m) in the tail.
+        # (min/max with out= instead of np.clip, whose Python wrapper costs
+        # more than the arithmetic at these sizes.)
+        np.subtract(n - start, lags, out=head_counts)
+        np.maximum(head_counts, 0, out=head_counts)
+        np.minimum(head_counts, m, out=head_counts)
+        np.subtract(lags, start, out=tail_starts)
+        np.maximum(tail_starts, 0, out=tail_starts)
+        np.minimum(tail_starts, m, out=tail_starts)
 
         d_sx = prefix_d[head_counts]
         d_sx2 = prefix_e[head_counts]

@@ -187,6 +187,27 @@ class TestTrackerSegmentsApi:
             assert impacts[index] == pytest.approx(expected, abs=1e-10)
 
 
+    @pytest.mark.usefixtures("kernel_tier")
+    @pytest.mark.parametrize("kwargs", [
+        {"statistic": "acf"},
+        {"statistic": "pacf"},
+        {"statistic": "acf", "agg_window": 8},
+        {"statistic": "acf", "agg_window": 8, "agg": "max"},
+    ])
+    def test_gap_impacts_is_the_deltas_plus_segments_chain(self, kwargs):
+        x = _series(8, 480)
+        tracker = StatisticTracker(x, 6, **kwargs)
+        lefts = np.array([0, 19, 99, 200, 300, 470], dtype=np.int64)
+        rights = np.array([3, 23, 101, 201, 313, 479], dtype=np.int64)
+        starts, lengths, positions, deltas = segment_interpolation_deltas_batched(
+            tracker.current_values, lefts, rights)
+        for metric in ("mae", "cheb", "rmse"):
+            expected = tracker.batch_impacts_segments(starts, lengths, positions,
+                                                      deltas, metric)
+            assert np.array_equal(tracker.gap_impacts(lefts, rights, metric),
+                                  expected)
+
+
 class TestHeapBatchOps:
     def test_contains_mask_matches_membership(self):
         heap = IndexedMinHeap(30)

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.codecs import get_codec
+from repro.data.datasets import dataset_names, load_dataset
 from repro.ingest import load_corpus_series
 
 # Every golden digest below must hold under both kernel tiers: the native
@@ -48,6 +50,23 @@ class TestCorpusKeptSets:
     ])
     def test_cameo_kept_set_digests(self, series_name, kwargs, kept, digest):
         assert _kept_digest(series_name, **kwargs) == (kept, digest)
+
+    @pytest.mark.parametrize("length,kept,digest", [
+        (256, 204, "74fdf33158aae9fd"),   # the service's chunk size
+        (500, 317, "d02404c58c02a741"),   # the fleet benchmark's series
+    ])
+    def test_benchmark_shape_kept_sets(self, length, kept, digest):
+        """The end-to-end benchmark's shapes (eight paper datasets, L=24,
+        eps=0.01): short enough that most ReHeaps touch a series boundary,
+        which the real-data digests above (eps=0.05) barely exercise."""
+        total, sha = 0, hashlib.sha256()
+        codec = get_codec("cameo", max_lag=24, epsilon=0.01)
+        for name in dataset_names():
+            values = np.round(load_dataset(name, length=length, seed=7).values, 2)
+            result = codec.compress(values)
+            total += len(result)
+            sha.update(result.indices.tobytes())
+        assert (total, sha.hexdigest()[:16]) == (kept, digest)
 
     def test_decode_round_trips_kept_points(self):
         series = load_corpus_series("airline")

@@ -95,6 +95,18 @@ class TestGenericStatisticTracker:
                 expected = tracker.deviation("mae", tracker.preview(start, deltas))
             assert impact == pytest.approx(expected)
 
+    def test_gap_impacts_match_individual_previews(self):
+        x = _seasonal(120)
+        tracker = GenericStatisticTracker(x, MomentStatistic())
+        gaps = [(9, 11), (49, 53), (90, 91)]
+        impacts = tracker.gap_impacts([left for left, _ in gaps],
+                                      [right for _, right in gaps], "mae")
+        for (left, right), impact in zip(gaps, impacts):
+            line = np.linspace(x[left], x[right], right - left + 1)[1:-1]
+            expected = tracker.deviation(
+                "mae", tracker.preview(left + 1, line - x[left + 1:right]))
+            assert impact == pytest.approx(expected)
+
     def test_initial_impacts_cover_interior_points(self):
         x = _seasonal(80)
         tracker = GenericStatisticTracker(x, MomentStatistic(["mean", "std"]))

@@ -3,11 +3,11 @@
 Three layers, mirroring the guarantees the NumPy tier gives against the
 preserved reference implementations:
 
-* the compiled interior ReHeap ACF kernel, exercised through
-  :func:`repro.core.impact.batched_contiguous_acf` with the tier flipped,
-  must equal both the NumPy kernel and the preserved reference kernel on
-  randomized segment batteries (hypothesis) — the same harness style that
-  locked PR 3/PR 4;
+* the compiled fused ReHeap kernel (gaps in, impacts out), exercised
+  through :meth:`repro.core.tracker.StatisticTracker.gap_impacts` with the
+  tier flipped, must equal both the NumPy chain and the same chain on the
+  preserved reference row kernel on randomized gap batteries (hypothesis),
+  at every OpenMP thread count;
 * the compiled heap must evolve the *identical slot layout* as the hybrid
   :class:`repro.core.heap.IndexedMinHeap` under randomized operation
   sequences, so pop order (ties included) cannot change;
@@ -19,16 +19,27 @@ dispatch/kill-switch tests still run, asserting the pure-NumPy fallback.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import _kernels
 from repro._kernels.reference import reference_batched_contiguous_acf
 from repro.core.heap import IndexedMinHeap, NativeIndexedMinHeap, make_heap
-from repro.core.impact import batched_contiguous_acf, segment_interpolation_deltas
-from repro.stats.aggregates import ACFAggregateState
+from repro.core.impact import (
+    native_gap_impacts,
+    resolve_rowwise_metric,
+    segment_interpolation_deltas,
+    segment_interpolation_deltas_batched,
+)
+from repro.core.tracker import StatisticTracker
 
 needs_native = pytest.mark.skipif(not _kernels.native_available(),
                                   reason="native extension not built")
@@ -40,59 +51,202 @@ def _restore_tier():
     _kernels.set_native_enabled(None)
 
 
-def _random_case(rng: np.random.Generator):
-    n = int(rng.integers(12, 400))
-    max_lag = int(rng.integers(1, min(n - 2, 60)))
+METRICS = ("mae", "cheb", "mse", "rmse")
+
+
+def _gap_case(rng: np.random.Generator):
+    """A tracker mid-compression plus a ReHeap's worth of gaps.
+
+    Biased to what long-series batteries under-sample: series barely longer
+    than the lag window, gaps touching the left edge, the right edge or
+    both, zero-length and single-point gaps, and a longest gap on either
+    side of the bincount/partner-matrix switch (8 cross lags, i.e. 9 vs 10
+    points).
+    """
+    max_lag = int(rng.integers(1, 40))
+    n = int(rng.integers(2 * max_lag + 1, 601))
     values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-4, 5, n)
-    state = ACFAggregateState(values, max_lag)
-    segments = int(rng.integers(1, 40))
-    # occasionally force long segments so the partner-matrix cross path runs
-    max_seg = 14 if rng.integers(0, 2) else 40
-    lengths = rng.integers(0, min(max_seg, n - 1), segments)
-    positions: list[int] = []
-    for length in lengths:
-        if length == 0:
-            continue
-        start = int(rng.integers(0, n - length + 1))
-        positions.extend(range(start, start + int(length)))
-    positions_arr = np.asarray(positions, dtype=np.int64)
-    deltas = rng.normal(0.0, 0.5, positions_arr.size)
-    return state, lengths, positions_arr, deltas
+    tracker = StatisticTracker(values, max_lag)
+    for _ in range(int(rng.integers(0, 4))):
+        # move the state off its reference, as accepted pops do
+        start = int(rng.integers(0, n - 1))
+        tracker.apply(start, rng.normal(0.0, 0.3, min(3, n - start)))
+    gaps = int(rng.integers(1, 40))
+    longest = min(int(rng.choice([0, 1, 2, 8, 9, 10, 11, 30, n])), n - 2)
+    lefts = rng.integers(0, n - 1, gaps)
+    rights = np.minimum(lefts + 1 + rng.integers(0, longest + 1, gaps), n - 1)
+    anchor = int(rng.integers(0, n - 1 - longest))
+    lefts[0], rights[0] = anchor, anchor + longest + 1
+    edges = int(rng.integers(0, 4))
+    if edges & 1:
+        lefts[gaps // 2] = 0
+    if edges & 2:
+        rights[-1] = n - 1
+    if edges == 3 and rng.integers(0, 2):
+        lefts[-1] = 0
+    return tracker, lefts.astype(np.int64), rights.astype(np.int64)
+
+
+def _reference_impacts(tracker, lefts, rights, metric):
+    """The NumPy chain on the preserved reference row kernel."""
+    _starts, lengths, positions, deltas = segment_interpolation_deltas_batched(
+        tracker.current_values, lefts, rights)
+    rows = reference_batched_contiguous_acf(tracker.state, lengths,
+                                            positions, deltas)
+    return resolve_rowwise_metric(metric).rowwise(tracker.reference, rows)
 
 
 @needs_native
-class TestInteriorKernelBitIdentity:
-    @settings(max_examples=120, deadline=None)
+class TestSegmentImpactsBitIdentity:
+    @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 31))
     def test_native_equals_numpy_and_reference(self, seed):
         rng = np.random.default_rng(seed)
-        state, lengths, positions, deltas = _random_case(rng)
-        _kernels.set_native_enabled(True)
-        native = batched_contiguous_acf(state, lengths, positions, deltas)
-        _kernels.set_native_enabled(False)
-        numpy_tier = batched_contiguous_acf(state, lengths, positions, deltas)
-        assert np.array_equal(native, numpy_tier)
-        reference = reference_batched_contiguous_acf(state, lengths,
-                                                     positions, deltas)
-        assert np.array_equal(native, reference)
+        tracker, lefts, rights = _gap_case(rng)
+        for metric in METRICS:
+            _kernels.set_native_enabled(True)
+            resolved = resolve_rowwise_metric(metric)
+            assert native_gap_impacts(tracker.state, tracker.reference,
+                                      lefts, rights, resolved) is not None
+            native = tracker.gap_impacts(lefts, rights, metric)
+            _kernels.set_native_enabled(False)
+            numpy_tier = tracker.gap_impacts(lefts, rights, metric)
+            assert np.array_equal(native, numpy_tier)
+            assert np.array_equal(
+                native, _reference_impacts(tracker, lefts, rights, metric))
 
-    def test_mixed_interior_edge_blocks(self):
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_left_right_and_both_edges_in_one_request(self, metric):
         rng = np.random.default_rng(5)
-        n, max_lag = 150, 25
-        state = ACFAggregateState(rng.normal(0, 1, n), max_lag)
-        lengths = np.array([3, 6, 4], dtype=np.int64)
-        positions = np.concatenate([
-            np.arange(0, 3),           # edge (left)
-            np.arange(70, 76),         # interior
-            np.arange(n - 4, n),       # edge (right)
-        ]).astype(np.int64)
-        deltas = rng.normal(0, 0.5, positions.size)
+        n, max_lag = 60, 24
+        tracker = StatisticTracker(rng.normal(0, 1, n), max_lag)
+        lefts = np.array([0, 0, 20, 30, n - 5, 0, 7], dtype=np.int64)
+        rights = np.array([4, 1, 27, 32, n - 1, n - 1, 7], dtype=np.int64)
         _kernels.set_native_enabled(True)
-        native = batched_contiguous_acf(state, lengths, positions, deltas)
+        native = tracker.gap_impacts(lefts, rights, metric)
         _kernels.set_native_enabled(False)
-        numpy_tier = batched_contiguous_acf(state, lengths, positions, deltas)
-        assert np.array_equal(native, numpy_tier)
+        assert np.array_equal(native,
+                              tracker.gap_impacts(lefts, rights, metric))
+        assert np.array_equal(
+            native, _reference_impacts(tracker, lefts, rights, metric))
+        # zero-length gaps (and inverted anchors) get the current deviation
+        current = tracker.deviation(metric, tracker.current_statistic())
+        assert native[1] == native[6] == current
 
+    def test_requests_over_one_block_take_the_numpy_path(self, monkeypatch):
+        import repro.core.impact as impact_module
+
+        rng = np.random.default_rng(9)
+        tracker = StatisticTracker(rng.normal(0, 1, 300), 10)
+        lefts = np.arange(0, 280, 14, dtype=np.int64)
+        rights = lefts + 9
+        resolved = resolve_rowwise_metric("mae")
+        _kernels.set_native_enabled(True)
+        fused = tracker.gap_impacts(lefts, rights, "mae")
+        # 160 positions x 10 lags no longer fit one block: the fused kernel
+        # declines (block splitting lives in batched_contiguous_acf only)...
+        monkeypatch.setattr(impact_module, "_MAX_BLOCK_CELLS", 640)
+        assert native_gap_impacts(tracker.state, tracker.reference, lefts,
+                                  rights, resolved) is None
+        split = tracker.gap_impacts(lefts, rights, "mae")
+        # ...and the tracker falls back to exactly the NumPy tier's answer
+        _kernels.set_native_enabled(False)
+        assert np.array_equal(split, tracker.gap_impacts(lefts, rights, "mae"))
+        # every gap is 8 points (bincount cross path in any block), so the
+        # split cannot have changed a value either
+        assert np.array_equal(split, fused)
+        # a single gap longer than the budget is still one block
+        _kernels.set_native_enabled(True)
+        one_left, one_right = np.array([3]), np.array([290])
+        assert native_gap_impacts(tracker.state, tracker.reference, one_left,
+                                  one_right, resolved) is not None
+
+    def test_everything_else_stays_on_the_numpy_formulation(self):
+        rng = np.random.default_rng(2)
+        values = rng.normal(0, 1, 200)
+        lefts, rights = np.array([0, 50, 190]), np.array([6, 52, 199])
+        _kernels.set_native_enabled(True)
+        resolved = resolve_rowwise_metric(lambda a, b: float(np.sum(a - b)))
+        tracker = StatisticTracker(values, 12)
+        assert native_gap_impacts(tracker.state, tracker.reference, lefts,
+                                  rights, resolved) is None
+        for kwargs in ({"statistic": "pacf"}, {"agg_window": 4}):
+            tracker = StatisticTracker(values, 12, **kwargs)
+            native = tracker.gap_impacts(lefts, rights, "mae")
+            _kernels.set_native_enabled(False)
+            assert np.array_equal(native,
+                                  tracker.gap_impacts(lefts, rights, "mae"))
+            _kernels.set_native_enabled(True)
+
+    def test_rejects_bad_requests(self):
+        _kernels.set_native_enabled(True)
+        native = _kernels.get_native()
+        tracker = StatisticTracker(np.arange(50.0) ** 1.5, 5)
+        sums = tracker.state.sums
+        args = (tracker.state.current, sums.counts, sums.sx, sums.sxl,
+                sums.sx2, sums.sx2l, sums.sxxl, tracker.reference)
+        ok = np.array([3], dtype=np.int64)
+        for lefts, rights in ((np.array([-1]), np.array([4])),
+                              (np.array([40]), np.array([50])),
+                              (np.array([-2 ** 62]), np.array([2 ** 62])),
+                              (np.array([2 ** 62]), np.array([-2 ** 62])),
+                              (ok, np.array([8, 9]))):
+            with pytest.raises(ValueError):
+                native.segment_impacts(*args, lefts, rights, "mae", 1 << 20)
+        with pytest.raises(ValueError):
+            native.segment_impacts(*args, ok, ok + 4, "median", 1 << 20)
+        with pytest.raises(ValueError):
+            native.segment_impacts(*args, ok.astype(np.int32), ok + 4, "mae",
+                                   1 << 20)
+        with pytest.raises(ValueError):
+            native.segment_impacts(tracker.state.current[::2], *args[1:], ok,
+                                   ok + 4, "mae", 1 << 20)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_openmp_thread_count_cannot_change_a_bit(self, threads):
+        """The segment loop only ever ran on one thread before: the same
+        request (large enough to enter the parallel region) must hash the
+        same at every thread count, and equal the NumPy tier."""
+        env = dict(os.environ, REPRO_NATIVE_THREADS=str(threads),
+                   REPRO_NATIVE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(repro.__file__).resolve().parents[1]),
+                        os.environ.get("PYTHONPATH", "")]))
+        env.pop("OMP_NUM_THREADS", None)
+        output = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout.split()
+        max_threads, native_digest, numpy_digest = output
+        if _kernels.native_build_info()["openmp"]:
+            assert int(max_threads) == threads
+        assert native_digest == numpy_digest
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from repro import _kernels
+from repro.core.tracker import StatisticTracker
+
+rng = np.random.default_rng(14)
+n, max_lag = 600, 24
+tracker = StatisticTracker(rng.normal(0, 1, n), max_lag)
+lefts = rng.integers(0, n - 41, 300)
+rights = lefts + 1 + rng.integers(0, 40, 300)
+lefts[:3], rights[:3] = (0, 0, n - 9), (12, n - 1, n - 1)
+digests = []
+for tier in (True, False):
+    _kernels.set_native_enabled(tier)
+    digest = hashlib.sha256()
+    for metric in ("mae", "cheb", "mse", "rmse"):
+        digest.update(tracker.gap_impacts(lefts, rights, metric).tobytes())
+    digests.append(digest.hexdigest())
+print(_kernels.native_build_info()["max_threads"], *digests)
+"""
+
+
+@needs_native
+class TestGapDeltas:
     def test_gap_deltas_bitwise(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -229,14 +383,14 @@ class TestTierDispatch:
     def test_kill_switch_forces_numpy(self):
         _kernels.set_native_enabled(False)
         assert _kernels.get_native() is None
-        assert _kernels.active_tier()["interior_acf_block"] == "numpy"
+        assert _kernels.active_tier()["segment_impacts"] == "numpy"
         assert isinstance(make_heap(10), IndexedMinHeap)
 
     @needs_native
     def test_enabled_tier_reports_native(self):
         _kernels.set_native_enabled(True)
         tiers = _kernels.active_tier()
-        assert set(tiers) == {"interior_acf_block", "heap", "gap_deltas"}
+        assert set(tiers) == {"segment_impacts", "heap", "gap_deltas"}
         assert all(tier == "native" for tier in tiers.values())
         assert isinstance(make_heap(10), NativeIndexedMinHeap)
         assert "native" in _kernels.describe_tiers()
@@ -254,6 +408,28 @@ class TestTierDispatch:
         assert {"status", "compiler", "openmp", "max_threads"} <= set(info)
         if _kernels.native_available():
             assert info["status"] == "active"
+
+    @needs_native
+    def test_self_check_covers_the_row_mean_order(self):
+        from repro._kernels import _native
+
+        module = _native.MODULE
+        assert _native._self_check(module) is None
+
+        class SeededMean:
+            """The extension as seen from a NumPy whose contiguous-axis mean
+            seeded the sum with the first element, as reduceat does."""
+
+            def __getattr__(self, name):
+                return getattr(module, name)
+
+            def rowwise_check(self, reference, rows, kind):
+                if kind != "mae":
+                    return module.rowwise_check(reference, rows, kind)
+                return np.array([np.add.reduceat(row, [0])[0] / row.size
+                                 for row in np.abs(rows - reference)])
+
+        assert "row reductions" in _native._self_check(SeededMean())
 
     @needs_native
     def test_native_heap_requires_active_tier(self):

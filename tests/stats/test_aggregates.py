@@ -136,6 +136,32 @@ class TestContiguousFastPath:
         state.apply_contiguous(140, deltas)
         assert np.allclose(state.acf(), state.recompute_acf(), atol=1e-9)
 
+    def test_reused_work_buffers_give_a_fresh_states_bits(self):
+        """The sums after every accepted pop feed every later heap key, so
+        the per-thread buffers reused across calls must not change a bit —
+        against a copy (fresh buffers) and the ``np.clip`` formulation of
+        the head/tail counts they replaced."""
+        rng = np.random.default_rng(15)
+        n, max_lag = 120, 24
+        state = ACFAggregateState(_random_series(15, n), max_lag)
+        lags = state.lags
+        for _ in range(80):
+            m = int(rng.integers(1, 40))
+            start = int(rng.choice([0, n - m, rng.integers(0, n - m + 1)]))
+            deltas = rng.normal(0, 0.4, m)
+            expected = state.copy()._contiguous_delta_sums(start, deltas)
+            reused = state._contiguous_delta_sums(start, deltas)
+            for got, want in zip(reused, expected):
+                assert np.array_equal(got, want)
+            scratch = state._preview_scratch
+            assert np.array_equal(
+                scratch.head_counts,
+                np.clip(np.minimum(start + m, n - lags) - start, 0, m))
+            assert np.array_equal(scratch.tail_starts,
+                                  np.clip(lags - start, 0, m))
+            state.apply_contiguous(start, deltas)
+        assert np.allclose(state.acf(), state.recompute_acf(), atol=1e-8)
+
     def test_empty_deltas_is_noop(self):
         x = _random_series(13)
         state = ACFAggregateState(x, 10)

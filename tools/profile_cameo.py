@@ -5,11 +5,17 @@ Produces the top-N hotspot table used by ``docs/performance.md`` ("Remaining
 hotspots").  Typical invocations::
 
     PYTHONPATH=src python tools/profile_cameo.py --n 10000 --max-lag 50
+    PYTHONPATH=src python tools/profile_cameo.py --n 500 --max-lag 24 \
+        --epsilon 0.01 --sort tottime
     PYTHONPATH=src python tools/profile_cameo.py --n 4000 --statistic pacf \
         --max-lag 24 --sort tottime --top 25
     PYTHONPATH=src python tools/profile_cameo.py --n 10000 --batch-size 1
     PYTHONPATH=src python tools/profile_cameo.py --n 256 --max-lag 16 \
         --batch 64 --backend serial
+
+The second is the short-series profile: the end-to-end benchmark's shape
+(``fleet_cameo``: 500 points, L=24, eps=0.01), where most ReHeaps touch a
+series boundary — n=10k hides that path entirely.
 
 The synthetic signal matches the perf harness
 (``benchmarks/test_perf_kernels.py``): two sine components plus Gaussian
@@ -79,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.no_native:
         _kernels.set_native_enabled(False)
-    tier = _kernels.active_tier()["interior_acf_block"]
+    tier = _kernels.active_tier()["segment_impacts"]
 
     kwargs: dict = {
         "max_lag": args.max_lag,

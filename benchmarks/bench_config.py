@@ -145,6 +145,12 @@ PERF_NATIVE_EDGE_MAX_LAG = 24
 PERF_NATIVE_EDGE_GAPS = 80
 PERF_MIN_NATIVE_SEGMENT_SPEEDUP = 2.0
 
+#: One whole ReHeap step (``native.reheap_500`` / ``numpy.reheap_500``):
+#: the fleet shape below, this many accepted removals into a run, through
+#: the one compiled call vs the Python chain on the NumPy tier.
+PERF_REHEAP_REMOVALS = 120
+PERF_MIN_NATIVE_REHEAP_SPEEDUP = 2.0
+
 #: The end-to-end benchmark's fleet shape for ``cameo.compress_fleet_500x32``:
 #: four copies of the eight paper datasets at 500 points, codec defaults.
 PERF_FLEET_LENGTH = 500

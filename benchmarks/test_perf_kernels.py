@@ -54,6 +54,7 @@ from bench_config import (
     PERF_FLEET_LENGTH,
     PERF_FLEET_MAX_LAG,
     PERF_MIN_NATIVE_E2E_SPEEDUP,
+    PERF_MIN_NATIVE_REHEAP_SPEEDUP,
     PERF_MIN_NATIVE_SEGMENT_SPEEDUP,
     PERF_MIN_PACF_SPEEDUP,
     PERF_NATIVE_ACF_SEGMENT_LEN,
@@ -64,6 +65,7 @@ from bench_config import (
     PERF_NATIVE_HEAP_DRAINS,
     PERF_PACF_MAX_LAG,
     PERF_PACF_ROWS,
+    PERF_REHEAP_REMOVALS,
     SEED_CAMEO_POINTS_PER_SEC,
 )
 from repro import _kernels
@@ -80,7 +82,7 @@ from repro._kernels.reference import (
     reference_pacf_from_acf,
 )
 from repro.benchlib import PerfReport, bench
-from repro.core import cameo_compress
+from repro.core import CameoCompressor, cameo_compress
 from repro.core.heap import IndexedMinHeap, NativeIndexedMinHeap
 from repro.core.neighbors import NeighborList
 from repro.core.tracker import StatisticTracker
@@ -518,6 +520,64 @@ class TestNativeTier:
             f"fused ReHeap kernel ({case}) at {speedup:.2f}x the NumPy chain "
             f"is below the {PERF_MIN_NATIVE_SEGMENT_SPEEDUP}x floor")
 
+    def test_reheap_step_speedup(self, report):
+        """``native.reheap_500``: one whole ReHeap step — neighbourhood
+        gather, speculative peek, impacts, heap re-key, version stamps — as
+        the one compiled call vs the Python chain on the NumPy tier, on the
+        end-to-end benchmark's shape (n=500, L=24, ``5logn`` blocking).
+
+        A re-key with the impacts the heap already holds leaves it as it
+        was, so the same step can be timed over and over.
+        """
+        series = np.round(load_dataset(dataset_names()[0],
+                                       length=PERF_FLEET_LENGTH,
+                                       seed=7).values, 2)
+
+        class Paused(Exception):
+            pass
+
+        class PauseAtStep(CameoCompressor):
+            def _reheap_neighbours(self, *step):
+                if self._state_version == PERF_REHEAP_REMOVALS:
+                    self.step = step
+                    raise Paused
+                return super()._reheap_neighbours(*step)
+
+        def paused_run(native: bool):
+            _kernels.set_native_enabled(native)
+            compressor = PauseAtStep(PERF_FLEET_MAX_LAG, None,
+                                     target_ratio=PERF_FLEET_LENGTH)
+            with pytest.raises(Paused):
+                compressor.compress(series)
+            super_step = super(PauseAtStep, compressor)._reheap_neighbours
+            return compressor, lambda: super_step(*compressor.step)
+
+        native_run, native_step = paused_run(True)
+        numpy_run, numpy_step = paused_run(False)
+        refreshed = native_step()
+        _kernels.set_native_enabled(False)
+        assert numpy_step() == refreshed > 0
+        native_heap, numpy_heap = native_run.step[2], numpy_run.step[2]
+        assert np.array_equal(native_heap.keys(), numpy_heap.keys())
+        assert np.array_equal(native_heap.items(), numpy_heap.items())
+        assert np.array_equal(native_run._spec_version,
+                              numpy_run._spec_version)
+
+        ops = refreshed * PERF_FLEET_MAX_LAG
+        meta = dict(length=PERF_FLEET_LENGTH, max_lag=PERF_FLEET_MAX_LAG,
+                    hops=native_run.step[4], refreshed=refreshed,
+                    heap_size=len(native_heap))
+        report.add(bench("numpy.reheap_500", numpy_step, ops=ops, repeats=25,
+                         **meta))
+        _kernels.set_native_enabled(True)
+        report.add(bench("native.reheap_500", native_step, ops=ops,
+                         repeats=25, **meta))
+        speedup = report.speedup("native_reheap_500", "native.reheap_500",
+                                 "numpy.reheap_500")
+        assert speedup >= PERF_MIN_NATIVE_REHEAP_SPEEDUP, (
+            f"fused ReHeap step at {speedup:.2f}x the NumPy-tier chain is "
+            f"below the {PERF_MIN_NATIVE_REHEAP_SPEEDUP}x floor")
+
     def test_pop_loop_throughput(self, report):
         """``native.pop_loop``: heapify + full drain, C sifts vs hybrid.
 
@@ -624,19 +684,27 @@ class TestNativeTier:
         per-series runs *on the native tier*.
 
         ``engine_cameo_lockstep`` (below, NumPy tier) is the ratio the fast
-        path was built on; its stacked kernel is NumPy on either tier, while
-        the per-series path it bypasses now makes one compiled call per
-        ReHeap.  Recorded without a floor: a ratio under 1 makes lock-step
-        ROADMAP item 4's deletion candidate.
+        path was built on; its stacked kernel is NumPy on either tier and
+        measured 0.39x against one compiled call per ReHeap, so
+        ``lockstep_eligible`` no longer admits a series the native tier
+        serves: ``fastpath=True`` takes the per-series path here and the
+        ratio has to read parity.
         """
         _kernels.set_native_enabled(True)
-        _bench_cameo_lockstep(report, "_native", repeats=2)
+        ratio = _bench_cameo_lockstep(report, "_native", repeats=2,
+                                      stacked_series=0)
+        assert ratio >= 0.95, (
+            f"fastpath=True at {ratio:.2f}x per-series runs on the native "
+            "tier: the lock-step gate let a native-served series in")
 
 
-def _bench_cameo_lockstep(report, suffix: str, *, repeats: int) -> None:
-    """Time lock-step vs per-series CAMEO on the active tier (kept sets
-    asserted equal) as ``engine.cameo_{lockstep,perseries}_64x192<suffix>``
-    and their ratio as ``engine_cameo_lockstep<suffix>``."""
+def _bench_cameo_lockstep(report, suffix: str, *, repeats: int,
+                          stacked_series: int = PERF_ENGINE_LOCKSTEP_SERIES
+                          ) -> float:
+    """Time ``fastpath=True`` vs per-series CAMEO on the active tier (kept
+    sets asserted equal; ``stacked_series`` of them expected to take the
+    lock-step path) as ``engine.cameo_{lockstep,perseries}_64x192<suffix>``;
+    returns their ratio, recorded as ``engine_cameo_lockstep<suffix>``."""
     from repro.engine import BatchEngine
 
     fleet = TestBatchEngine._fleet(PERF_ENGINE_LOCKSTEP_SERIES,
@@ -650,7 +718,7 @@ def _bench_cameo_lockstep(report, suffix: str, *, repeats: int) -> None:
                                 backend="serial", fastpath=False)
     stacked = stacked_engine.compress(fleet)
     scalar = scalar_engine.compress(fleet)
-    assert stacked.report.fastpath_series == PERF_ENGINE_LOCKSTEP_SERIES
+    assert stacked.report.fastpath_series == stacked_series
     for left, right in zip(stacked, scalar):
         assert (left.unwrap().payload.indices.tolist()
                 == right.unwrap().payload.indices.tolist())
@@ -660,9 +728,9 @@ def _bench_cameo_lockstep(report, suffix: str, *, repeats: int) -> None:
     report.add(bench(f"engine.cameo_perseries_64x192{suffix}",
                      lambda: scalar_engine.compress(fleet), ops=ops,
                      repeats=repeats, warmup=False))
-    report.speedup(f"engine_cameo_lockstep{suffix}",
-                   f"engine.cameo_lockstep_64x192{suffix}",
-                   f"engine.cameo_perseries_64x192{suffix}")
+    return report.speedup(f"engine_cameo_lockstep{suffix}",
+                          f"engine.cameo_lockstep_64x192{suffix}",
+                          f"engine.cameo_perseries_64x192{suffix}")
 
 
 @pytest.mark.usefixtures("numpy_tier")

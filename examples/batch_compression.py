@@ -6,8 +6,10 @@ This example drives :func:`repro.engine.compress_batch` through the typical
 workflow:
 
 1. compress a fleet of sensor series with a lossless codec on every backend,
-2. compress the same fleet with CAMEO (short series ride the lock-step
-   cross-series fast path) and verify the results match per-series runs,
+2. compress the same fleet with CAMEO (on the NumPy kernel tier short
+   series ride the lock-step cross-series fast path; on the native tier
+   per-series runs are faster and the engine takes those) and verify the
+   results match per-series runs,
 3. show per-series error isolation (a poisoned series never kills a batch),
 4. feed several live streams through the engine-backed
    :class:`repro.streaming.MultiStreamCompressor`.
@@ -54,7 +56,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print("\n=== CAMEO fleet (max_lag=12, epsilon=0.05) ===")
     # Short series (n*max_lag below the lock-step ceiling) stack their
-    # ReHeap evaluations into shared kernel calls.
+    # ReHeap evaluations into shared kernel calls — unless the native
+    # kernel tier serves the run, where one compiled call per ReHeap wins.
     short_fleet = build_fleet(count=8, length=256, seed=7)
     options = dict(max_lag=12, epsilon=0.05)
     result = compress_batch(short_fleet, codec="cameo", codec_options=options)

@@ -19,6 +19,10 @@ admitting the extension:
 * ``rowwise_check`` — the extension's closed-form deviations must
   reproduce ``np.mean``/``np.max`` along the contiguous axis (the
   pairwise sum *without* reduceat's first-element seed).
+* ``stable_order_check`` — the extension's stable sort (the heap rebuild
+  inside ``reheap``) must reproduce ``np.argsort(kind="stable")`` on keys
+  with duplicates, NaN, ±inf and ±0.0: a different tie order would change
+  which of two equal-impact points is removed first.
 * ``fma_probe`` — ``a*b - a*b`` must be exactly ``0.0``; a non-zero
   result means the compiler contracted a product into a fused
   multiply-add, which rounds differently from NumPy's separate ops.
@@ -67,7 +71,7 @@ def _check_reduceat_model(mod) -> bool:
             offsets = np.concatenate(([0], cuts)).astype(np.int64)
             expected = np.add.reduceat(values, offsets)
             got = mod.reduceat_check(values, offsets)
-            if not np.array_equal(expected, got):
+            if expected.tobytes() != got.tobytes():
                 return False
     # axis=0 over a C-contiguous matrix: every column is summed with the
     # same model, strided
@@ -100,6 +104,20 @@ def _check_rowwise_model(mod) -> bool:
     return True
 
 
+def _check_stable_order(mod) -> bool:
+    """Does the extension's stable sort order keys as this NumPy does?"""
+    rng = np.random.default_rng(0xCA3E2)
+    # few distinct values: mostly ties, with every special key among them
+    values = np.concatenate(([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0],
+                             rng.normal(0.0, 1.0, 4)))
+    tied = values[rng.integers(0, values.size, 300)]
+    batteries = [tied[:total] for total in (1, 2, 8, 9, 70, 300)]
+    batteries.append(rng.normal(0.0, 1.0, 257))
+    return all(np.argsort(keys, kind="stable").tobytes()
+               == mod.stable_order_check(keys).tobytes()
+               for keys in batteries)
+
+
 def _self_check(mod) -> str | None:
     """Return a rejection reason, or ``None`` when the module is usable."""
     try:
@@ -109,6 +127,8 @@ def _self_check(mod) -> str | None:
             return "np.add.reduceat accumulation order not reproduced"
         if not _check_rowwise_model(mod):
             return "np.mean/np.max row reductions not reproduced"
+        if not _check_stable_order(mod):
+            return "np.argsort(kind='stable') order not reproduced"
     except Exception as exc:  # pragma: no cover - defensive
         return f"self-check crashed: {exc!r}"
     return None

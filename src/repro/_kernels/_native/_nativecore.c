@@ -2,6 +2,13 @@
  *
  * Implements, in portable C99:
  *
+ *   - ``reheap``: the compressor's whole ReHeap step as one call — removed
+ *     index in, heap updated out.  Chases the blocking neighbourhood over
+ *     the neighbour list's pointers, peeks the speculative items, runs the
+ *     ``segment_impacts`` evaluation below on the combined request, re-keys
+ *     the heap in place (sequential sifts, or a stable-sort rebuild that
+ *     reproduces ``np.argsort(kind="stable")``) and stamps the speculation
+ *     arrays;
  *   - ``segment_impacts``: the whole ReHeap evaluation as one call — gaps
  *     in, impacts out.  Per gap: the re-interpolation deltas, the ACF row
  *     of the changed segment (boundary-clipped head/tail lag ranges and
@@ -33,7 +40,10 @@
  *      loader probes for contraction at import time as well.
  *
  * Everything else (multiply, divide, sqrt, compares) is IEEE-754-exact and
- * therefore matches NumPy's elementwise ufuncs operand for operand.
+ * therefore matches NumPy's elementwise ufuncs operand for operand; the
+ * heap rebuild sorts under NumPy's key comparison with ties broken by
+ * slot, a total order whose result no sorting algorithm can change (also
+ * cross-checked at import time).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -358,141 +368,136 @@ parse_metric(const char *name, int *metric)
     return 0;
 }
 
-/* segment_impacts(current, counts, sx, sxl, sx2, sx2l, sxxl, reference,
- *                 lefts, rights, metric, cell_budget) -> impacts | None
- *
- * Gap ``s`` re-interpolates the points strictly inside
- * ``(lefts[s], rights[s])`` on the line between its two anchors; the
- * result is the deviation of the ACF each gap alone would produce from
- * ``reference``.  Returns ``None`` when the request's positions exceed
- * ``cell_budget`` — the point at which batched_contiguous_acf splits
- * into blocks, each with its own cross-term path choice — so the caller
- * can take that path instead. */
-static PyObject *
-py_segment_impacts(PyObject *self, PyObject *args)
+/* Validate the eight tracker arrays every ReHeap request carries and
+ * point ``ctx`` at them (the cross-term path is chosen later, from the
+ * request's longest gap).  Returns 0 and sets an exception on failure. */
+static int
+ctx_from_objects(PyArrayObject *current, PyArrayObject *counts,
+                 PyArrayObject *sx, PyArrayObject *sxl, PyArrayObject *sx2,
+                 PyArrayObject *sx2l, PyArrayObject *sxxl,
+                 PyArrayObject *reference, const char *metric_name,
+                 reheap_ctx *ctx)
 {
-    PyArrayObject *current, *counts, *sx, *sxl, *sx2, *sx2l, *sxxl;
-    PyArrayObject *reference, *lefts, *rights;
-    const char *metric_name;
-    Py_ssize_t cell_budget;
-    reheap_ctx ctx;
-    const npy_int64 *lefts_p, *rights_p;
-    npy_intp num_gaps, total = 0, max_len = 0, stride, s;
-    npy_intp dims[1];
-    PyObject *out;
-    double *out_p, *scratch;
-    double current_deviation;
-    int nthreads = 1;
-
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O!O!sn",
-                          &PyArray_Type, &current, &PyArray_Type, &counts,
-                          &PyArray_Type, &sx, &PyArray_Type, &sxl,
-                          &PyArray_Type, &sx2, &PyArray_Type, &sx2l,
-                          &PyArray_Type, &sxxl, &PyArray_Type, &reference,
-                          &PyArray_Type, &lefts, &PyArray_Type, &rights,
-                          &metric_name, &cell_budget)) {
-        return NULL;
-    }
     if (!CHECK_F64(current, "current") || !CHECK_F64(counts, "counts")
             || !CHECK_F64(sx, "sx") || !CHECK_F64(sxl, "sxl")
             || !CHECK_F64(sx2, "sx2") || !CHECK_F64(sx2l, "sx2l")
             || !CHECK_F64(sxxl, "sxxl") || !CHECK_F64(reference, "reference")
-            || !CHECK_I64(lefts, "lefts") || !CHECK_I64(rights, "rights")
-            || !parse_metric(metric_name, &ctx.metric)) {
-        return NULL;
+            || !parse_metric(metric_name, &ctx->metric)) {
+        return 0;
     }
-    ctx.n = PyArray_DIM(current, 0);
-    ctx.num_lags = PyArray_DIM(counts, 0);
-    num_gaps = PyArray_DIM(lefts, 0);
-    if (ctx.num_lags < 1 || PyArray_DIM(sx, 0) != ctx.num_lags
-            || PyArray_DIM(sxl, 0) != ctx.num_lags
-            || PyArray_DIM(sx2, 0) != ctx.num_lags
-            || PyArray_DIM(sx2l, 0) != ctx.num_lags
-            || PyArray_DIM(sxxl, 0) != ctx.num_lags
-            || PyArray_DIM(reference, 0) != ctx.num_lags
-            || PyArray_DIM(rights, 0) != num_gaps) {
+    ctx->n = PyArray_DIM(current, 0);
+    ctx->num_lags = PyArray_DIM(counts, 0);
+    if (ctx->num_lags < 1 || PyArray_DIM(sx, 0) != ctx->num_lags
+            || PyArray_DIM(sxl, 0) != ctx->num_lags
+            || PyArray_DIM(sx2, 0) != ctx->num_lags
+            || PyArray_DIM(sx2l, 0) != ctx->num_lags
+            || PyArray_DIM(sxxl, 0) != ctx->num_lags
+            || PyArray_DIM(reference, 0) != ctx->num_lags) {
         PyErr_SetString(PyExc_ValueError,
-                        "inconsistent segment_impacts array shapes");
-        return NULL;
+                        "inconsistent tracker array shapes");
+        return 0;
     }
-    lefts_p = (const npy_int64 *)PyArray_DATA(lefts);
-    rights_p = (const npy_int64 *)PyArray_DATA(rights);
+    ctx->current = (const double *)PyArray_DATA(current);
+    ctx->counts = (const double *)PyArray_DATA(counts);
+    ctx->sx = (const double *)PyArray_DATA(sx);
+    ctx->sxl = (const double *)PyArray_DATA(sxl);
+    ctx->sx2 = (const double *)PyArray_DATA(sx2);
+    ctx->sx2l = (const double *)PyArray_DATA(sx2l);
+    ctx->sxxl = (const double *)PyArray_DATA(sxxl);
+    ctx->reference = (const double *)PyArray_DATA(reference);
+    return 1;
+}
+
+/* Validate a request's gap anchors and measure it: ``total`` changed
+ * positions, the longest gap ``max_len``.  Returns 0 and sets an
+ * exception on an anchor outside the series. */
+static int
+scan_gaps(npy_intp n, const npy_int64 *lefts, const npy_int64 *rights,
+          npy_intp num_gaps, npy_intp *total, npy_intp *max_len)
+{
+    npy_intp s;
+
+    *total = 0;
+    *max_len = 0;
     for (s = 0; s < num_gaps; s++) {
-        const npy_int64 left = lefts_p[s], right = rights_p[s];
+        const npy_int64 left = lefts[s], right = rights[s];
         npy_intp len;
         /* [-1, n] admits a neighbour list's end sentinels on gaps that
          * hold no point, and keeps the subtraction from overflowing; a
          * gap that holds points needs both anchors inside the series */
-        if (left < -1 || left > ctx.n || right < -1 || right > ctx.n
-                || (right - left > 1 && (left < 0 || right >= ctx.n))) {
+        if (left < -1 || left > n || right < -1 || right > n
+                || (right - left > 1 && (left < 0 || right >= n))) {
             PyErr_SetString(PyExc_ValueError, "gap anchors out of range");
-            return NULL;
+            return 0;
         }
         len = (npy_intp)(right - left - 1);
         if (len <= 0) {
             continue;
         }
-        total += len;
-        if (len > max_len) {
-            max_len = len;
+        *total += len;
+        if (len > *max_len) {
+            *max_len = len;
         }
     }
-    if (total > (cell_budget > max_len ? cell_budget : max_len)) {
-        Py_RETURN_NONE;
-    }
+    return 1;
+}
 
-    ctx.current = (const double *)PyArray_DATA(current);
-    ctx.counts = (const double *)PyArray_DATA(counts);
-    ctx.sx = (const double *)PyArray_DATA(sx);
-    ctx.sxl = (const double *)PyArray_DATA(sxl);
-    ctx.sx2 = (const double *)PyArray_DATA(sx2);
-    ctx.sx2l = (const double *)PyArray_DATA(sx2l);
-    ctx.sxxl = (const double *)PyArray_DATA(sxxl);
-    ctx.reference = (const double *)PyArray_DATA(reference);
-    ctx.has_cross = max_len > 1;
-    ctx.num_cross_lags =
-        max_len - 1 < ctx.num_lags ? max_len - 1 : ctx.num_lags;
-    ctx.use_bincount = ctx.num_cross_lags <= 8;
+/* A request whose positions exceed the cell budget is one that
+ * batched_contiguous_acf splits into blocks, each with its own cross-term
+ * path choice; there is no block splitter here. */
+static int
+over_one_block(npy_intp total, npy_intp max_len, npy_intp cell_budget)
+{
+    return total > (cell_budget > max_len ? cell_budget : max_len);
+}
 
-    dims[0] = num_gaps;
-    out = PyArray_SimpleNew(1, dims, NPY_FLOAT64);
-    if (out == NULL) {
-        return NULL;
-    }
-    out_p = (double *)PyArray_DATA((PyArrayObject *)out);
-
+/* Per thread: deltas, energies and a product buffer of the longest
+ * segment, plus one ACF row. */
+static double *
+alloc_gap_scratch(npy_intp max_len, npy_intp num_lags)
+{
+    int nthreads = 1;
 #ifdef _OPENMP
     nthreads = omp_get_max_threads();
 #endif
-    /* per thread: deltas, energies and a product buffer of the longest
-     * segment, plus one ACF row */
-    stride = 3 * max_len + ctx.num_lags;
-    scratch = (double *)malloc((size_t)nthreads * (size_t)stride
-                               * sizeof(double));
-    if (scratch == NULL) {
-        Py_DECREF(out);
-        return PyErr_NoMemory();
-    }
+    return (double *)malloc((size_t)nthreads
+                            * (size_t)(3 * max_len + num_lags)
+                            * sizeof(double));
+}
 
-    Py_BEGIN_ALLOW_THREADS
+/* Impacts of a scanned request (no Python object is touched: callable
+ * with the GIL released). */
+static void
+evaluate_gaps(reheap_ctx *c, const npy_int64 *lefts, const npy_int64 *rights,
+              npy_intp num_gaps, npy_intp total, npy_intp max_len,
+              double *scratch, double *out)
+{
+    const npy_intp stride = 3 * max_len + c->num_lags;
+    double current_deviation;
+    npy_intp s;
+
+    c->has_cross = max_len > 1;
+    c->num_cross_lags = max_len - 1 < c->num_lags ? max_len - 1 : c->num_lags;
+    c->use_bincount = c->num_cross_lags <= 8;
+
     /* zero-length gaps change nothing: they get the current deviation */
-    current_row(&ctx, scratch);
-    current_deviation = row_deviation(ctx.metric, ctx.reference,
-                                      ctx.num_lags, scratch);
+    current_row(c, scratch);
+    current_deviation = row_deviation(c->metric, c->reference, c->num_lags,
+                                      scratch);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (num_gaps > 1 && total * ctx.num_lags > 16384)
+    if (num_gaps > 1 && total * c->num_lags > 16384)
 #endif
     for (s = 0; s < num_gaps; s++) {
-        const npy_intp left = (npy_intp)lefts_p[s];
-        const npy_intp len = (npy_intp)(rights_p[s] - lefts_p[s] - 1);
+        const npy_intp left = (npy_intp)lefts[s];
+        const npy_intp len = (npy_intp)(rights[s] - lefts[s] - 1);
         int tid = 0;
         double *d, *energy, *buf, *row;
         double span, cl, cr;
         npy_intp t;
 
         if (len <= 0) {
-            out_p[s] = current_deviation;
+            out[s] = current_deviation;
             continue;
         }
 #ifdef _OPENMP
@@ -504,19 +509,86 @@ py_segment_impacts(PyObject *self, PyObject *args)
         row = buf + max_len;
         /* segment_interpolation_deltas_batched, one gap */
         span = (double)(len + 1);
-        cl = ctx.current[left];
-        cr = ctx.current[left + len + 1];
+        cl = c->current[left];
+        cr = c->current[left + len + 1];
         for (t = 0; t < len; t++) {
             const double w = (double)(t + 1) / span;
-            const double old = ctx.current[left + 1 + t];
+            const double old = c->current[left + 1 + t];
             d[t] = (cl * (1.0 - w) + cr * w) - old;
             /* energy = delta * (2*old + delta) */
             energy[t] = d[t] * (2.0 * old + d[t]);
         }
-        segment_row(&ctx, left + 1, len, d, energy, buf, row);
-        out_p[s] = row_deviation(ctx.metric, ctx.reference, ctx.num_lags,
-                                 row);
+        segment_row(c, left + 1, len, d, energy, buf, row);
+        out[s] = row_deviation(c->metric, c->reference, c->num_lags, row);
     }
+}
+
+/* segment_impacts(current, counts, sx, sxl, sx2, sx2l, sxxl, reference,
+ *                 lefts, rights, metric, cell_budget) -> impacts | None
+ *
+ * Gap ``s`` re-interpolates the points strictly inside
+ * ``(lefts[s], rights[s])`` on the line between its two anchors; the
+ * result is the deviation of the ACF each gap alone would produce from
+ * ``reference``.  Returns ``None`` when the request is over one block, so
+ * the caller can take the NumPy path instead. */
+static PyObject *
+py_segment_impacts(PyObject *self, PyObject *args)
+{
+    PyArrayObject *current, *counts, *sx, *sxl, *sx2, *sx2l, *sxxl;
+    PyArrayObject *reference, *lefts, *rights;
+    const char *metric_name;
+    Py_ssize_t cell_budget;
+    reheap_ctx ctx;
+    const npy_int64 *lefts_p, *rights_p;
+    npy_intp num_gaps, total, max_len;
+    npy_intp dims[1];
+    PyObject *out;
+    double *out_p, *scratch;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O!O!sn",
+                          &PyArray_Type, &current, &PyArray_Type, &counts,
+                          &PyArray_Type, &sx, &PyArray_Type, &sxl,
+                          &PyArray_Type, &sx2, &PyArray_Type, &sx2l,
+                          &PyArray_Type, &sxxl, &PyArray_Type, &reference,
+                          &PyArray_Type, &lefts, &PyArray_Type, &rights,
+                          &metric_name, &cell_budget)) {
+        return NULL;
+    }
+    if (!ctx_from_objects(current, counts, sx, sxl, sx2, sx2l, sxxl,
+                          reference, metric_name, &ctx)
+            || !CHECK_I64(lefts, "lefts") || !CHECK_I64(rights, "rights")) {
+        return NULL;
+    }
+    num_gaps = PyArray_DIM(lefts, 0);
+    if (PyArray_DIM(rights, 0) != num_gaps) {
+        PyErr_SetString(PyExc_ValueError,
+                        "lefts and rights must have one length");
+        return NULL;
+    }
+    lefts_p = (const npy_int64 *)PyArray_DATA(lefts);
+    rights_p = (const npy_int64 *)PyArray_DATA(rights);
+    if (!scan_gaps(ctx.n, lefts_p, rights_p, num_gaps, &total, &max_len)) {
+        return NULL;
+    }
+    if (over_one_block(total, max_len, (npy_intp)cell_budget)) {
+        Py_RETURN_NONE;
+    }
+
+    dims[0] = num_gaps;
+    out = PyArray_SimpleNew(1, dims, NPY_FLOAT64);
+    if (out == NULL) {
+        return NULL;
+    }
+    out_p = (double *)PyArray_DATA((PyArrayObject *)out);
+    scratch = alloc_gap_scratch(max_len, ctx.num_lags);
+    if (scratch == NULL) {
+        Py_DECREF(out);
+        return PyErr_NoMemory();
+    }
+
+    Py_BEGIN_ALLOW_THREADS
+    evaluate_gaps(&ctx, lefts_p, rights_p, num_gaps, total, max_len, scratch,
+                  out_p);
     Py_END_ALLOW_THREADS
 
     free(scratch);
@@ -872,16 +944,36 @@ frontier_pop(frontier_entry *f, npy_intp *count)
     return result;
 }
 
+/* The ``take`` cheapest entries of a non-empty heap in pop order
+ * (``take <= size``); ``frontier`` holds ``2 * take + 2`` entries. */
+static void
+heap_peek_many(const double *keys, const npy_int64 *items, npy_intp size,
+               npy_intp take, frontier_entry *frontier, npy_int64 *out_items,
+               double *out_keys)
+{
+    npy_intp count = 0, index;
+
+    frontier_push(frontier, &count, keys[0], 0);
+    for (index = 0; index < take; index++) {
+        const frontier_entry top = frontier_pop(frontier, &count);
+        const npy_intp left = 2 * top.slot + 1;
+        out_items[index] = items[top.slot];
+        out_keys[index] = top.key;
+        if (left < size) {
+            frontier_push(frontier, &count, keys[left], left);
+            if (left + 1 < size) {
+                frontier_push(frontier, &count, keys[left + 1], left + 1);
+            }
+        }
+    }
+}
+
 static PyObject *
 py_heap_peek_many(PyObject *self, PyObject *args)
 {
     PyArrayObject *keys, *items, *out_items, *out_keys;
     Py_ssize_t size, k;
-    npy_intp take, count, index;
-    const double *keys_p;
-    const npy_int64 *items_p;
-    npy_int64 *oi;
-    double *ok;
+    npy_intp take;
     frontier_entry *frontier;
 
     if (!PyArg_ParseTuple(args, "O!O!nnO!O!", &PyArray_Type, &keys,
@@ -903,29 +995,15 @@ py_heap_peek_many(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "peek_many output arrays too small");
         return NULL;
     }
-    keys_p = (const double *)PyArray_DATA(keys);
-    items_p = (const npy_int64 *)PyArray_DATA(items);
-    oi = (npy_int64 *)PyArray_DATA(out_items);
-    ok = (double *)PyArray_DATA(out_keys);
     frontier = (frontier_entry *)malloc((size_t)(2 * take + 2)
                                         * sizeof(frontier_entry));
     if (frontier == NULL) {
         return PyErr_NoMemory();
     }
-    count = 0;
-    frontier_push(frontier, &count, keys_p[0], 0);
-    for (index = 0; index < take; index++) {
-        const frontier_entry top = frontier_pop(frontier, &count);
-        const npy_intp left = 2 * top.slot + 1;
-        oi[index] = items_p[top.slot];
-        ok[index] = top.key;
-        if (left < (npy_intp)size) {
-            frontier_push(frontier, &count, keys_p[left], left);
-            if (left + 1 < (npy_intp)size) {
-                frontier_push(frontier, &count, keys_p[left + 1], left + 1);
-            }
-        }
-    }
+    heap_peek_many((const double *)PyArray_DATA(keys),
+                   (const npy_int64 *)PyArray_DATA(items), (npy_intp)size,
+                   take, frontier, (npy_int64 *)PyArray_DATA(out_items),
+                   (double *)PyArray_DATA(out_keys));
     free(frontier);
     return PyLong_FromSsize_t((Py_ssize_t)take);
 }
@@ -1004,15 +1082,32 @@ py_heap_update(PyObject *self, PyObject *args)
 /* Sequential per-item updates for update_many's small-batch path.  Every
  * item is known present; slots are re-resolved per item because an
  * earlier sift in the same batch may have moved a later item. */
+static void
+heap_update_present(heap_t *h, npy_intp size, const npy_int64 *items,
+                    const double *keys, npy_intp count)
+{
+    npy_intp i;
+
+    for (i = 0; i < count; i++) {
+        const npy_int64 slot = h->slot_of[items[i]];
+        const double old = h->keys[slot];
+        const double key = keys[i];
+        h->keys[slot] = key;
+        if (key < old) {
+            heap_sift_up(h, (npy_intp)slot);
+        }
+        else if (key > old) {
+            heap_sift_down(h, size, (npy_intp)slot);
+        }
+    }
+}
+
 static PyObject *
 py_heap_update_present(PyObject *self, PyObject *args)
 {
     PyArrayObject *keys, *items, *slot_of, *upd_items, *upd_keys;
     Py_ssize_t size;
     heap_t h;
-    const npy_int64 *ui;
-    const double *uk;
-    npy_intp count, i;
 
     if (!PyArg_ParseTuple(args, "O!O!O!nO!O!", &PyArray_Type, &keys,
                           &PyArray_Type, &items, &PyArray_Type, &slot_of,
@@ -1024,21 +1119,10 @@ py_heap_update_present(PyObject *self, PyObject *args)
             || !CHECK_I64(upd_items, "items") || !CHECK_F64(upd_keys, "keys")) {
         return NULL;
     }
-    ui = (const npy_int64 *)PyArray_DATA(upd_items);
-    uk = (const double *)PyArray_DATA(upd_keys);
-    count = PyArray_DIM(upd_items, 0);
-    for (i = 0; i < count; i++) {
-        const npy_int64 slot = h.slot_of[ui[i]];
-        const double old = h.keys[slot];
-        const double key = uk[i];
-        h.keys[slot] = key;
-        if (key < old) {
-            heap_sift_up(&h, (npy_intp)slot);
-        }
-        else if (key > old) {
-            heap_sift_down(&h, (npy_intp)size, (npy_intp)slot);
-        }
-    }
+    heap_update_present(&h, (npy_intp)size,
+                        (const npy_int64 *)PyArray_DATA(upd_items),
+                        (const double *)PyArray_DATA(upd_keys),
+                        PyArray_DIM(upd_items, 0));
     Py_RETURN_NONE;
 }
 
@@ -1076,6 +1160,406 @@ py_heap_push_many(PyObject *self, PyObject *args)
         cur = heap_do_push(&h, cur, ni[i], nk[i]);
     }
     return PyLong_FromSsize_t((Py_ssize_t)cur);
+}
+
+/* ------------------------------------------------------------------ */
+/* heap rebuild: np.argsort(kind="stable") of the live keys            */
+/* ------------------------------------------------------------------ */
+
+/* ``update_many`` rebuilds instead of sifting when the batch covers at
+ * least 1/8 of the heap (core/heap.py ``_REBUILD_FRACTION``). */
+#define HEAP_REBUILD_FRACTION 8
+
+/* One slot as the rebuild sorts it: by key under NumPy's sort comparison
+ * (``a < b``, NaNs last and equal to each other, -0.0 equal to +0.0),
+ * ties by slot.  That is a total order, so its sorted sequence is unique
+ * — and is exactly what a stable sort of the keys produces. */
+typedef struct {
+    double key;
+    npy_intp slot;
+} sort_entry;
+
+static int
+entry_less(const sort_entry *a, const sort_entry *b)
+{
+    if (a->key < b->key) {
+        return 1;
+    }
+    if (b->key < a->key) {
+        return 0;
+    }
+    if ((a->key != a->key) != (b->key != b->key)) {
+        return b->key != b->key;
+    }
+    return a->slot < b->slot;
+}
+
+/* Merge sort: insertion-sorted runs of 8 merged bottom-up, ping-ponging
+ * between ``a`` and ``tmp`` (n entries); the result ends up in ``a``. */
+static void
+sort_entries(sort_entry *a, sort_entry *tmp, npy_intp n)
+{
+    sort_entry *src = a, *dst = tmp;
+    npy_intp lo, width, i, j;
+
+    for (lo = 0; lo < n; lo += 8) {
+        const npy_intp hi = lo + 8 < n ? lo + 8 : n;
+        for (i = lo + 1; i < hi; i++) {
+            const sort_entry e = a[i];
+            for (j = i; j > lo && entry_less(&e, &a[j - 1]); j--) {
+                a[j] = a[j - 1];
+            }
+            a[j] = e;
+        }
+    }
+    for (width = 8; width < n; width *= 2) {
+        for (lo = 0; lo < n; lo += 2 * width) {
+            const npy_intp mid = lo + width < n ? lo + width : n;
+            const npy_intp hi = lo + 2 * width < n ? lo + 2 * width : n;
+            npy_intp k = lo;
+            i = lo;
+            j = mid;
+            while (i < mid && j < hi) {
+                dst[k++] = entry_less(&src[j], &src[i]) ? src[j++] : src[i++];
+            }
+            while (i < mid) {
+                dst[k++] = src[i++];
+            }
+            while (j < hi) {
+                dst[k++] = src[j++];
+            }
+        }
+        {
+            sort_entry *swap = src;
+            src = dst;
+            dst = swap;
+        }
+    }
+    if (src != a) {
+        memcpy(a, src, (size_t)n * sizeof(sort_entry));
+    }
+}
+
+/* ``order[i]`` = the i-th entry of ``keys[0..n)`` in stable sorted order;
+ * ``tmp`` holds n entries. */
+static void
+stable_order(const double *keys, npy_intp n, sort_entry *order,
+             sort_entry *tmp)
+{
+    npy_intp i;
+
+    for (i = 0; i < n; i++) {
+        order[i].key = keys[i];
+        order[i].slot = i;
+    }
+    sort_entries(order, tmp, n);
+}
+
+/* ``update_many``'s rebuild: re-lay the live prefix in stable key order (a
+ * key-sorted slot array is a valid heap).  ``scratch`` holds ``2 * size``
+ * sort entries followed by ``size`` items. */
+static void
+heap_rebuild(heap_t *h, npy_intp size, sort_entry *scratch)
+{
+    const sort_entry *order = scratch;
+    npy_int64 *old_items = (npy_int64 *)(scratch + 2 * size);
+    npy_intp i;
+
+    stable_order(h->keys, size, scratch, scratch + size);
+    memcpy(old_items, h->items, (size_t)size * sizeof(npy_int64));
+    for (i = 0; i < size; i++) {
+        const npy_int64 item = old_items[order[i].slot];
+        h->keys[i] = order[i].key;
+        h->items[i] = item;
+        h->slot_of[item] = i;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* the whole ReHeap step: removed index in, heap updated out           */
+/* ------------------------------------------------------------------ */
+
+/* An optional per-point stamp array of the compressor's speculation
+ * state (``None`` when speculation is off). */
+static int
+stamp_array(PyObject *obj, int typenum, npy_intp n, const char *name,
+            const char *tyname, void **data)
+{
+    *data = NULL;
+    if (obj == Py_None) {
+        return 1;
+    }
+    if (!PyArray_Check(obj)
+            || !check_1d((PyArrayObject *)obj, typenum, name, tyname)) {
+        if (!PyErr_Occurred()) {
+            PyErr_Format(PyExc_TypeError, "%s must be an array or None",
+                         name);
+        }
+        return 0;
+    }
+    if (PyArray_DIM((PyArrayObject *)obj, 0) != n) {
+        PyErr_Format(PyExc_ValueError, "%s must have one entry per point",
+                     name);
+        return 0;
+    }
+    *data = PyArray_DATA((PyArrayObject *)obj);
+    return 1;
+}
+
+/* reheap(current, counts, sx, sxl, sx2, sx2l, sxxl, reference, metric,
+ *        cell_budget, left, right, alive, keys, items, slot_of, size,
+ *        removed, hops, peek, state_version, key_version, spec_version,
+ *        spec_deviation) -> refreshed | None
+ *
+ * ``CameoCompressor._reheap_neighbours`` in one call.  From ``removed``:
+ * chase ``hops`` survivors each side over the neighbour list's pointers
+ * (``NeighborList.hops``: nearest first, left side then right, series
+ * endpoints excluded), keep those in the heap, append the ``peek``
+ * cheapest heap items not already among them, evaluate all their gaps as
+ * one ``segment_impacts`` request, re-key the neighbourhood in place
+ * (``update_many``: stable-sort rebuild for heap-scale batches, sequential
+ * sifts otherwise; every candidate is present, so nothing is pushed and
+ * the size stands) and stamp the version arrays.  The speculative items'
+ * impacts go to ``spec_deviation``, never into the heap.
+ *
+ * Returns the number of re-keyed neighbours, or ``None`` — with nothing
+ * written — when the request is over one block.  Every check that can
+ * raise runs before the first write as well. */
+static PyObject *
+py_reheap(PyObject *self, PyObject *args)
+{
+    PyArrayObject *current, *counts, *sx, *sxl, *sx2, *sx2l, *sxxl;
+    PyArrayObject *reference, *left, *right, *alive, *keys, *items, *slot_of;
+    PyObject *key_version_o, *spec_version_o, *spec_deviation_o;
+    const char *metric_name;
+    Py_ssize_t cell_budget, size_arg, removed, hops, peek;
+    long long state_version;
+    reheap_ctx ctx;
+    heap_t h;
+    const npy_int64 *left_p, *right_p;
+    const npy_bool *alive_p;
+    npy_int64 *key_version, *spec_version;
+    double *spec_deviation;
+    npy_int64 *request = NULL, *lefts, *rights;
+    double *impacts = NULL, *gap_scratch = NULL;
+    sort_entry *sort_scratch = NULL;
+    npy_intp n, size, side, capacity, refreshed = 0, count, total, max_len;
+    npy_intp cursor, steps, i;
+    int rebuild;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!snO!O!O!O!O!O!nnnnLOOO",
+                          &PyArray_Type, &current, &PyArray_Type, &counts,
+                          &PyArray_Type, &sx, &PyArray_Type, &sxl,
+                          &PyArray_Type, &sx2, &PyArray_Type, &sx2l,
+                          &PyArray_Type, &sxxl, &PyArray_Type, &reference,
+                          &metric_name, &cell_budget,
+                          &PyArray_Type, &left, &PyArray_Type, &right,
+                          &PyArray_Type, &alive,
+                          &PyArray_Type, &keys, &PyArray_Type, &items,
+                          &PyArray_Type, &slot_of, &size_arg,
+                          &removed, &hops, &peek, &state_version,
+                          &key_version_o, &spec_version_o,
+                          &spec_deviation_o)) {
+        return NULL;
+    }
+    if (!ctx_from_objects(current, counts, sx, sxl, sx2, sx2l, sxxl,
+                          reference, metric_name, &ctx)
+            || !CHECK_I64(left, "left") || !CHECK_I64(right, "right")
+            || !check_1d(alive, NPY_BOOL, "alive", "bool")
+            || !heap_from_objects(keys, items, slot_of, &h)) {
+        return NULL;
+    }
+    n = ctx.n;
+    size = (npy_intp)size_arg;
+    if (PyArray_DIM(left, 0) != n || PyArray_DIM(right, 0) != n
+            || PyArray_DIM(alive, 0) != n || h.capacity != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "neighbour and heap arrays must have one entry per "
+                        "point");
+        return NULL;
+    }
+    if (size < 0 || size > n || removed < 0 || removed >= n || hops < 0
+            || peek < 0) {
+        PyErr_SetString(PyExc_ValueError, "reheap request out of range");
+        return NULL;
+    }
+    if (!stamp_array(key_version_o, NPY_INT64, n, "key_version", "int64",
+                     (void **)&key_version)
+            || !stamp_array(spec_version_o, NPY_INT64, n, "spec_version",
+                            "int64", (void **)&spec_version)
+            || !stamp_array(spec_deviation_o, NPY_FLOAT64, n,
+                            "spec_deviation", "float64",
+                            (void **)&spec_deviation)) {
+        return NULL;
+    }
+    if (peek > 0 && (spec_version == NULL || spec_deviation == NULL)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "speculative peeks need the spec stamp arrays");
+        return NULL;
+    }
+    left_p = (const npy_int64 *)PyArray_DATA(left);
+    right_p = (const npy_int64 *)PyArray_DATA(right);
+    alive_p = (const npy_bool *)PyArray_DATA(alive);
+
+    /* the request: candidates, then speculative items; then its gaps */
+    side = hops < n ? (npy_intp)hops : n;
+    if (peek > size) {
+        peek = size;
+    }
+    capacity = 2 * side + (npy_intp)peek;
+    request = (npy_int64 *)malloc((size_t)(3 * capacity + 1)
+                                  * sizeof(npy_int64));
+    if (request == NULL) {
+        return PyErr_NoMemory();
+    }
+    lefts = request + capacity;
+    rights = lefts + capacity;
+
+    /* NeighborList.gap: the surviving anchors that bracket ``removed``
+     * (its own pointers once removed may reference removed points).  A
+     * pointer must move strictly outwards and stay within the sentinels:
+     * that bounds every walk and every read below. */
+    {
+        npy_int64 la = removed, ra = removed;
+        do {
+            const npy_int64 next = left_p[la];
+            if (next < -1 || next >= la) {
+                goto bad_pointers;
+            }
+            la = next;
+        } while (la >= 0 && !alive_p[la]);
+        do {
+            const npy_int64 next = right_p[ra];
+            if (next > n || next <= ra) {
+                goto bad_pointers;
+            }
+            ra = next;
+        } while (ra < n && !alive_p[ra]);
+
+        for (cursor = (npy_intp)la, steps = 0; cursor >= 0 && steps < side;
+                steps++) {
+            const npy_int64 next = left_p[cursor];
+            if (cursor > 0 && cursor < n - 1
+                    && h.slot_of[cursor] != HEAP_ABSENT) {
+                request[refreshed++] = cursor;
+            }
+            if (next < -1 || next >= cursor) {
+                goto bad_pointers;
+            }
+            cursor = (npy_intp)next;
+        }
+        for (cursor = (npy_intp)ra, steps = 0; cursor < n && steps < side;
+                steps++) {
+            const npy_int64 next = right_p[cursor];
+            if (cursor > 0 && cursor < n - 1
+                    && h.slot_of[cursor] != HEAP_ABSENT) {
+                request[refreshed++] = cursor;
+            }
+            if (next > n || next <= cursor) {
+                goto bad_pointers;
+            }
+            cursor = (npy_intp)next;
+        }
+    }
+    for (i = 0; i < refreshed; i++) {
+        const npy_int64 slot = h.slot_of[request[i]];
+        if (slot < 0 || slot >= size) {
+            PyErr_SetString(PyExc_ValueError, "heap slot map out of range");
+            goto done;
+        }
+    }
+    count = refreshed;
+    if (peek > 0) {
+        /* the peek's own outputs live in the not yet used gap arrays */
+        frontier_entry *frontier = (frontier_entry *)malloc(
+            (size_t)(2 * peek + 2) * sizeof(frontier_entry));
+        npy_int64 *peeked = lefts;
+        double *peeked_keys = (double *)rights;
+        npy_intp p;
+        if (frontier == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        heap_peek_many(h.keys, h.items, size, (npy_intp)peek, frontier,
+                       peeked, peeked_keys);
+        free(frontier);
+        for (p = 0; p < peek; p++) {
+            const npy_int64 item = peeked[p];
+            if (item < 0 || item >= n) {
+                PyErr_SetString(PyExc_ValueError, "heap item out of range");
+                goto done;
+            }
+            for (i = 0; i < refreshed && request[i] != item; i++) {
+            }
+            if (i == refreshed) {
+                request[count++] = item;
+            }
+        }
+    }
+    if (count == 0) {
+        result = PyLong_FromLong(0);
+        goto done;
+    }
+    for (i = 0; i < count; i++) {
+        lefts[i] = left_p[request[i]];
+        rights[i] = right_p[request[i]];
+    }
+    if (!scan_gaps(n, lefts, rights, count, &total, &max_len)) {
+        goto done;
+    }
+    if (over_one_block(total, max_len, (npy_intp)cell_budget)) {
+        result = Py_None;
+        Py_INCREF(result);
+        goto done;
+    }
+
+    rebuild = refreshed > 0 && refreshed * HEAP_REBUILD_FRACTION >= size;
+    impacts = (double *)malloc((size_t)count * sizeof(double));
+    gap_scratch = alloc_gap_scratch(max_len, ctx.num_lags);
+    if (rebuild) {
+        sort_scratch = (sort_entry *)malloc(
+            (size_t)size * (2 * sizeof(sort_entry) + sizeof(npy_int64)));
+    }
+    if (impacts == NULL || gap_scratch == NULL
+            || (rebuild && sort_scratch == NULL)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    Py_BEGIN_ALLOW_THREADS
+    evaluate_gaps(&ctx, lefts, rights, count, total, max_len, gap_scratch,
+                  impacts);
+    if (rebuild) {
+        for (i = 0; i < refreshed; i++) {
+            h.keys[h.slot_of[request[i]]] = impacts[i];
+        }
+        heap_rebuild(&h, size, sort_scratch);
+    }
+    else {
+        heap_update_present(&h, size, request, impacts, refreshed);
+    }
+    if (key_version != NULL) {
+        for (i = 0; i < refreshed; i++) {
+            key_version[request[i]] = (npy_int64)state_version;
+        }
+    }
+    for (i = refreshed; i < count; i++) {
+        spec_deviation[request[i]] = impacts[i];
+        spec_version[request[i]] = (npy_int64)state_version;
+    }
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromSsize_t((Py_ssize_t)refreshed);
+    goto done;
+
+bad_pointers:
+    PyErr_SetString(PyExc_ValueError, "neighbour pointers out of order");
+done:
+    free(request);
+    free(impacts);
+    free(gap_scratch);
+    free(sort_scratch);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1169,6 +1653,42 @@ py_rowwise_check(PyObject *self, PyObject *args)
     return out;
 }
 
+/* The rebuild's slot order under this module's stable sort, for the
+ * loader's cross-check against ``np.argsort(kind="stable")``. */
+static PyObject *
+py_stable_order_check(PyObject *self, PyObject *args)
+{
+    PyArrayObject *keys;
+    npy_intp n, i;
+    npy_intp dims[1];
+    PyObject *out;
+    npy_int64 *out_p;
+    sort_entry *scratch;
+
+    if (!PyArg_ParseTuple(args, "O!", &PyArray_Type, &keys)) {
+        return NULL;
+    }
+    if (!CHECK_F64(keys, "keys")) {
+        return NULL;
+    }
+    n = PyArray_DIM(keys, 0);
+    dims[0] = n;
+    out = PyArray_SimpleNew(1, dims, NPY_INT64);
+    scratch = (sort_entry *)malloc((size_t)(2 * n + 1) * sizeof(sort_entry));
+    if (out == NULL || scratch == NULL) {
+        Py_XDECREF(out);
+        free(scratch);
+        return PyErr_NoMemory();
+    }
+    stable_order((const double *)PyArray_DATA(keys), n, scratch, scratch + n);
+    out_p = (npy_int64 *)PyArray_DATA((PyArrayObject *)out);
+    for (i = 0; i < n; i++) {
+        out_p[i] = (npy_int64)scratch[i].slot;
+    }
+    free(scratch);
+    return out;
+}
+
 /* ``a*b - a*b`` in the shape the ACF numerator uses.  Exactly 0.0 unless
  * the compiler contracted one of the products into an FMA. */
 static PyObject *
@@ -1254,6 +1774,8 @@ py_get_max_threads(PyObject *self, PyObject *args)
 static PyMethodDef nativecore_methods[] = {
     {"segment_impacts", py_segment_impacts, METH_VARARGS,
      "Fused ReHeap kernel: gaps in, impacts out (None when over budget)."},
+    {"reheap", py_reheap, METH_VARARGS,
+     "The whole ReHeap step: removed index in, heap re-keyed in place."},
     {"gap_deltas", py_gap_deltas, METH_VARARGS,
      "Linear re-interpolation deltas for positions inside (left, right)."},
     {"heap_heapify", py_heap_heapify, METH_VARARGS,
@@ -1278,6 +1800,8 @@ static PyMethodDef nativecore_methods[] = {
      "Per-segment sums under the module's np.add.reduceat model."},
     {"rowwise_check", py_rowwise_check, METH_VARARGS,
      "Per-row deviations under the module's ResolvedMetric.rowwise model."},
+    {"stable_order_check", py_stable_order_check, METH_VARARGS,
+     "Slot order under the module's np.argsort(kind='stable') model."},
     {"fma_probe", py_fma_probe, METH_VARARGS,
      "a*b - a*b; non-zero iff the build contracted to FMA."},
     {"build_info", py_build_info, METH_NOARGS,
@@ -1300,6 +1824,14 @@ static struct PyModuleDef nativecore_module = {
 PyMODINIT_FUNC
 PyInit__nativecore(void)
 {
+    PyObject *module;
+
     import_array();
-    return PyModule_Create(&nativecore_module);
+    module = PyModule_Create(&nativecore_module);
+    if (module != NULL && PyModule_AddIntConstant(
+            module, "HEAP_REBUILD_FRACTION", HEAP_REBUILD_FRACTION) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

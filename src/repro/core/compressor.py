@@ -13,6 +13,8 @@ The implementation follows the paper's structure:
 * the min-heap of impacts             →  :class:`repro.core.heap.IndexedMinHeap`
 * ``ReHeap`` over the blocking
   neighbourhood (Section 4.3)         →  :meth:`CameoCompressor._reheap_neighbours`
+  (one compiled call, ``native.reheap``, where the native tier serves the
+  configuration; the NumPy-level chain everywhere else)
 
 Speculative multi-pop previews (``batch_size`` > 1, the default)
 ----------------------------------------------------------------
@@ -407,6 +409,29 @@ class CameoCompressor:
                            metric=None) -> int:
         """Refresh the impacts of surviving points near ``removed``.
 
+        Where the compiled tier serves the configuration this is one call —
+        removed index in, heap updated out (``tracker.reheap``); everywhere
+        else, and for a request the compiled call declines, the same steps
+        run as :meth:`_reheap_chain`.  Returns the number of re-keyed
+        neighbours.
+        """
+        if metric is None:
+            metric = resolve_rowwise_metric(self.metric)
+        refreshed = tracker.reheap(
+            metric, neighbours, heap, removed, hops, self._spec_peek,
+            self._state_version,
+            self._key_version if self._spec_enabled else None,
+            self._spec_version, self._spec_deviation)
+        if refreshed is None:
+            refreshed = self._reheap_chain(tracker, neighbours, heap, removed,
+                                           hops, metric)
+        return refreshed
+
+    def _reheap_chain(self, tracker: StatisticTracker, neighbours: NeighborList,
+                      heap: IndexedMinHeap, removed: int, hops: int,
+                      metric) -> int:
+        """The ReHeap step on NumPy-level primitives.
+
         Fused pipeline: the surviving neighbourhood is collected once (one
         windowed gather over the alive mask), the in-heap filter is a
         vectorized mask query, all neighbour segment deltas and their
@@ -419,8 +444,6 @@ class CameoCompressor:
         perturb the pop order — and reused if they are popped before the
         next acceptance.
         """
-        if metric is None:
-            metric = resolve_rowwise_metric(self.metric)
         candidates = neighbours.hops_array(removed, hops)
         if candidates.size:
             candidates = candidates[heap.contains_mask(candidates)]

@@ -179,6 +179,11 @@ class GenericStatisticTracker:
         return self.batch_impacts_segments(starts, lengths, positions, deltas,
                                            metric)
 
+    def reheap(self, *_request) -> None:
+        """No compiled ReHeap step for arbitrary statistics: the caller runs
+        it (same contract as :meth:`StatisticTracker.reheap`)."""
+        return None
+
     def initial_impacts(self, metric) -> tuple[np.ndarray, np.ndarray]:
         """Impact of removing each interior point in isolation (Algorithm 2)."""
         positions, deltas = initial_interpolation_deltas(self._current)

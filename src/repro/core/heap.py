@@ -473,6 +473,14 @@ class NativeIndexedMinHeap:
             raise IndexError("peek on an empty heap")
         return int(self._hitems[0]), float(self._hkeys[0])
 
+    def storage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The live ``(keys, items, slot_of)`` arrays and the logical size.
+
+        For compiled callers that re-key in place without changing the
+        size (``native.reheap``); everything else goes through the methods.
+        """
+        return self._hkeys, self._hitems, self._slot_of, self._size
+
     def peek_many(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` cheapest ``(items, keys)`` in pop order, without removal."""
         k = min(int(k), self._size)

@@ -19,6 +19,9 @@ Entry points:
 * :func:`native_gap_impacts` — the compiled tier's whole ReHeap evaluation
   (batched deltas, :func:`batched_contiguous_acf` rows and the closed-form
   deviation) as one call, bit-identical to chaining the three above.
+* :func:`native_reheap` — the compiled tier's whole ReHeap *step*: the
+  neighbourhood gather, the speculative peek, that evaluation and the heap
+  re-key as one call — removed index in, heap updated out.
 
 The deviation measure ``D`` is vectorised for the common metrics (MAE,
 Chebyshev, RMSE/MSE); any other callable falls back to a row-wise loop.
@@ -37,6 +40,8 @@ import numpy as np
 from .._kernels import get_native as _get_native
 from ..metrics import get_metric
 from ..stats.aggregates import ACFAggregateState
+from .heap import NativeIndexedMinHeap
+from .neighbors import NeighborList
 
 __all__ = [
     "ResolvedMetric",
@@ -49,6 +54,8 @@ __all__ = [
     "segment_interpolation_deltas_batched",
     "initial_interpolation_deltas",
     "native_gap_impacts",
+    "native_reheap",
+    "native_serves",
 ]
 
 _VECTORISED_METRICS = {"mae", "cheb", "chebyshev", "max", "rmse", "mse"}
@@ -905,6 +912,17 @@ def segment_interpolation_deltas_batched(current: np.ndarray, lefts, rights
     return starts, lengths, positions, deltas
 
 
+def native_serves(statistic: str, agg_window: int, metric: ResolvedMetric) -> bool:
+    """Does the compiled tier evaluate this configuration's ReHeap?
+
+    It models the raw series' ACF under a closed-form metric and nothing
+    else: PACF, aggregated windows and callable metrics run the NumPy
+    kernels on either tier.
+    """
+    return (statistic == "acf" and agg_window == 1
+            and metric.kind != "callable" and _get_native() is not None)
+
+
 def native_gap_impacts(state: ACFAggregateState, reference: np.ndarray,
                        lefts: np.ndarray, rights: np.ndarray,
                        metric: ResolvedMetric) -> np.ndarray | None:
@@ -927,3 +945,38 @@ def native_gap_impacts(state: ACFAggregateState, reference: np.ndarray,
         state.current, sums.counts, sums.sx, sums.sxl, sums.sx2, sums.sx2l,
         sums.sxxl, reference, lefts, rights, metric.kind,
         _MAX_BLOCK_CELLS // state.lags.size)
+
+
+def native_reheap(state: ACFAggregateState, reference: np.ndarray,
+                  metric: ResolvedMetric, neighbours: NeighborList, heap,
+                  removed: int, hops: int, peek: int, state_version: int,
+                  key_version: np.ndarray | None,
+                  spec_version: np.ndarray | None,
+                  spec_deviation: np.ndarray | None) -> int | None:
+    """One whole ReHeap step through the compiled tier.
+
+    From the removed index: gather the ``hops`` survivors each side that are
+    still in ``heap``, append the ``peek`` cheapest heap items not among
+    them, evaluate the combined request exactly as
+    :func:`native_gap_impacts` would, re-key the neighbourhood in place as
+    ``heap.update_many`` would, and stamp the speculation arrays
+    (``key_version`` for re-keyed neighbours; ``spec_version`` /
+    ``spec_deviation`` for the peeked items, whose impacts never enter the
+    heap).  Returns the number of re-keyed neighbours.
+
+    For a configuration :func:`native_serves` admits.  Returns ``None``,
+    with nothing written, when the Python chain has to run all the same:
+    ``heap`` is not the native heap, or the request is over one
+    ``_MAX_BLOCK_CELLS`` block.
+    """
+    native = _get_native()
+    if native is None or not isinstance(heap, NativeIndexedMinHeap):
+        return None
+    sums = state.sums
+    return native.reheap(
+        state.current, sums.counts, sums.sx, sums.sxl, sums.sx2, sums.sx2l,
+        sums.sxxl, reference, metric.kind,
+        _MAX_BLOCK_CELLS // state.lags.size,
+        *neighbours.pointer_arrays(), *heap.storage(),
+        removed, hops, peek, state_version,
+        key_version, spec_version, spec_deviation)

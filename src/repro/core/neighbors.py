@@ -69,6 +69,11 @@ class NeighborList:
         """Boolean survival mask (copy)."""
         return self._alive.copy()
 
+    def pointer_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live ``(left, right, alive)`` arrays, for compiled callers
+        that chase the pointers themselves (``native.reheap``); read-only."""
+        return self._left, self._right, self._alive
+
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #

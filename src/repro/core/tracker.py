@@ -12,6 +12,8 @@ tiny interface:
 * ``initial_impacts(metric)`` — Algorithm 2's vectorised initial heap keys,
 * ``gap_impacts(lefts, rights, metric)`` — the ReHeap evaluation: impacts
   of re-interpolating many gaps (one compiled call on the native tier),
+* ``reheap(...)`` — the whole ReHeap step as one compiled call, where the
+  native tier serves the configuration (``None`` otherwise),
 * ``batch_impacts_segments(...)`` — impacts of many contiguous-range
   changes in one vectorized pass.
 """
@@ -29,6 +31,8 @@ from .impact import (
     batched_single_change_impacts,
     initial_interpolation_deltas,
     native_gap_impacts,
+    native_reheap,
+    native_serves,
     resolve_rowwise_metric,
     segment_interpolation_deltas_batched,
 )
@@ -148,7 +152,7 @@ class StatisticTracker:
         metric = resolve_rowwise_metric(metric)
         lefts = np.ascontiguousarray(lefts, dtype=np.int64)
         rights = np.ascontiguousarray(rights, dtype=np.int64)
-        if self._statistic == "acf" and self._agg_window == 1:
+        if native_serves(self._statistic, self._agg_window, metric):
             impacts = native_gap_impacts(self._state, self._reference,
                                          lefts, rights, metric)
             if impacts is not None:
@@ -157,6 +161,24 @@ class StatisticTracker:
             self.current_values, lefts, rights)
         return self.batch_impacts_segments(starts, lengths, positions, deltas,
                                            metric)
+
+    def reheap(self, metric, neighbours, heap, removed: int, hops: int,
+               peek: int, state_version: int, key_version, spec_version,
+               spec_deviation) -> int | None:
+        """The compressor's whole ReHeap step after removing ``removed``.
+
+        Where :meth:`gap_impacts` would go through the compiled tier, the
+        neighbourhood gather, the speculative peek, the evaluation and the
+        heap re-key are one call (:func:`repro.core.impact.native_reheap`);
+        returns the number of re-keyed neighbours.  Returns ``None``, with
+        nothing touched, when the caller has to run the steps itself.
+        """
+        if not native_serves(self._statistic, self._agg_window, metric):
+            return None
+        return native_reheap(self._state, self._reference, metric,
+                             neighbours, heap, removed, hops, peek,
+                             state_version, key_version, spec_version,
+                             spec_deviation)
 
     def batch_impacts_segments(self, starts, lengths, positions, deltas, metric
                                ) -> np.ndarray:

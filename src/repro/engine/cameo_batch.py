@@ -33,6 +33,7 @@ from ..core.heap import make_heap
 from ..core.impact import (
     StackedStateLayout,
     multi_state_contiguous_acf,
+    native_serves,
     resolve_rowwise_metric,
     segment_interpolation_deltas,
     segment_interpolation_deltas_batched,
@@ -66,12 +67,18 @@ def lockstep_eligible(compressor: CameoCompressor, n: int, *,
     (``agg_window == 1``) and the paper's ``on_violation="stop"`` policy.
     Everything else — aggregated statistics, skip/drain mode, custom
     ``Statistic`` objects, long series — falls back to the per-series path.
+    So does a configuration whose per-series run the compiled tier serves:
+    the stacked kernel is NumPy on either tier, and loses to one compiled
+    call per ReHeap (``engine_cameo_lockstep_native`` in BENCH_kernels.json).
     """
     if isinstance(compressor.statistic, Statistic):
         return False
     if compressor.agg_window != 1 or compressor.on_violation != "stop":
         return False
     if n < 4 or n <= compressor.min_keep:
+        return False
+    if native_serves(str(compressor.statistic).lower(), compressor.agg_window,
+                     resolve_rowwise_metric(compressor.metric)):
         return False
     effective_lag = min(compressor.max_lag, n - 1)
     return n * effective_lag <= max_cells

@@ -325,10 +325,11 @@ class ACFAggregateState:
 
         old = self._current[start:start + m]
         energy = deltas * (2.0 * old + deltas)
+        # np.cumsum is this ufunc loop behind a Python-level wrapper
         prefix_d[0] = 0.0
-        np.cumsum(deltas, out=prefix_d[1:])
+        np.add.accumulate(deltas, out=prefix_d[1:])
         prefix_e[0] = 0.0
-        np.cumsum(energy, out=prefix_e[1:])
+        np.add.accumulate(energy, out=prefix_e[1:])
 
         # For lag l the head covers positions <= n-1-l, the tail positions
         # >= l: the first clip(n - l - start, 0, m) values of the range are

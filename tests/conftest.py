@@ -41,6 +41,42 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_stress)
 
 
+@pytest.fixture(params=["numpy", "native"])
+def kernel_tier(request):
+    """Run a test under both kernel tiers.
+
+    Kept-set regression suites opt in with ``pytestmark =
+    pytest.mark.usefixtures("kernel_tier")`` so their golden digests are
+    asserted against *both* implementations — the native tier is only
+    correct if it cannot be told apart from the NumPy one.  The native
+    parameter skips (never fails) when the extension is not built, keeping
+    source-only installs green.
+    """
+    from repro import _kernels
+
+    tier = request.param
+    if tier == "native" and not _kernels.native_available():
+        pytest.skip("native extension not built")
+    _kernels.set_native_enabled(tier == "native")
+    try:
+        yield tier
+    finally:
+        _kernels.set_native_enabled(None)
+
+
+@pytest.fixture()
+def numpy_tier():
+    """Pin the pure-NumPy kernel tier, for suites about paths only it takes
+    (the lock-step engine steps aside where the native tier serves a run)."""
+    from repro import _kernels
+
+    _kernels.set_native_enabled(False)
+    try:
+        yield
+    finally:
+        _kernels.set_native_enabled(None)
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """Session-wide deterministic random generator."""

@@ -18,7 +18,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import _kernels
 from repro.codecs import get_codec
+from repro.core.tracker import StatisticTracker
 from repro.data.datasets import dataset_names, load_dataset
 from repro.ingest import load_corpus_series
 
@@ -55,18 +57,40 @@ class TestCorpusKeptSets:
         (256, 204, "74fdf33158aae9fd"),   # the service's chunk size
         (500, 317, "d02404c58c02a741"),   # the fleet benchmark's series
     ])
-    def test_benchmark_shape_kept_sets(self, length, kept, digest):
+    def test_benchmark_shape_kept_sets(self, length, kept, digest, kernel_tier,
+                                       monkeypatch):
         """The end-to-end benchmark's shapes (eight paper datasets, L=24,
         eps=0.01): short enough that most ReHeaps touch a series boundary,
-        which the real-data digests above (eps=0.05) barely exercise."""
-        total, sha = 0, hashlib.sha256()
-        codec = get_codec("cameo", max_lag=24, epsilon=0.01)
-        for name in dataset_names():
-            values = np.round(load_dataset(name, length=length, seed=7).values, 2)
-            result = codec.compress(values)
-            total += len(result)
-            sha.update(result.indices.tobytes())
-        assert (total, sha.hexdigest()[:16]) == (kept, digest)
+        which the real-data digests above (eps=0.05) barely exercise.  On
+        the native tier every ReHeap is one ``native.reheap`` call, and the
+        Python chain it replaces must land on the same digest."""
+        def fleet_digest():
+            total, sha = 0, hashlib.sha256()
+            codec = get_codec("cameo", max_lag=24, epsilon=0.01)
+            for name in dataset_names():
+                values = np.round(
+                    load_dataset(name, length=length, seed=7).values, 2)
+                result = codec.compress(values)
+                total += len(result)
+                sha.update(result.indices.tobytes())
+            return total, sha.hexdigest()[:16]
+
+        fused_steps = []
+        if kernel_tier == "native":
+            native = _kernels.get_native()
+            fused = native.reheap
+
+            def recorded(*request):
+                fused_steps.append(fused(*request))
+                return fused_steps[-1]
+
+            monkeypatch.setattr(native, "reheap", recorded)
+        assert fleet_digest() == (kept, digest)
+        if kernel_tier == "native":
+            assert fused_steps and None not in fused_steps
+            monkeypatch.setattr(StatisticTracker, "reheap",
+                                lambda self, *request: None)
+            assert fleet_digest() == (kept, digest)
 
     def test_decode_round_trips_kept_points(self):
         series = load_corpus_series("airline")

@@ -1,7 +1,11 @@
 """The native kernel tier must reproduce the NumPy tier bit for bit.
 
-Three layers, mirroring the guarantees the NumPy tier gives against the
+Four layers, mirroring the guarantees the NumPy tier gives against the
 preserved reference implementations:
+
+* the whole-step ``native.reheap`` call's request contract here (fallback
+  with nothing written, bad requests raise before the first write); its
+  step-by-step identity with the Python chain is ``test_native_reheap.py``;
 
 * the compiled fused ReHeap kernel (gaps in, impacts out), exercised
   through :meth:`repro.core.tracker.StatisticTracker.gap_impacts` with the
@@ -32,6 +36,8 @@ from hypothesis import strategies as st
 import repro
 from repro import _kernels
 from repro._kernels.reference import reference_batched_contiguous_acf
+from repro.core import heap as heap_module
+from repro.core.compressor import CameoCompressor
 from repro.core.heap import IndexedMinHeap, NativeIndexedMinHeap, make_heap
 from repro.core.impact import (
     native_gap_impacts,
@@ -39,6 +45,7 @@ from repro.core.impact import (
     segment_interpolation_deltas,
     segment_interpolation_deltas_batched,
 )
+from repro.core.neighbors import NeighborList
 from repro.core.tracker import StatisticTracker
 
 needs_native = pytest.mark.skipif(not _kernels.native_available(),
@@ -216,10 +223,11 @@ class TestSegmentImpactsBitIdentity:
         output = subprocess.run(
             [sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
             capture_output=True, text=True, timeout=120).stdout.split()
-        max_threads, native_digest, numpy_digest = output
+        max_threads, native_digest, numpy_digest, reheap_calls = output
         if _kernels.native_build_info()["openmp"]:
             assert int(max_threads) == threads
         assert native_digest == numpy_digest
+        assert int(reheap_calls) > 0
 
 
 _THREADS_SCRIPT = """
@@ -234,14 +242,27 @@ tracker = StatisticTracker(rng.normal(0, 1, n), max_lag)
 lefts = rng.integers(0, n - 41, 300)
 rights = lefts + 1 + rng.integers(0, 40, 300)
 lefts[:3], rights[:3] = (0, 0, n - 9), (12, n - 1, n - 1)
+# a whole run through native.reheap whose requests (no blocking: every
+# survivor is a neighbour) are large enough to enter the parallel region
+from repro.core import cameo_compress
+series = 2.0 * np.sin(np.arange(900) * 2 * np.pi / 24) + rng.normal(0, 0.3, 900)
+native = _kernels.get_native()
+fused, calls = native.reheap, [0]
+def counting(*args):
+    calls[0] += 1
+    return fused(*args)
+native.reheap = counting
 digests = []
 for tier in (True, False):
     _kernels.set_native_enabled(tier)
     digest = hashlib.sha256()
     for metric in ("mae", "cheb", "mse", "rmse"):
         digest.update(tracker.gap_impacts(lefts, rights, metric).tobytes())
+    result = cameo_compress(series, max_lag=24, epsilon=None, target_ratio=1.2,
+                            blocking=None)
+    digest.update(result.indices.tobytes())
     digests.append(digest.hexdigest())
-print(_kernels.native_build_info()["max_threads"], *digests)
+print(_kernels.native_build_info()["max_threads"], *digests, calls[0])
 """
 
 
@@ -260,6 +281,134 @@ class TestGapDeltas:
             start_b, slow = segment_interpolation_deltas(current, left, right)
             assert start_a == start_b
             assert np.array_equal(fast, slow)
+
+
+def _reheap_request(n=60, max_lag=8, removed=30, hops=5, peek=3):
+    """Keyword arguments of one valid ``native.reheap`` call, in order."""
+    rng = np.random.default_rng(n)
+    tracker = StatisticTracker(rng.normal(0, 1, n), max_lag)
+    neighbours = NeighborList(n)
+    heap = NativeIndexedMinHeap(n)
+    heap.heapify(*tracker.initial_impacts("mae"))
+    heap.remove(removed)
+    neighbours.remove(removed)
+    sums = tracker.state.sums
+    keys, items, slot_of, size = heap.storage()
+    left, right, alive = neighbours.pointer_arrays()
+    return dict(
+        current=tracker.state.current, counts=sums.counts, sx=sums.sx,
+        sxl=sums.sxl, sx2=sums.sx2, sx2l=sums.sx2l, sxxl=sums.sxxl,
+        reference=tracker.reference, metric="mae", cell_budget=1 << 20,
+        left=left, right=right, alive=alive, keys=keys, items=items,
+        slot_of=slot_of, size=size, removed=removed, hops=hops, peek=peek,
+        state_version=1, key_version=np.zeros(n, dtype=np.int64),
+        spec_version=np.full(n, -1, dtype=np.int64),
+        spec_deviation=np.zeros(n))
+
+
+def _written(request) -> list:
+    """Everything ``native.reheap`` may write to, as it is now."""
+    return [np.array(request[name], copy=True) for name in (
+        "keys", "items", "slot_of", "key_version", "spec_version",
+        "spec_deviation")]
+
+
+@needs_native
+class TestReheapRequestContract:
+    @pytest.fixture(autouse=True)
+    def _force_native(self):
+        _kernels.set_native_enabled(True)
+
+    def test_valid_request_rekeys_and_stamps(self):
+        request = _reheap_request()
+        refreshed = _kernels.get_native().reheap(*request.values())
+        assert refreshed == 10
+        assert (request["key_version"] == 1).sum() == 10
+        assert 1 <= (request["spec_version"] == 1).sum() <= 3
+
+    def test_rebuild_fraction_matches_the_python_heap(self):
+        assert (_kernels.get_native().HEAP_REBUILD_FRACTION
+                == heap_module._REBUILD_FRACTION)
+
+    @pytest.mark.parametrize("change", [
+        dict(left=lambda a: a.astype(np.int32)),
+        dict(right=lambda a: a.astype(np.float64)),
+        dict(alive=lambda a: a.astype(np.uint8)),
+        dict(current=lambda a: np.concatenate((a, a))[::2]),
+        dict(keys=lambda a: a[:-1]),
+        dict(slot_of=lambda a: a.astype(np.int32)),
+        dict(left=lambda a: a[:-1].copy()),
+        dict(key_version=lambda a: a[:-1].copy()),
+        dict(spec_deviation=lambda a: a.astype(np.float32)),
+        dict(spec_version=lambda a: None),
+        dict(spec_deviation=lambda a: [0.0] * a.size),
+        dict(reference=lambda a: a[:-1].copy()),
+        dict(metric=lambda _m: "median"),
+        dict(removed=lambda _r: -1),
+        dict(removed=lambda _r: 60),
+        dict(hops=lambda _h: -1),
+        dict(peek=lambda _p: -2),
+        dict(size=lambda _s: 61),
+        dict(size=lambda _s: -1),
+        # a pointer that does not move outwards (cycle / out of bounds)
+        dict(left=lambda a: np.where(np.arange(a.size) == 27, 29, a)),
+        dict(left=lambda a: np.where(np.arange(a.size) == 29, -7, a)),
+        dict(right=lambda a: np.where(np.arange(a.size) == 33, 33, a)),
+        dict(right=lambda a: np.where(np.arange(a.size) == 31, 2 ** 40, a)),
+        # the removed point's own pointers (NeighborList.gap reads them)
+        dict(left=lambda a: np.where(np.arange(a.size) == 30, 30, a)),
+        dict(right=lambda a: np.where(np.arange(a.size) == 30, -1, a)),
+        # a neighbour's slot beyond the live prefix
+        dict(slot_of=lambda a: np.where(np.arange(a.size) == 28, 59, a)),
+        # a heap item that is not a series position
+        dict(items=lambda a: np.where(np.arange(a.size) == 0, 60, a)),
+    ])
+    def test_bad_requests_raise_before_the_first_write(self, change):
+        request = _reheap_request()
+        (name, mutate), = change.items()
+        request[name] = mutate(request[name])
+        before = _written(request)
+        with pytest.raises((ValueError, TypeError)):
+            _kernels.get_native().reheap(*request.values())
+        for old, new in zip(before, _written(request)):
+            assert np.array_equal(old, new)
+
+    def test_over_one_block_returns_none_with_nothing_written(self, monkeypatch):
+        import repro.core.impact as impact_module
+
+        rng = np.random.default_rng(4)
+        values = rng.normal(0, 1, 300)
+        declined = []
+        fused_reheap = StatisticTracker.reheap
+
+        def watched(tracker, metric, neighbours, heap, *request):
+            writable = (*heap.storage()[:3], *request[-3:])
+            before = [array.copy() for array in writable]
+            refreshed = fused_reheap(tracker, metric, neighbours, heap,
+                                     *request)
+            if refreshed is None:
+                declined.append(request[0])
+                assert all(np.array_equal(old, new, equal_nan=True)
+                           for old, new in zip(before, writable))
+            return refreshed
+
+        config = dict(max_lag=10, epsilon=None, target_ratio=3.0, blocking=None)
+        _kernels.set_native_enabled(False)
+        numpy_tier = CameoCompressor(**config).compress(values)
+        _kernels.set_native_enabled(True)
+        fused = CameoCompressor(**config).compress(values)
+        # with no blocking every survivor is a neighbour: ~300 positions x
+        # 10 lags per request is over a 1,500-cell block from some point on
+        monkeypatch.setattr(impact_module, "_MAX_BLOCK_CELLS", 1500)
+        monkeypatch.setattr(StatisticTracker, "reheap", watched)
+        mixed = CameoCompressor(**config).compress(values)
+        assert declined and len(declined) < mixed.metadata["removed_points"]
+        assert mixed.indices.tolist() == numpy_tier.indices.tolist()
+        assert mixed.metadata["reheap_updates"] == numpy_tier.metadata[
+            "reheap_updates"]
+        # blocks only ever change the cross-term path of long gaps; at this
+        # depth of compression gaps stay short of that switch
+        assert fused.indices.tolist() == mixed.indices.tolist()
 
 
 def _mirror_op(rng: np.random.Generator, heaps, capacity: int,
@@ -390,7 +539,9 @@ class TestTierDispatch:
     def test_enabled_tier_reports_native(self):
         _kernels.set_native_enabled(True)
         tiers = _kernels.active_tier()
-        assert set(tiers) == {"segment_impacts", "heap", "gap_deltas"}
+        assert set(tiers) == {"reheap", "segment_impacts", "heap",
+                              "gap_deltas"}
+        assert "reheap" in _kernels.describe_tiers()
         assert all(tier == "native" for tier in tiers.values())
         assert isinstance(make_heap(10), NativeIndexedMinHeap)
         assert "native" in _kernels.describe_tiers()
@@ -430,6 +581,33 @@ class TestTierDispatch:
                                  for row in np.abs(rows - reference)])
 
         assert "row reductions" in _native._self_check(SeededMean())
+
+    @needs_native
+    def test_self_check_refuses_a_different_tie_order(self):
+        from repro._kernels import _native
+
+        module = _native.MODULE
+
+        class UnstableSort:
+            """The extension as seen from a NumPy whose ``kind="stable"``
+            argsort broke ties by descending position."""
+
+            def __getattr__(self, name):
+                return getattr(module, name)
+
+            def stable_order_check(self, keys):
+                order = module.stable_order_check(keys[::-1].copy())
+                return (keys.size - 1 - order).astype(np.int64)
+
+        assert "argsort" in _native._self_check(UnstableSort())
+
+        class NanFirst(UnstableSort):
+            def stable_order_check(self, keys):
+                order = module.stable_order_check(keys)
+                nan = np.isnan(keys[order])
+                return np.concatenate((order[nan], order[~nan]))
+
+        assert "argsort" in _native._self_check(NanFirst())
 
     @needs_native
     def test_native_heap_requires_active_tier(self):

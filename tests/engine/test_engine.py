@@ -56,6 +56,7 @@ class TestDeterminism:
         for outcome, series in zip(result, fleet):
             assert outcome.unwrap().payload == codec.encode(series).payload
 
+    @pytest.mark.usefixtures("numpy_tier")
     def test_fastpath_off_matches_fastpath_on(self):
         fleet = _fleet(6, 120, seed=9)
         options = dict(max_lag=10, epsilon=0.05)

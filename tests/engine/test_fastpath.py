@@ -116,8 +116,8 @@ class TestLockstepCameo:
         compressor = CameoCompressor(**config)
         fleet = _short_fleet(5, 140, seed=33)
         fleet.append(_short_fleet(1, 90, seed=7)[0])  # mixed lengths
-        assert all(lockstep_eligible(compressor, series.size)
-                   for series in fleet)
+        # the per-series reference runs on the default tier: on a built
+        # checkout this is the stacked NumPy kernel against native.reheap
         results = lockstep_compress(compressor, fleet)
         for series, result in zip(fleet, results):
             reference = compressor.compress(series)
@@ -129,6 +129,7 @@ class TestLockstepCameo:
             assert (result.metadata["reference_statistic"]
                     == reference.metadata["reference_statistic"])
 
+    @pytest.mark.usefixtures("numpy_tier")
     def test_eligibility_rules(self):
         compressor = CameoCompressor(12, 0.05)
         assert lockstep_eligible(compressor, 200)
@@ -144,6 +145,39 @@ class TestLockstepCameo:
         assert not lockstep_eligible(
             CameoCompressor(12, 0.05, statistic=custom), 200)
 
+    def test_steps_aside_where_the_native_tier_serves_the_run(self, kernel_tier):
+        """Lock-step's stacked kernel is NumPy on either tier; a run that
+        would make one compiled call per ReHeap must not be admitted."""
+        numpy_tier = kernel_tier == "numpy"
+        for served in (dict(), dict(metric="cheb"), dict(statistic="ACF"),
+                       dict(batch_size=1), dict(epsilon=None, target_ratio=3.0)):
+            config = {"max_lag": 12, "epsilon": 0.05, **served}
+            assert lockstep_eligible(CameoCompressor(**config), 200) == numpy_tier
+        for unserved in (dict(statistic="pacf"),
+                         dict(metric=lambda a, b: float(np.abs(a - b).max()))):
+            assert lockstep_eligible(
+                CameoCompressor(12, 0.05, **unserved), 200)
+
+    def test_batch_path_follows_the_kernel_tier(self, kernel_tier):
+        """The perf harness's lock-step shape (64 x 192, L=16): stacked on
+        the NumPy tier, per-series on the native tier, same blocks."""
+        from repro.engine import compress_batch
+
+        fleet = _short_fleet(64, 192, seed=31)
+        options = dict(max_lag=16, epsilon=0.05)
+        on = compress_batch(fleet, codec="cameo", codec_options=options,
+                            backend="serial", fastpath=True)
+        off = compress_batch(fleet, codec="cameo", codec_options=options,
+                             backend="serial", fastpath=False)
+        assert on.report.failed == off.report.failed == 0
+        assert on.report.fastpath_series == (64 if kernel_tier == "numpy"
+                                             else 0)
+        for left, right in zip(on, off):
+            assert (left.unwrap().payload.indices.tolist()
+                    == right.unwrap().payload.indices.tolist())
+            assert np.array_equal(left.unwrap().payload.values,
+                                  right.unwrap().payload.values)
+
     def test_speculation_statistics_preserved(self):
         # The lock-step loop must replicate the speculative bookkeeping,
         # not just the kept set: preview-reuse counters match exactly.
@@ -157,6 +191,7 @@ class TestLockstepCameo:
             assert result.metadata["batch_size"] == reference.metadata["batch_size"]
 
 
+@pytest.mark.usefixtures("numpy_tier")
 class TestMixedLengthGroups:
     def test_undersized_series_does_not_break_the_group(self):
         """One short series (smaller effective lag) must not drag its whole

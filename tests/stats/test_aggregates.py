@@ -162,6 +162,29 @@ class TestContiguousFastPath:
             state.apply_contiguous(start, deltas)
         assert np.allclose(state.acf(), state.recompute_acf(), atol=1e-8)
 
+    @pytest.mark.parametrize("start,length", [
+        (60, 9), (30, 1), (0, 5), (0, 120), (3, 30), (115, 5), (96, 24)],
+        ids=["interior", "single", "left-edge", "whole", "near-left",
+             "right-edge", "near-right"])
+    def test_prefix_sums_keep_the_cumsum_bits(self, start, length):
+        """``np.add.accumulate`` replaced ``np.cumsum`` for the head/tail
+        prefix sums: same ufunc loop, so the four sums built from them must
+        not move by a bit."""
+        n, max_lag = 120, 24
+        state = ACFAggregateState(_random_series(16, n), max_lag)
+        deltas = np.random.default_rng(start + length).normal(0, 0.4, length)
+        d_sx, d_sxl, d_sx2, d_sx2l, _d_sxxl = state._contiguous_delta_sums(
+            start, deltas)
+        energy = deltas * (2.0 * state.current[start:start + length] + deltas)
+        prefix_d = np.concatenate(([0.0], np.cumsum(deltas)))
+        prefix_e = np.concatenate(([0.0], np.cumsum(energy)))
+        head_counts = np.clip(n - start - state.lags, 0, length)
+        tail_starts = np.clip(state.lags - start, 0, length)
+        assert np.array_equal(d_sx, prefix_d[head_counts])
+        assert np.array_equal(d_sx2, prefix_e[head_counts])
+        assert np.array_equal(d_sxl, prefix_d[length] - prefix_d[tail_starts])
+        assert np.array_equal(d_sx2l, prefix_e[length] - prefix_e[tail_starts])
+
     def test_empty_deltas_is_noop(self):
         x = _random_series(13)
         state = ACFAggregateState(x, 10)

@@ -15,7 +15,9 @@ paper's compressed-block model)::
                                payload + summary + metadata
       wal/shard-<shard>.<generation>.wal
                                per-shard append WAL holding the unsealed
-                               buffer tails (see repro.storage.wal)
+                               buffer tails, the whole content of log
+                               series, and metadata updates since the last
+                               checkpoint (see repro.storage.wal)
       quarantine/              corrupt segments moved here by recovery, each
                                with a machine-readable .reason.json sidecar
 
@@ -26,10 +28,17 @@ Durability contract
 * Sealed segments and the manifest are updated *after* the WAL, via
   tmp-file → fsync → rename → directory fsync, so a crash at any point
   leaves either the old or the new state, never a torn hybrid.
-* A checkpoint (triggered by sealing or ``flush``) rotates the shard WAL
-  to a fresh generation holding only the current buffers; the manifest
+* A checkpoint (triggered by sealing, ``flush``, or a shard's WAL
+  generation outgrowing :data:`WAL_CHECKPOINT_BYTES`) rotates the shard
+  WAL to a fresh generation holding only the current buffers; the manifest
   references segment files by name + checksum and the WAL generation, so
   recovery replays exactly the not-yet-sealed tail.
+* A *log series* (``create_series(..., log=True)``) never seals: its
+  values live only in the shard WAL and the in-memory buffer, an append
+  costs its one WAL record, and :meth:`DurableStore.reset` replaces its
+  content with one more.  ``update_metadata`` is a WAL record too, so the
+  manifest is swapped only by ``create_series``/``drop_series``, recovery
+  and checkpoints.
 * Opening a store is always a recovery scan (see
   :mod:`repro.storage.recovery`): checksums verified, corrupt segments
   quarantined with a reason (reads of their range *raise*, they are never
@@ -73,7 +82,10 @@ from .persistence import (
 from .recovery import QuarantinedSegment, RecoveryReport
 from .store import DEFAULT_SEGMENT_SIZE, TimeSeriesStore
 from .wal import (
+    COMPACTION,
     FSYNC_POLICIES,
+    METADATA,
+    RESET,
     WalRecord,
     WriteAheadLog,
     encode_record,
@@ -85,6 +97,7 @@ __all__ = [
     "DurableStore",
     "PREV_MANIFEST_NAME",
     "QUARANTINE_DIR",
+    "WAL_CHECKPOINT_BYTES",
 ]
 
 #: Manifest version written by :class:`DurableStore`.
@@ -100,6 +113,13 @@ QUARANTINE_DIR = "quarantine"
 
 #: Advisory lock file guarding a store root against concurrent handles.
 LOCK_NAME = ".lock"
+
+#: A shard is checkpointed after the append that grows its current WAL
+#: generation this many bytes past what the rotation put there (and at
+#: least doubles it, so large log content is not rewritten over and over):
+#: WAL size and reopen time stay bounded for log series, which never seal,
+#: and for metadata records.
+WAL_CHECKPOINT_BYTES = 1 << 18
 
 #: Footer marker separating a checksummed file's payload from its CRC32C.
 FOOTER_PREFIX = b"\n#crc32c="
@@ -179,6 +199,15 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _merge_metadata(metadata: dict, updates: dict) -> None:
+    """Merge ``updates`` into ``metadata``; a ``None`` value deletes."""
+    for key, value in updates.items():
+        if value is None:
+            metadata.pop(key, None)
+        else:
+            metadata[key] = value
+
+
 class DurableStore:
     """Crash-consistent on-disk wrapper around :class:`TimeSeriesStore`.
 
@@ -235,6 +264,13 @@ class DurableStore:
         self._generations: dict[str, int] = {}
         self._next_sequence: dict[str, int] = {}
         self._wals: dict[str, WriteAheadLog] = {}
+        # Bytes the last rotation wrote at the head of each shard's current
+        # generation (unknown, so 0, for a generation found at open).
+        self._wal_floor: dict[str, int] = {}
+        self._logs: set[str] = set()
+        # Segment files no manifest should reference any more; unlinked
+        # after the next manifest swap.
+        self._garbage: list[str] = []
         self._lock_handle = None
         self.recovery = RecoveryReport()
 
@@ -282,8 +318,13 @@ class DurableStore:
     def create_series(self, name: str, codec="cameo", *,
                       segment_size: int | None = None,
                       codec_options: dict | None = None,
-                      metadata: dict | None = None) -> None:
-        """Register a new series (durably — the manifest is swapped)."""
+                      metadata: dict | None = None,
+                      log: bool = False) -> None:
+        """Register a new series (durably — the manifest is swapped).
+
+        A ``log`` series never seals: appends only ever cost their WAL
+        record, and :meth:`reset` replaces the content.
+        """
         self._check_open()
         self._memory.create_series(name, codec, segment_size=segment_size,
                                    codec_options=codec_options,
@@ -295,6 +336,8 @@ class DurableStore:
         self._next_file_index[name] = 0
         self._generations.setdefault(shard, 0)
         self._next_sequence.setdefault(shard, 0)
+        if log:
+            self._logs.add(name)
         self._write_manifest()
 
     def append(self, name, values) -> int:
@@ -303,7 +346,7 @@ class DurableStore:
         The values are acknowledged once they are in the shard WAL (fsynced
         under ``fsync_policy="always"``); sealing and the manifest swap
         happen after, and a crash anywhere in between is recovered by WAL
-        replay on the next open.
+        replay on the next open.  A log series never seals (returns 0).
         """
         self._check_open()
         name = str(name)
@@ -313,15 +356,25 @@ class DurableStore:
         if np.asarray(values, dtype=np.float64).size == 0:
             return 0  # an empty append is acknowledged trivially
         values = as_float_array(values, name="values")
-        shard = self._series_shard[name]
-        sequence = self._next_sequence[shard]
-        self._wal(shard).append(
-            WalRecord(sequence=sequence, series=name, values=values))
-        self._next_sequence[shard] = sequence + 1
-        sealed = self._memory.append(name, values)
-        if sealed:
-            self._checkpoint({shard})
+        self._log(name, values=values)
+        sealed = self._apply_values(name, values)
+        self._checkpoint_if_due(name, force=bool(sealed))
         return sealed
+
+    def reset(self, name, values=()) -> None:
+        """Durably replace a series' whole content: it starts over as a log.
+
+        One WAL record (fsynced per ``fsync_policy``, like an append)
+        replaces everything the series held — sealed segments included —
+        with ``values`` and clears its metadata, which described positions
+        in the old content.  The series is a log from here on.
+        """
+        self._check_open()
+        name = str(name)
+        self._memory._state(name)  # noqa: SLF001 - existence check
+        values = np.asarray(values, dtype=np.float64).ravel()
+        self._log(name, values=values, kind=RESET)
+        self._checkpoint_if_due(name, force=self._apply_reset(name, values))
 
     def flush(self, name: str | None = None) -> int:
         """Seal buffered values into (possibly short) segments, durably."""
@@ -331,7 +384,7 @@ class DurableStore:
         sealed = 0
         for series_name in names:
             state = self._memory._state(series_name)  # noqa: SLF001
-            if not state.buffer:
+            if not state.buffer or series_name in self._logs:
                 continue
             sealed += self._memory.flush(series_name)
             shards.add(self._series_shard[series_name])
@@ -390,18 +443,19 @@ class DurableStore:
     def update_metadata(self, entries: dict) -> None:
         """Durably merge metadata updates into one or more series.
 
-        ``entries`` maps series name to a dict of metadata keys to merge;
-        a single manifest swap publishes every update.  Unknown series
-        raise before anything is modified.
+        ``entries`` maps series name to a dict of metadata keys to merge
+        (a ``None`` value deletes the key).  Each series' update is one
+        WAL metadata record, fsynced under every ``fsync_policy`` and
+        applied atomically on replay.  Unknown series raise before
+        anything is modified.
         """
         self._check_open()
         states = [(self._memory._state(str(name)), dict(updates))  # noqa: SLF001
                   for name, updates in entries.items()]
-        if not states:
-            return
         for state, updates in states:
-            state.metadata.update(updates)
-        self._write_manifest()
+            self._log(state.name, kind=METADATA, metadata=updates)
+            _merge_metadata(state.metadata, updates)
+            self._checkpoint_if_due(state.name)
 
     def drop_series(self, name: str) -> None:
         """Durably remove a series: manifest entry, segments, WAL records.
@@ -415,14 +469,11 @@ class DurableStore:
         name = str(name)
         self._memory.drop_series(name)
         shard = self._series_shard.pop(name)
-        refs = self._refs.pop(name, [])
+        self._garbage.extend(
+            str(ref.get("file", "")) for ref in self._refs.pop(name, []))
         self._next_file_index.pop(name, None)
+        self._logs.discard(name)
         self._checkpoint({shard})
-        for ref in refs:
-            try:
-                (self.directory / str(ref.get("file", ""))).unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -528,6 +579,48 @@ class DurableStore:
                 fsync_interval=self.fsync_interval)
         return self._wals[shard]
 
+    def _log(self, name: str, **record) -> None:
+        """Append one record for series ``name`` to its shard's WAL."""
+        shard = self._series_shard[name]
+        sequence = self._next_sequence[shard]
+        self._wal(shard).append(
+            WalRecord(sequence=sequence, series=name, **record))
+        self._next_sequence[shard] = sequence + 1
+
+    def _apply_values(self, name: str, values: np.ndarray) -> int:
+        """Apply a value record in memory; returns the segments sealed."""
+        if name in self._logs:
+            self._memory._state(name).buffer.extend(values.tolist())  # noqa: SLF001
+            return 0
+        return self._memory.append(name, values)
+
+    def _apply_reset(self, name: str, values: np.ndarray) -> bool:
+        """Apply a reset record in memory.
+
+        Returns True when the series held sealed segments or holes — their
+        files are garbage once a manifest without them is published, so
+        the caller owes a checkpoint.
+        """
+        state = self._memory._state(name)  # noqa: SLF001
+        sealed = bool(state.segments or state.holes)
+        self._garbage.extend(
+            str(ref.get("file", "")) for ref in self._refs[name])
+        self._refs[name] = []
+        state.segments.clear()
+        state.holes.clear()
+        state.buffer[:] = values.tolist()
+        state.metadata.clear()
+        self._logs.add(name)
+        return sealed
+
+    def _checkpoint_if_due(self, name: str, force: bool = False) -> None:
+        """Checkpoint ``name``'s shard when forced or its WAL is oversize."""
+        shard = self._series_shard[name]
+        floor = self._wal_floor.get(shard, 0)
+        if force or (self._wals[shard].size
+                     > floor + max(WAL_CHECKPOINT_BYTES, floor)):
+            self._checkpoint({shard})
+
     def _atomic_write(self, relpath: str, data: bytes, site: str) -> None:
         """tmp-file → fsync → rename → dir fsync, with fault hooks."""
         final = self.directory / relpath
@@ -576,6 +669,8 @@ class DurableStore:
                 "holes": state.holes,
                 "next_segment_file": self._next_file_index[name],
             }
+            if name in self._logs:
+                series_documents[name]["log"] = True
         return {
             "format": "repro.timeseries-store",
             "version": DURABLE_FORMAT_VERSION,
@@ -607,6 +702,12 @@ class DurableStore:
                     os.fsync(handle.fileno())
         self._atomic_write(MANIFEST_NAME, attach_footer(payload),
                            site="manifest_write")
+        # Files the published manifest no longer references.
+        while self._garbage:
+            try:
+                (self.directory / self._garbage.pop()).unlink()
+            except OSError:  # pragma: no cover - already gone
+                pass
 
     def _rotate_wal(self, shard: str) -> int:
         """Write the next WAL generation holding only current buffers.
@@ -628,7 +729,7 @@ class DurableStore:
                 records.append(WalRecord(
                     sequence=sequence, series=name,
                     values=np.asarray(buffer, dtype=np.float64),
-                    compaction=True))
+                    kind=COMPACTION))
         blob = b"".join(encode_record(record) for record in records)
         relpath = self._wal_relpath(shard, new_generation)
         path = self.directory / relpath
@@ -643,6 +744,7 @@ class DurableStore:
         if shard in self._wals:
             self._wals.pop(shard).close()
         self._generations[shard] = new_generation
+        self._wal_floor[shard] = len(blob)
         return old_generation
 
     def _prune_wals(self, shard: str) -> int:
@@ -816,6 +918,8 @@ class DurableStore:
         self._series_shard[name] = shard
         self._generations.setdefault(shard, 0)
         self._next_sequence.setdefault(shard, 0)
+        if entry.get("log"):
+            self._logs.add(name)
 
         kept_refs: list[dict] = []
         for ref in entry.get("segments", []):
@@ -987,18 +1091,25 @@ class DurableStore:
                         # codec for it.
                         report.orphan_records += 1
                         continue
-                    if record.compaction:
+                    state = self._memory._state(record.series)  # noqa: SLF001
+                    if record.kind == METADATA:
+                        _merge_metadata(state.metadata, record.metadata)
+                        report.replayed_metadata_records += 1
+                        continue
+                    if record.kind == RESET:
+                        if self._apply_reset(record.series, record.values):
+                            touched.add(shard)
+                        report.replayed_reset_records += 1
+                        continue
+                    report.replayed_records += 1
+                    report.replayed_values += int(record.values.size)
+                    if record.kind == COMPACTION:
                         # A rotation's authoritative buffer re-encoding:
                         # replace the buffer so values an earlier generation
                         # already replayed are not duplicated.
-                        state = self._memory._state(record.series)  # noqa: SLF001
                         state.buffer[:] = record.values.tolist()
-                        report.replayed_records += 1
-                        report.replayed_values += int(record.values.size)
                         continue
-                    sealed = self._memory.append(record.series, record.values)
-                    report.replayed_records += 1
-                    report.replayed_values += int(record.values.size)
+                    sealed = self._apply_values(record.series, record.values)
                     if sealed:
                         report.resealed_segments += sealed
                         touched.add(shard)

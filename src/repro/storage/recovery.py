@@ -45,10 +45,15 @@ class QuarantinedSegment:
 class RecoveryReport:
     """What a durable-store recovery scan found and did."""
 
-    #: Intact WAL records replayed into series buffers/segments.
+    #: Intact WAL value records (appends and rotation compactions)
+    #: replayed into series buffers/segments.
     replayed_records: int = 0
-    #: Values carried by the replayed records.
+    #: Values carried by the replayed value records.
     replayed_values: int = 0
+    #: Metadata records merged into series metadata, in sequence order.
+    replayed_metadata_records: int = 0
+    #: Reset records replayed (each replaced one series' whole content).
+    replayed_reset_records: int = 0
     #: Segments sealed (re-sealed) while replaying the WAL.
     resealed_segments: int = 0
     #: Bytes of corrupt/torn WAL tail discarded across all shards.
@@ -95,9 +100,11 @@ class RecoveryReport:
     def summary(self) -> str:
         """One-paragraph human summary (the CLI's fsck output)."""
         lines = [
-            f"replayed {self.replayed_records} WAL records "
+            f"replayed {self.replayed_records} WAL value records "
             f"({self.replayed_values} values, "
-            f"{self.resealed_segments} segments re-sealed)",
+            f"{self.resealed_segments} segments re-sealed), "
+            f"{self.replayed_metadata_records} metadata and "
+            f"{self.replayed_reset_records} reset records",
             f"verified {self.segments_verified} segment checksums",
         ]
         if self.truncated_wal_bytes:

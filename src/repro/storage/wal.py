@@ -1,4 +1,4 @@
-"""Write-ahead log for the durable store's unsealed buffer tails.
+"""Write-ahead log for the durable store: buffer tails, log series, metadata.
 
 A :class:`repro.storage.durable.DurableStore` acknowledges an append once
 the values are in its shard's WAL; sealed segments and the manifest are
@@ -12,26 +12,48 @@ Record layout (little-endian)::
     u32  magic       0x4C415752 ("RWAL")
     u64  sequence    per-shard, strictly increasing
     u16  name_len    length of the series name (utf-8 bytes)
-    u32  count       number of float64 values
-    u8   flags       bit 0: compaction record (see below); others reserved
+    u32  count       number of 8-byte payload words
+    u8   flags       record kind (see below); unknown bits are rejected
     ...  name        utf-8 series name
-    ...  values      count * 8 bytes (IEEE-754 float64, little-endian)
+    ...  payload     count * 8 bytes
     u32  crc32c      over every preceding byte of the record
 
-A *compaction* record (flag bit 0) is written at the head of a rotated
-WAL generation and re-encodes a series' entire unsealed buffer at
-rotation time.  Replay treats it as authoritative — it *replaces* the
-series' buffer instead of appending — so a recovery that replays several
-generations of one shard (see ``DurableStore._replay_wals``) never
-duplicates the values an ordinary append record already carried.
+Record kinds, by ``flags``:
+
+``0x00`` value record
+    The payload is ``count`` IEEE-754 float64 values appended to the
+    series (sealing segments as the buffer fills, except on a log series).
+``0x01`` compaction record
+    Written at the head of a rotated WAL generation: the payload re-encodes
+    a series' entire unsealed buffer at rotation time, and replay *replaces*
+    the buffer with it instead of appending — so a recovery that replays
+    several generations of one shard (see ``DurableStore._replay_wals``)
+    never duplicates the values an ordinary value record already carried.
+``0x02`` metadata record
+    The payload is a UTF-8 JSON object padded with spaces to a whole number
+    of words; replay merges it into the series' metadata (a ``null`` value
+    deletes the key).  Always fsynced, whatever the policy — it stands
+    where a manifest swap used to.
+``0x04`` reset record
+    The series starts over as a log: replay replaces its whole content
+    (sealed segments included) with the payload values and clears its
+    metadata, which described positions in the old content.
+
+Every kind is applied in sequence order, so "record A was fsynced before
+record B was written" is the only ordering primitive a caller needs: the
+ingest spool's rules (intent before the append it describes, applied flips
+before the reset that invalidates their positions, reset only after the
+drain that consumed the values) are all of that form.
 
 A torn write leaves a truncated final record (header or CRC missing); a
 flipped bit fails the CRC.  Both stop the scan at the *previous* record —
-the replayed prefix is exactly the acknowledged-durable data, never more.
+the replayed prefix is exactly the acknowledged-durable data, never more,
+and no record is ever half-applied.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -40,12 +62,16 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import StorageError
-from ..faultinject import fire_storage
+from ..faultinject import InjectedCrash, fire_storage
 from .checksum import crc32c
 
 __all__ = [
+    "COMPACTION",
     "FSYNC_POLICIES",
+    "METADATA",
     "RECORD_MAGIC",
+    "RESET",
+    "VALUES",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
@@ -57,14 +83,17 @@ __all__ = [
 #: Per-record magic ("RWAL" little-endian), a cheap first corruption check.
 RECORD_MAGIC = 0x4C415752
 
-#: Fixed-size record header: magic, sequence, name length, value count,
+#: Fixed-size record header: magic, sequence, name length, payload words,
 #: flags byte.
 _HEADER = struct.Struct("<IQHIB")
 _CRC = struct.Struct("<I")
 
-#: Known record flag bits (bit 0: compaction record).
-_FLAG_COMPACTION = 0x01
-_KNOWN_FLAGS = _FLAG_COMPACTION
+#: Record kinds — the values of the flags byte (see the module docstring).
+VALUES = 0x00
+COMPACTION = 0x01
+METADATA = 0x02
+RESET = 0x04
+_KINDS = (VALUES, COMPACTION, METADATA, RESET)
 
 #: Supported WAL fsync policies.
 #:
@@ -77,21 +106,26 @@ _KNOWN_FLAGS = _FLAG_COMPACTION
 #: ``never``
 #:     flush to the OS but never fsync — survives process crashes, not
 #:     power loss.  For spools whose source can replay.
+#:
+#: Metadata records are fsynced under every policy.
 FSYNC_POLICIES = ("always", "interval", "never")
 
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One acknowledged append: which series received which values.
+    """One WAL record: ``kind`` says what replay does with it.
 
-    ``compaction=True`` marks a rotation's buffer re-encoding — replay
-    replaces the series' buffer with these values instead of appending.
+    :data:`VALUES` appends ``values`` to the series, :data:`COMPACTION`
+    replaces the series' buffer with them, :data:`RESET` replaces its whole
+    content and clears its metadata, :data:`METADATA` merges the
+    ``metadata`` dict (``None`` values delete keys) and carries no values.
     """
 
     sequence: int
     series: str
-    values: np.ndarray
-    compaction: bool = False
+    values: np.ndarray = ()
+    kind: int = VALUES
+    metadata: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -99,19 +133,28 @@ class WalRecord:
             np.ascontiguousarray(np.asarray(self.values, dtype=np.float64)))
         if int(self.sequence) < 0:
             raise StorageError("WAL sequence must be non-negative")
+        if self.kind not in _KINDS:
+            raise StorageError(f"unknown WAL record kind {self.kind:#04x}")
+        if (self.kind == METADATA) != (self.metadata is not None):
+            raise StorageError(
+                "a metadata dict belongs to exactly the metadata records")
 
 
 def encode_record(record: WalRecord) -> bytes:
-    """Binary form of ``record`` (header + name + values + CRC32C)."""
+    """Binary form of ``record`` (header + name + payload + CRC32C)."""
     name = record.series.encode("utf-8")
     if len(name) > 0xFFFF:
         raise StorageError(
             f"series name too long for a WAL record ({len(name)} bytes)")
+    if record.kind == METADATA:
+        payload = json.dumps(record.metadata, sort_keys=True,
+                             default=float).encode("utf-8")
+        payload += b" " * (-len(payload) % 8)
+    else:
+        payload = record.values.astype("<f8", copy=False).tobytes()
     body = (_HEADER.pack(RECORD_MAGIC, int(record.sequence), len(name),
-                         int(record.values.size),
-                         _FLAG_COMPACTION if record.compaction else 0)
-            + name
-            + record.values.astype("<f8", copy=False).tobytes())
+                         len(payload) // 8, record.kind)
+            + name + payload)
     return body + _CRC.pack(crc32c(body))
 
 
@@ -119,8 +162,8 @@ def decode_record(buffer: bytes, offset: int = 0) -> tuple[WalRecord, int]:
     """Decode one record at ``offset``; returns ``(record, next_offset)``.
 
     Raises :class:`~repro.exceptions.StorageError` on a truncated record,
-    a bad magic, or a CRC mismatch — the scan layer turns that into a
-    truncation point, it is never silently skipped.
+    a bad magic, a CRC mismatch, or an unknown kind — the scan layer turns
+    that into a truncation point, it is never silently skipped.
     """
     view = memoryview(buffer)
     if offset + _HEADER.size > len(view):
@@ -137,15 +180,25 @@ def decode_record(buffer: bytes, offset: int = 0) -> tuple[WalRecord, int]:
         raise StorageError(
             f"WAL record CRC mismatch (stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x})")
-    if flags & ~_KNOWN_FLAGS:
+    if flags not in _KINDS:
         raise StorageError(f"unknown WAL record flags {flags:#04x}")
     name_start = offset + _HEADER.size
-    series = bytes(view[name_start:name_start + name_len]).decode("utf-8")
-    values = np.frombuffer(view, dtype="<f8", count=count,
-                           offset=name_start + name_len).astype(np.float64)
+    payload_start = name_start + name_len
+    series = bytes(view[name_start:payload_start]).decode("utf-8")
+    values, metadata = (), None
+    if flags == METADATA:
+        try:
+            metadata = json.loads(bytes(view[payload_start:body_end]))
+        except ValueError as exc:
+            raise StorageError(f"unparseable WAL metadata record: {exc}") \
+                from exc
+        if not isinstance(metadata, dict):
+            raise StorageError("WAL metadata record is not a JSON object")
+    else:
+        values = np.frombuffer(view, dtype="<f8", count=count,
+                               offset=payload_start).astype(np.float64)
     return WalRecord(sequence=int(sequence), series=series, values=values,
-                     compaction=bool(flags & _FLAG_COMPACTION)), \
-        body_end + _CRC.size
+                     kind=flags, metadata=metadata), body_end + _CRC.size
 
 
 @dataclass
@@ -214,26 +267,51 @@ class WriteAheadLog:
         self.fsync_policy = fsync_policy
         self.fsync_interval = int(fsync_interval)
         self._handle = open(self.path, "ab")
+        #: Bytes of acknowledged records in the file.
+        self.size = os.fstat(self._handle.fileno()).st_size
         self._unsynced = 0
+        self._failed = False
 
     def append(self, record: WalRecord) -> int:
         """Append one record; returns its encoded size in bytes.
 
         With ``fsync_policy="always"`` the record is durable when this
         returns — that return is the store's acknowledgement point.
+        Metadata records are fsynced under every policy.
+
+        An append that fails after any of its bytes may have reached the
+        file is cut back out, so the file never holds a record the caller
+        was told did not happen (it would replay on reopen, and the next
+        append would reuse its sequence number).  When even that fails the
+        handle is fail-stopped: every later append raises.
         """
+        if self._failed:
+            raise StorageError(
+                f"WAL {self.path} failed an append it could not undo; "
+                "reopen the store to recover")
         data = encode_record(record)
         data = fire_storage("wal_append", path=self.path, data=data)
-        self._handle.write(data)
-        self._handle.flush()
-        fire_storage("wal_sync", path=self.path)
-        if self.fsync_policy == "always":
-            os.fsync(self._handle.fileno())
-        elif self.fsync_policy == "interval":
-            self._unsynced += 1
-            if self._unsynced >= self.fsync_interval:
+        try:
+            self._handle.write(data)
+            self._handle.flush()
+            fire_storage("wal_sync", path=self.path)
+            if self.fsync_policy == "always" or record.kind == METADATA:
                 os.fsync(self._handle.fileno())
                 self._unsynced = 0
+            elif self.fsync_policy == "interval":
+                self._unsynced += 1
+                if self._unsynced >= self.fsync_interval:
+                    os.fsync(self._handle.fileno())
+                    self._unsynced = 0
+        except InjectedCrash:
+            raise  # simulated process death: nothing runs after it
+        except Exception:
+            try:
+                self._handle.truncate(self.size)
+            except Exception:
+                self._failed = True
+            raise
+        self.size += len(data)
         return len(data)
 
     def sync(self) -> None:

@@ -48,6 +48,9 @@ __all__ = [
 #: would skip it even without its explicit guard) and is not a stream.
 IDEMPOTENCY_SERIES = "__idempotency__"
 
+#: Metadata key of one journal entry: this prefix plus the idempotency key.
+_JOURNAL_KEY = "key:"
+
 
 @dataclass(frozen=True)
 class ChunkResult:
@@ -146,26 +149,28 @@ class StreamReport:
         return self.encoded_bits / float(max(self.sealed_points, 1))
 
 
-def _policy_segments(values, timestamps, policy: InputPolicy,
-                     report: StreamReport) -> list[np.ndarray]:
-    """Sanitize one ``add()`` batch; returns its segments in stream order.
+def _policy_segments(values, timestamps, policy: InputPolicy):
+    """Sanitize one ``add()`` batch; returns ``(segments, sanitize report)``.
 
-    Updates the stream report's policy counters.  A batch with recorded
-    segment boundaries (NaN runs under ``split``, timestamp gaps under
-    ``split``) comes back as multiple segments — the caller seals its buffer
-    between them so no sealed chunk ever bridges a gap.
+    The segments come back in stream order.  A batch with recorded segment
+    boundaries (NaN runs under ``split``, timestamp gaps under ``split``)
+    comes back as multiple segments — the caller seals its buffer between
+    them so no sealed chunk ever bridges a gap.
     """
     result = sanitize(values, policy, timestamps=timestamps, name="values")
-    record = result.report
+    if result.segment_starts:
+        return np.split(result.values, result.segment_starts), result.report
+    return [result.values], result.report
+
+
+def _account_policy(report: StreamReport, record) -> None:
+    """Add one sanitized batch's counters to the stream report."""
     report.ingested_points += record.original_length
     report.dropped_points += record.dropped_nan + record.dropped_inf
     report.nan_runs += len(record.nan_runs)
     if record.sorted:
         report.reordered_adds += 1
     report.gaps += record.gaps
-    if result.segment_starts:
-        return np.split(result.values, result.segment_starts)
-    return [result.values]
 
 
 class StreamingCompressor:
@@ -252,8 +257,9 @@ class StreamingCompressor:
             segments = [as_float_array(values, name="values")]
             self._report.ingested_points += segments[0].size
         else:
-            segments = _policy_segments(values, timestamps, self.policy,
-                                        self._report)
+            segments, record = _policy_segments(values, timestamps,
+                                                self.policy)
+            _account_policy(self._report, record)
 
         sealed: list[ChunkResult] = []
         for position, segment in enumerate(segments):
@@ -431,10 +437,10 @@ class MultiStreamCompressor:
         crash loses nothing — a fresh compressor pointed at the same
         directory calls :meth:`replay_spool` to re-ingest the undrained
         tail (pending chunks and buffer, not chunks already emitted by
-        earlier drains).  Each :meth:`drain` advances a durable per-stream
-        drained watermark and resets fully-drained spool series, and
-        input-policy split boundaries are spooled too, so replayed
-        chunking matches the pre-crash run.  ``spool_fsync`` sets the
+        earlier drains).  The spool is a log: each :meth:`drain` resets
+        every drained stream's series to its undrained tail with one WAL
+        record, and input-policy split boundaries are spooled too, so
+        replayed chunking matches the pre-crash run.  ``spool_fsync`` sets the
         spool WAL's fsync policy (default ``"always"``; see
         :data:`repro.storage.wal.FSYNC_POLICIES`).  The spool store is
         exclusively locked while the compressor holds it.
@@ -484,13 +490,11 @@ class MultiStreamCompressor:
         self._reports: dict[str, StreamReport] = {}
         self.errors: list = []
         self.spool = None
-        # Spool position of a stream's value = its report count plus this
-        # offset (non-zero after a replay or a spool compaction).
-        self._spool_offset: dict[str, int] = {}
-        # Idempotency journal: key -> {stream, start, count, applied, seq}.
+        # Idempotency journal: key -> {stream, start, count, applied, seq},
+        # and the keys whose entry changed since the journal was persisted.
         self._idem_keys: dict[str, dict] = {}
         self._idem_seq = 0
-        self._idem_dirty = False
+        self._idem_dirty: set[str] = set()
         self._idem_cap = check_positive_int(idempotency_cap, "idempotency_cap")
         if spool_to is not None:
             from ..storage.durable import DurableStore
@@ -527,42 +531,23 @@ class MultiStreamCompressor:
         buffer, _results, report = self._stream_state(str(stream))
         if np.isscalar(values):
             values = [float(values)]
+        record = None
         if self.policy is None:
             if timestamps is not None:
                 raise InvalidParameterError(
                     "timestamps require an input policy (pass policy=... "
                     "to enable timestamp-aware ingestion)")
             segments = [as_float_array(values, name="values")]
+        else:
+            segments, record = _policy_segments(values, timestamps,
+                                                self.policy)
+        if self.spool is not None and _spool:
+            self._spool_segments(str(stream), segments)
+        # Account only now: an append the spool refused was never ingested.
+        if record is None:
             report.ingested_points += segments[0].size
         else:
-            segments = _policy_segments(values, timestamps, self.policy,
-                                        report)
-        if self.spool is not None and _spool:
-            name = str(stream)
-            if name == IDEMPOTENCY_SERIES:
-                raise InvalidParameterError(
-                    f"{IDEMPOTENCY_SERIES!r} is reserved for the idempotency "
-                    "journal and cannot be used as a stream name")
-            if name not in self.spool:
-                self.spool.create_series(
-                    name, codec="raw", segment_size=self.chunk_size,
-                    metadata={"drained": 0, "splits": []})
-            if len(segments) > 1:
-                # Persist the policy's split boundaries *before* the values:
-                # replay must seal the buffer at the same positions, and a
-                # boundary pointing past the spooled data is harmless while
-                # a missing one would let a replayed chunk bridge a gap.
-                splits = [int(s) for s in
-                          self.spool.metadata(name).get("splits", [])]
-                position = int(self.spool.length(name))
-                for segment in segments[:-1]:
-                    position += int(segment.size)
-                    if position and (not splits or position > splits[-1]):
-                        splits.append(position)
-                self.spool.update_metadata({name: {"splits": splits}})
-            for segment in segments:
-                if segment.size:
-                    self.spool.append(name, segment)
+            _account_policy(report, record)
         sealed = 0
         for position, segment in enumerate(segments):
             if position and buffer:
@@ -661,16 +646,15 @@ class MultiStreamCompressor:
 
         The exactly-once protocol journals an *intent* record — stream,
         spool start position, value count — into the reserved
-        :data:`IDEMPOTENCY_SERIES` metadata via a durable manifest swap
-        *before* the values are appended to the spool WAL.  A key whose
-        values provably landed (``spool length >= start + count``, or the
-        entry is already flagged applied) is acknowledged as a duplicate
-        without touching the stream; a key whose intent is dangling (the
-        append never became durable, so the original call was never
-        acknowledged) is rewritten and applied fresh.  Crash-window
-        reconciliation happens at construction (see
-        :meth:`_load_idempotency`), so a crashed-then-retried ingest is
-        applied exactly once after :meth:`replay_spool`.
+        :data:`IDEMPOTENCY_SERIES` metadata with a fsynced WAL metadata
+        record *before* the values are appended to the spool WAL.  A
+        journaled key is acknowledged as a duplicate without touching the
+        stream.  A key whose append fails is taken back out of the journal
+        (the caller was told it failed), and the crash window — intent
+        durable, append or its applied flag possibly not — is reconciled at
+        construction by the landed check ``spool length >= start + count``
+        (see :meth:`_load_idempotency`), so a crashed-then-retried ingest
+        is applied exactly once after :meth:`replay_spool`.
 
         Requires a spool and ``policy=None`` — an input policy may split
         one batch into several spool appends, which would make the
@@ -689,44 +673,37 @@ class MultiStreamCompressor:
         if not key:
             raise InvalidParameterError("idempotency key must be non-empty")
         name = str(stream)
-        if name == IDEMPOTENCY_SERIES:
-            raise InvalidParameterError(
-                f"{IDEMPOTENCY_SERIES!r} is reserved for the idempotency "
-                "journal and cannot be used as a stream name")
-        entry = self._idem_keys.get(key)
-        if entry is not None:
-            if entry.get("applied"):
-                return 0, True
-            landed_stream = str(entry.get("stream", ""))
-            if (landed_stream in self.spool
-                    and self.spool.length(landed_stream)
-                    >= int(entry["start"]) + int(entry["count"])):
-                entry["applied"] = True
-                self._idem_dirty = True
-                return 0, True
-            # Dangling intent: the append never landed, so the original
-            # call was never acknowledged — rewrite and apply fresh.
+        if key in self._idem_keys:
+            # Outside this method every journaled entry is applied: a
+            # pending one is reconciled when the spool opens and dropped
+            # when its append fails.
+            return 0, True
         if np.isscalar(values):
             values = [float(values)]
         segment = as_float_array(values, name="values")
         if not segment.size:
             raise InvalidParameterError(
                 "idempotent ingest requires at least one value")
-        if name not in self.spool:
-            self.spool.create_series(
-                name, codec="raw", segment_size=self.chunk_size,
-                metadata={"drained": 0, "splits": []})
+        self._spool_series(name)
         self._idem_seq += 1
         self._idem_keys[key] = {
             "stream": name, "start": int(self.spool.length(name)),
             "count": int(segment.size), "applied": False,
             "seq": self._idem_seq}
+        self._idem_dirty.add(key)
         self._evict_idempotency()
         # Intent must be durable before the append it describes.
         self._persist_idempotency()
-        sealed = self.add(name, segment)
+        try:
+            sealed = self.add(name, segment)
+        except Exception:
+            # The append never landed and the caller is told so: a retry
+            # must apply fresh, and a later reset must not flag it applied.
+            del self._idem_keys[key]
+            self._idem_dirty.add(key)
+            raise
         self._idem_keys[key]["applied"] = True
-        self._idem_dirty = True
+        self._idem_dirty.add(key)
         return sealed, False
 
     def _load_idempotency(self) -> None:
@@ -742,35 +719,42 @@ class MultiStreamCompressor:
         if IDEMPOTENCY_SERIES not in self.spool:
             return
         meta = self.spool.metadata(IDEMPOTENCY_SERIES)
-        keys = {str(key): dict(entry)
-                for key, entry in (meta.get("keys") or {}).items()}
+        # "keys" is the layout of spools written before the journal became
+        # one metadata entry per key; such a journal is rewritten below.
+        entries = dict(meta.get("keys") or {})
+        entries.update((name[len(_JOURNAL_KEY):], entry)
+                       for name, entry in meta.items()
+                       if name.startswith(_JOURNAL_KEY))
         self._idem_seq = int(meta.get("next_seq") or 0)
-        changed = False
-        for key, entry in list(keys.items()):
-            if entry.get("applied"):
-                continue
-            stream = str(entry.get("stream", ""))
-            landed = (stream in self.spool
-                      and self.spool.length(stream)
-                      >= int(entry["start"]) + int(entry["count"]))
-            if landed:
+        legacy = "keys" in meta
+        if legacy:
+            self._idem_dirty.update(entries)
+        for key, entry in entries.items():
+            entry = dict(entry)
+            if not entry.get("applied"):
+                self._idem_dirty.add(key)
+                stream = str(entry.get("stream", ""))
+                if not (stream in self.spool
+                        and self.spool.length(stream)
+                        >= int(entry["start"]) + int(entry["count"])):
+                    continue
                 entry["applied"] = True
-            else:
-                del keys[key]
-            changed = True
-        self._idem_keys = keys
-        if changed:
+            self._idem_keys[str(key)] = entry
+        if self._idem_dirty:
             self._persist_idempotency()
+        if legacy:
+            self.spool.update_metadata({IDEMPOTENCY_SERIES: {"keys": None}})
 
     def _persist_idempotency(self) -> None:
-        """Durably swap the journal into the reserved series' metadata."""
+        """Durably journal every entry that changed: one metadata record."""
         if IDEMPOTENCY_SERIES not in self.spool:
-            self.spool.create_series(
-                IDEMPOTENCY_SERIES, codec="raw",
-                segment_size=self.chunk_size, metadata={})
-        self.spool.update_metadata({IDEMPOTENCY_SERIES: {
-            "keys": self._idem_keys, "next_seq": self._idem_seq}})
-        self._idem_dirty = False
+            self.spool.create_series(IDEMPOTENCY_SERIES, codec="raw",
+                                     log=True)
+        updates = {_JOURNAL_KEY + key: self._idem_keys.get(key)
+                   for key in self._idem_dirty}
+        updates["next_seq"] = self._idem_seq
+        self.spool.update_metadata({IDEMPOTENCY_SERIES: updates})
+        self._idem_dirty.clear()
 
     def _evict_idempotency(self) -> None:
         """Drop the oldest *applied* entries once the journal exceeds cap."""
@@ -782,70 +766,81 @@ class MultiStreamCompressor:
             for key, entry in self._idem_keys.items() if entry.get("applied"))
         for _seq, key in applied[:excess]:
             del self._idem_keys[key]
+            self._idem_dirty.add(key)
 
     # ------------------------------------------------------------------ #
     # durable spool
     # ------------------------------------------------------------------ #
-    def _mark_drained(self, streams) -> None:
-        """Persist the drained watermark for ``streams``; compact spool
-        series whose every spooled value has now been emitted.
+    def _spool_series(self, name: str) -> None:
+        """Make sure stream ``name`` has its spool series (a log)."""
+        if name == IDEMPOTENCY_SERIES:
+            raise InvalidParameterError(
+                f"{IDEMPOTENCY_SERIES!r} is reserved for the idempotency "
+                "journal and cannot be used as a stream name")
+        if name not in self.spool:
+            self.spool.create_series(name, codec="raw", log=True)
 
-        The watermark is written when the drain that consumed the chunks
-        completes, so a crash between a drain and its caller persisting
-        the results replays exactly that one batch again (at-least-once);
-        chunks from earlier drains are never re-ingested.
+    def _spool_segments(self, name: str, segments) -> None:
+        """Durably append one sanitized ``add()`` batch to the spool."""
+        self._spool_series(name)
+        if len(segments) > 1:
+            # Persist the policy's split boundaries *before* the values:
+            # replay must seal the buffer at the same positions, and a
+            # boundary pointing past the spooled data is harmless while
+            # a missing one would let a replayed chunk bridge a gap.
+            splits = [int(s) for s in
+                      self.spool.metadata(name).get("splits", [])]
+            position = int(self.spool.length(name))
+            for segment in segments[:-1]:
+                position += int(segment.size)
+                if position and (not splits or position > splits[-1]):
+                    splits.append(position)
+            self.spool.update_metadata({name: {"splits": splits}})
+        for segment in segments:
+            if segment.size:
+                self.spool.append(name, segment)
+
+    def _mark_drained(self, streams) -> None:
+        """Cut the chunks a drain emitted out of the spool.
+
+        Each drained stream's series is reset to its undrained tail — the
+        stream's buffer; every chunk queued before the drain was in it —
+        with one WAL record, which also clears the series' recorded split
+        boundaries (all of them lie in the part just emitted).  The reset
+        is written when the drain that consumed the chunks completes, so a
+        crash between a drain and its caller persisting the results
+        replays exactly that one batch again (at-least-once); chunks from
+        earlier drains are never re-ingested.
         """
         # Applied flips recorded since the last persist must be durable
-        # before any compaction below: dropping a series resets the spool
-        # positions that a pending entry's landed check relies on.
+        # before any reset below: a reset restarts the spool positions that
+        # a pending entry's landed check relies on.
         if self._idem_dirty:
             self._persist_idempotency()
-        updates = {}
         for stream in sorted(streams):
-            if stream not in self.spool:
-                continue
-            report = self._reports[stream]
-            drained = report.sealed_points + self._spool_offset.get(stream, 0)
-            spooled = self.spool.length(stream)
-            if spooled and drained >= spooled:
-                # Everything spooled was emitted (the buffer is necessarily
-                # empty too): reset the series so the spool directory does
-                # not grow without bound across the compressor's lifetime.
-                # Journal entries for this stream are all landed by
-                # construction (their appends preceded the drain); flag
-                # them applied while their positions are still valid.
-                for entry in self._idem_keys.values():
-                    if (str(entry.get("stream", "")) == stream
-                            and not entry.get("applied")):
-                        entry["applied"] = True
-                        self._idem_dirty = True
-                if self._idem_dirty:
-                    self._persist_idempotency()
-                self.spool.drop_series(stream)
-                self.spool.create_series(
-                    stream, codec="raw", segment_size=self.chunk_size,
-                    metadata={"drained": 0, "splits": []})
-                self._spool_offset[stream] = -report.sealed_points
-            elif drained > int(self.spool.metadata(stream).get("drained", 0)):
-                updates[stream] = {"drained": int(drained)}
-        if updates:
-            self.spool.update_metadata(updates)
+            if stream in self.spool:
+                self.spool.reset(stream, self._buffers[stream])
 
     def replay_spool(self) -> int:
         """Re-ingest the spool's undrained values; returns the count.
 
         Meant for a *fresh* compressor after an ingest-tier crash: the
         spool directory survives the crash (its WAL acknowledged every
-        :meth:`add`), and each series carries a durable *drained
-        watermark* plus the input policy's recorded split boundaries.
-        Replay re-ingests only values past the watermark — the pending
-        chunks and buffer tail, not chunks already emitted by earlier
-        drains — and seals the buffer at every recorded split so
-        post-crash chunking matches the pre-crash run.  A crash between a
-        drain and its caller persisting the results duplicates exactly
-        that one batch (see :meth:`_mark_drained`).  Values are re-added
-        without being spooled again and without re-applying the input
-        policy (the spool holds already-sanitized values).
+        :meth:`add`), and each series holds exactly its stream's undrained
+        suffix — the pending chunks and buffer tail, not chunks already
+        emitted by earlier drains — plus the input policy's recorded split
+        boundaries.  Replay re-ingests it and seals the buffer at every
+        recorded split so post-crash chunking matches the pre-crash run.
+        A crash between a drain and its caller persisting the results
+        duplicates exactly that one batch (see :meth:`_mark_drained`).
+        Values are re-added without being spooled again and without
+        re-applying the input policy (the spool holds already-sanitized
+        values).
+
+        A series written before the spool became a log still carries its
+        drained chunks and a ``drained`` watermark in its metadata; replay
+        starts past it, and the stream's next drain resets the series
+        into the log layout.
         """
         if self.spool is None:
             raise InvalidParameterError(
@@ -862,9 +857,6 @@ class MultiStreamCompressor:
                 meta = self.spool.metadata(name)
                 total = self.spool.length(name)
                 watermark = min(int(meta.get("drained", 0)), total)
-                if watermark:
-                    self._stream_state(name)
-                    self._spool_offset[name] = watermark
                 values = self.spool.read(name, watermark)
                 if not values.size:
                     continue

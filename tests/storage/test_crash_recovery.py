@@ -222,3 +222,175 @@ def test_crash_during_recovery_checkpoint_is_survivable(tmp_path):
         assert np.array_equal(recovered.read("x"), values)
     with DurableStore.open(directory) as clean:
         assert clean.recovery.clean
+
+
+# --------------------------------------------------------------------- #
+# the ingest spool protocol
+# --------------------------------------------------------------------- #
+# ``MultiStreamCompressor(spool_to=...)`` layers an ordering protocol on the
+# store: split boundaries and idempotency intents durable before the values
+# they describe, applied flips durable before a reset invalidates their
+# positions, a stream's spool cut back only after the drain that emitted its
+# chunks.  The same kill-at-every-hit loop runs that protocol.
+
+SPOOL_CHUNK = 8
+
+#: ``(op, stream, count-or-pattern, idempotency key)``; a pattern marks
+#: where NaNs (split boundaries under the policy) sit among the values.
+_KEYED_OPS = (
+    ("add", "a", 3, None), ("add", "a", 4, "k1"), ("add", "b", 5, None),
+    ("add", "b", 6, "k2"), ("add", "a", 5, None), ("drain", None, 0, None),
+    ("add", "a", 4, "k3"), ("add", "b", 2, None), ("drain", None, 0, None),
+    ("add", "a", 3, None), ("add", "b", 7, "k4"), ("add", "a", 6, "k5"),
+)
+_SPLIT_OPS = (
+    ("add", "a", "vvv", None), ("add", "a", "vv_vv", None),
+    ("add", "b", "vvvvvvvvv", None), ("drain", None, 0, None),
+    ("add", "a", "v_vv", None), ("add", "b", "vvv", None),
+    ("add", "a", "vvvv_v", None), ("drain", None, 0, None),
+    ("add", "b", "vv_vvvvvv", None), ("add", "a", "vv", None),
+)
+
+
+def _spool_ops(ops):
+    """Give every op its values: unique floats, NaN where the pattern says."""
+    counter = 0
+    for op, stream, pattern, key in ops:
+        if isinstance(pattern, int):
+            pattern = "v" * pattern
+        values = []
+        for mark in pattern:
+            counter += 1
+            values.append(float(counter) if mark == "v" else np.nan)
+        yield op, stream, np.asarray(values), key
+
+
+def _spool_compressor(directory, policy):
+    from repro.streaming import MultiStreamCompressor
+
+    return MultiStreamCompressor(SPOOL_CHUNK, "raw", policy=policy,
+                                 spool_to=directory)
+
+
+def _run_spool_workload(directory, ops, policy):
+    """Returns (compressor, acked ops, in-flight op, values of the chunks
+    the in-flight drain was emitting per stream)."""
+    acked, in_flight, draining = [], None, {}
+    multi = None
+    try:
+        in_flight = ("open", None, None, None)
+        multi = _spool_compressor(directory, policy)
+        for in_flight in _spool_ops(ops):
+            op, stream, values, key = in_flight
+            if op == "drain":
+                draining = {}
+                for name, chunk in multi._pending:
+                    draining.setdefault(name, []).extend(chunk.tolist())
+                multi.drain()
+                draining = {}
+            elif key is None:
+                multi.add(stream, values)
+            else:
+                multi.add_idempotent(stream, values, key)
+            acked.append(in_flight)
+        in_flight = ("close", None, None, None)
+        multi.close()
+        in_flight = None
+    except InjectedCrash:
+        pass
+    return multi, acked, in_flight, draining
+
+
+def _check_spool_recovery(directory, policy, multi, acked, in_flight,
+                          draining):
+    """Reboot on the crashed spool and account for every acked value."""
+    emitted, crashed_chunks = {}, []
+    if multi is not None:
+        for stream in multi.streams:
+            emitted[stream] = multi.reconstruct(stream).tolist()
+            crashed_chunks += [multi.codec.decode(result.block).tolist()
+                               for result in multi.results(stream)]
+        multi.spool.close()        # process death: nothing graceful runs
+
+    fresh = _spool_compressor(directory, policy)
+    fresh.replay_spool()
+    # Every acknowledged key dedupes; the in-flight one lands exactly once.
+    for op, stream, values, key in acked:
+        if key is not None:
+            assert fresh.add_idempotent(stream, values, key) == (0, True), (
+                f"acknowledged key {key} was not deduplicated after reboot")
+    if in_flight is not None and in_flight[3] is not None:
+        fresh.add_idempotent(*in_flight[1:])
+    fresh.flush()
+
+    expected: dict[str, list[float]] = {}
+    gaps = set()
+    for op, stream, values, key in acked + ([in_flight] if in_flight else []):
+        if op != "add":
+            continue
+        finite = values[~np.isnan(values)]
+        expected.setdefault(stream, []).extend(finite.tolist())
+        for position in np.flatnonzero(np.isnan(values)):
+            gaps.add((values[position - 1], values[position + 1]))
+    for stream, values in expected.items():
+        combined = emitted.get(stream, []) + fresh.reconstruct(stream).tolist()
+        once = list(dict.fromkeys(combined))
+        twice = {value for value in once if combined.count(value) > 1}
+        assert twice <= set(draining.get(stream, [])), (
+            f"{stream}: values outside the interrupted drain's batch were "
+            f"duplicated: {sorted(twice - set(draining.get(stream, [])))}")
+        if (in_flight and in_flight[0] == "add" and in_flight[1] == stream
+                and in_flight[3] is None):
+            # The unacknowledged plain add may have landed, whole or up to
+            # one of its split boundaries, or not at all.
+            flight = in_flight[2]
+            cuts = [0, *(np.flatnonzero(np.isnan(flight)) + 1), flight.size]
+            unacked = np.count_nonzero(~np.isnan(flight))
+            allowed = [values[: len(values) - unacked]
+                       + flight[:cut][~np.isnan(flight[:cut])].tolist()
+                       for cut in cuts]
+            assert once in allowed, f"{stream}: {once} not in {allowed}"
+        else:
+            assert once == values, f"{stream}: {once} != {values}"
+    for chunk in crashed_chunks + [
+            fresh.codec.decode(result.block).tolist()
+            for stream in fresh.streams for result in fresh.results(stream)]:
+        for left, right in gaps:
+            assert not (left in chunk and right in chunk), (
+                f"chunk {chunk} bridges the split between {left} and {right}")
+    fresh.close()
+
+    for _again in range(2):
+        with DurableStore.open(directory) as store:
+            assert store.recovery.clean, store.recovery.summary()
+
+
+@pytest.mark.parametrize("checkpoint_bytes", [None, 300],
+                         ids=["steady", "checkpointing"])
+@pytest.mark.parametrize("workload", ["keyed", "split"])
+@pytest.mark.parametrize("site", STORAGE_SITES)
+def test_kill_spool_protocol_at_every_syncpoint(site, workload,
+                                                checkpoint_bytes, tmp_path,
+                                                monkeypatch):
+    from repro.sanitize import InputPolicy
+
+    if checkpoint_bytes is not None:
+        # Make WAL-size checkpoints fire inside the workload, so their
+        # sites crash under log series and metadata records too.
+        monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES",
+                            checkpoint_bytes, raising=False)
+    ops = _KEYED_OPS if workload == "keyed" else _SPLIT_OPS
+    policy = None if workload == "keyed" else InputPolicy(on_nan="split")
+    for k in range(400):
+        directory = tmp_path / f"{site}-{k}"
+        with active_plan([StorageFaultAction(kind="crash", site=site,
+                                             skip_hits=k)]):
+            multi, acked, in_flight, draining = _run_spool_workload(
+                directory, ops, policy)
+            if in_flight is None:
+                break
+            _check_spool_recovery(directory, policy, multi, acked, in_flight,
+                                  draining)
+        shutil.rmtree(directory, ignore_errors=True)
+    else:
+        pytest.fail(f"site {site} fired more than 400 times")

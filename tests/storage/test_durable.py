@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SeriesNotFoundError, StorageError
-from repro.faultinject import inject_bit_flip, inject_torn_write
+from repro.faultinject import (
+    InjectedFault,
+    StorageFaultAction,
+    active_plan,
+    inject_bit_flip,
+    inject_torn_write,
+)
 from repro.storage import (
     DurableStore,
     TimeSeriesStore,
@@ -16,6 +22,7 @@ from repro.storage import (
     save_store,
 )
 from repro.storage.durable import attach_footer, split_footer
+from repro.storage.wal import encode_record, scan_wal
 
 
 @pytest.fixture()
@@ -441,7 +448,192 @@ class TestFsck:
         assert fsck(root).clean
 
 
+class TestFailedAppend:
+    """A failed append must not cost the appends acknowledged after it."""
+
+    @pytest.mark.parametrize("site", ["wal_append", "wal_sync"])
+    def test_later_acknowledged_appends_survive_reopen(self, root, site):
+        with DurableStore.create(root, default_segment_size=100) as store:
+            store.create_series("a", codec="raw")
+            store.append("a", [1.0, 2.0])
+            with active_plan([StorageFaultAction(kind="raise", site=site)]):
+                with pytest.raises(InjectedFault):
+                    store.append("a", [3.0])
+            store.append("a", [4.0, 5.0])
+            store.append("a", [6.0])
+            live = store.read("a")
+        assert live.tolist() == [1.0, 2.0, 4.0, 5.0, 6.0]
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.clean, reopened.recovery.summary()
+            assert np.array_equal(reopened.read("a"), live)
+
+    def test_fsync_error_does_not_poison_the_sequence(self, root,
+                                                      monkeypatch):
+        with DurableStore.create(root, default_segment_size=100) as store:
+            store.create_series("a", codec="raw")
+            store.append("a", [1.0])
+            with monkeypatch.context() as patch:
+                def failing_fsync(_fd):
+                    raise OSError(5, "Input/output error")
+                patch.setattr("os.fsync", failing_fsync)
+                with pytest.raises(OSError):
+                    store.append("a", [2.0])
+            store.append("a", [3.0])
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.clean
+            assert reopened.read("a").tolist() == [1.0, 3.0]
+
+
+class TestLogSeries:
+    def test_appends_never_seal_and_survive_reopen(self, root):
+        values = _values(50)
+        with DurableStore.create(root, default_segment_size=8) as store:
+            store.create_series("log", codec="raw", log=True)
+            assert store.append("log", values[:30]) == 0
+            assert store.append("log", values[30:]) == 0
+            assert store.flush() == 0
+            assert store.info("log").segments == 0
+        assert not list(root.glob("segments/*/*/seg-*.json"))
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.clean
+            assert reopened.recovery.replayed_records == 2
+            assert np.array_equal(reopened.read("log"), values)
+            assert reopened.append("log", [1.0]) == 0     # still a log
+
+    def test_reset_replaces_content_and_clears_metadata(self, root):
+        with DurableStore.create(root) as store:
+            store.create_series("log", codec="raw", log=True)
+            store.append("log", [1.0, 2.0, 3.0])
+            store.update_metadata({"log": {"splits": [2]}})
+            store.reset("log", [3.0])
+            store.append("log", [4.0])
+            assert store.read("log").tolist() == [3.0, 4.0]
+            assert store.metadata("log") == {}
+            store.reset("log")
+            assert store.length("log") == 0
+            store.append("log", [5.0])
+        with DurableStore.open(root) as reopened:
+            report = reopened.recovery
+            assert report.clean
+            assert (report.replayed_records, report.replayed_metadata_records,
+                    report.replayed_reset_records) == (3, 1, 2)
+            assert "1 metadata and 2 reset records" in report.summary()
+            assert reopened.read("log").tolist() == [5.0]
+            assert reopened.metadata("log") == {}
+
+    def test_reset_turns_a_sealed_series_into_a_log(self, root):
+        values = _values(20, seed=3)
+        with DurableStore.create(root, default_segment_size=8) as store:
+            store.create_series("a", codec="raw", metadata={"drained": 16})
+            store.append("a", values)                 # two segment files
+            assert len(list(root.glob("segments/*/*/seg-*.json"))) == 2
+            store.reset("a", values[16:])
+            assert not list(root.glob("segments/*/*/seg-*.json"))
+            assert store.append("a", values[:12]) == 0
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.clean
+            assert reopened.recovery.segments_verified == 0
+            assert np.array_equal(reopened.read("a"),
+                                  np.concatenate([values[16:], values[:12]]))
+            assert reopened.metadata("a") == {}
+
+    def test_crash_after_the_reset_record_still_retires_segments(self, root):
+        values = _values(20, seed=4)
+        store = DurableStore.create(root, default_segment_size=8)
+        store.create_series("a", codec="raw")
+        store.append("a", values)
+        # The reset record is durable; its checkpoint never runs.
+        with active_plan([StorageFaultAction(kind="crash",
+                                             site="wal_compact")]):
+            with pytest.raises(InjectedFault):
+                store.reset("a", values[16:])
+        store.close()
+        assert len(list(root.glob("segments/*/*/seg-*.json"))) == 2
+        with DurableStore.open(root) as reopened:
+            # The manifest still listed the segments: replay dropped them
+            # again and the recovery checkpoint retired their files.
+            assert reopened.recovery.clean
+            assert reopened.recovery.replayed_reset_records == 1
+            assert np.array_equal(reopened.read("a"), values[16:])
+        assert not list(root.glob("segments/*/*/seg-*.json"))
+
+    def test_oversize_wal_generation_is_checkpointed(self, root, monkeypatch):
+        monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES", 500)
+        with DurableStore.create(root, shards=1) as store:
+            store.create_series("log", codec="raw", log=True)
+            store.update_metadata({"log": {"unit": "K"}})
+            for i in range(40):
+                store.append("log", [float(i)] * 4)       # ~60 B a record
+                if i % 8 == 7:
+                    store.reset("log", [float(i)])
+            wal = list((root / "wal").glob("*.wal"))
+            assert len(wal) == 2                          # current + previous
+            assert max(path.stat().st_size for path in wal) < 700
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.clean
+            assert reopened.recovery.replayed_records < 12
+            assert reopened.read("log").tolist() == [39.0]
+            assert reopened.metadata("log") == {}
+
+    def test_large_log_content_is_not_rewritten_by_every_append(
+            self, root, monkeypatch):
+        monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES", 500)
+        rotations = []
+        rotate = DurableStore._rotate_wal
+        monkeypatch.setattr(
+            DurableStore, "_rotate_wal",
+            lambda store, shard: rotations.append(shard) or rotate(store,
+                                                                   shard))
+        with DurableStore.create(root, shards=1) as store:
+            store.create_series("log", codec="raw", log=True)
+            for i in range(200):
+                store.append("log", [float(i)] * 4)       # 6.4 kB of content
+        # Each rotation rewrites the content, so the next one waits until
+        # the generation has doubled: a handful, not one per append.
+        assert 3 <= len(rotations) <= 8
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.clean
+            assert reopened.length("log") == 800
+
+
 class TestMetadataAndDrop:
+    def test_update_metadata_is_a_wal_record_not_a_manifest_swap(self, root):
+        with DurableStore.create(root) as store:
+            store.create_series("a", codec="raw")
+            manifest = (root / "manifest.json").read_bytes()
+            store.update_metadata({"a": {"site": "lab", "unit": "K"}})
+            store.update_metadata({"a": {"unit": None, "rack": 4}})
+            assert store.metadata("a") == {"site": "lab", "rack": 4}
+            assert (root / "manifest.json").read_bytes() == manifest
+        with DurableStore.open(root) as again:
+            assert again.recovery.replayed_metadata_records == 2
+            assert again.metadata("a") == {"site": "lab", "rack": 4}
+
+    def test_torn_metadata_record_is_never_half_applied(self, root, tmp_path):
+        import shutil
+
+        with DurableStore.create(root) as store:
+            store.create_series("a", codec="raw")
+            store.update_metadata({"a": {"site": "lab"}})
+            store.append("a", [1.0])
+            store.update_metadata({"a": {"site": "roof", "rack": 4}})
+        (root / ".lock").unlink()
+        wal = next((root / "wal").glob("*.wal")).relative_to(root)
+        intact = (root / wal).read_bytes()
+        record = len(intact) - len(
+            encode_record(scan_wal(root / wal).records[-1]))
+        for cut in range(record, len(intact)):
+            copy = shutil.copytree(root, tmp_path / f"cut-{cut}")
+            (copy / wal).write_bytes(intact[:cut])
+            with DurableStore.open(copy) as torn:
+                report = torn.recovery
+                assert report.replayed_metadata_records == 1
+                assert (report.truncated_wal_bytes > 0) == (cut > record)
+                # Truncated at the record, all of it: never one key of two.
+                assert torn.metadata("a") == {"site": "lab"}
+                assert torn.read("a").tolist() == [1.0]
+            assert fsck(copy).clean
+
     def test_update_metadata_persists_across_reopen(self, root):
         with DurableStore.create(root) as store:
             store.create_series("a", codec="raw", metadata={"unit": "C"})

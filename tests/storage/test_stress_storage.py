@@ -98,15 +98,20 @@ def test_storage_soak_with_relaxed_fsync(seed, tmp_path):
     directory = tmp_path / "store"
     rng = np.random.default_rng(seed)
     values = np.round(rng.normal(size=60), 3)
+    def workload():
+        # Its own frame: a handle the fault leaves open dies with it, as in
+        # a crashed process, instead of holding the store lock below.
+        store = DurableStore.create(directory, fsync_policy="interval",
+                                    fsync_interval=4,
+                                    default_segment_size=16)
+        store.create_series("x", codec="gorilla")
+        for chunk in np.split(values, 12):
+            store.append("x", chunk)
+        store.close()
+
     with active_plan(random_storage_plan(seed + 1000)):
         try:
-            store = DurableStore.create(directory, fsync_policy="interval",
-                                        fsync_interval=4,
-                                        default_segment_size=16)
-            store.create_series("x", codec="gorilla")
-            for chunk in np.split(values, 12):
-                store.append("x", chunk)
-            store.close()
+            workload()
         except (InjectedCrash, InjectedFault):
             pass
 

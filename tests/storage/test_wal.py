@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import StorageError
+from repro.faultinject import InjectedFault, StorageFaultAction, active_plan
 from repro.storage.checksum import crc32c, crc32c_hex
 from repro.storage.wal import (
+    COMPACTION,
+    METADATA,
+    RESET,
     WalRecord,
     WriteAheadLog,
     decode_record,
@@ -72,6 +76,55 @@ class TestRecordRoundTrip:
     def test_overlong_series_name_rejected(self):
         with pytest.raises(StorageError, match="name too long"):
             encode_record(_record(series="x" * 70_000))
+
+
+class TestRecordKinds:
+    @pytest.mark.parametrize("kind", [COMPACTION, RESET])
+    def test_value_carrying_kinds_roundtrip(self, kind):
+        record = WalRecord(sequence=3, series="s", values=[1.0, -2.5],
+                           kind=kind)
+        decoded, consumed = decode_record(encode_record(record))
+        assert consumed == len(encode_record(record))
+        assert decoded.kind == kind and decoded.metadata is None
+        assert decoded.values.tolist() == [1.0, -2.5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=12),
+        st.one_of(st.none(), st.integers(-2**40, 2**40), st.text(max_size=12),
+                  st.lists(st.integers(0, 2**40), max_size=6)),
+        max_size=6))
+    def test_metadata_roundtrip(self, metadata):
+        record = WalRecord(sequence=9, series="séries", kind=METADATA,
+                           metadata=metadata)
+        data = encode_record(record)
+        decoded, consumed = decode_record(data)
+        assert consumed == len(data)
+        assert decoded.kind == METADATA and decoded.values.size == 0
+        assert decoded.metadata == metadata
+
+    def test_every_truncation_of_a_metadata_record_is_rejected(self):
+        data = encode_record(WalRecord(
+            sequence=1, series="s", kind=METADATA,
+            metadata={"splits": [3, 9], "unit": None}))
+        for cut in range(len(data)):
+            with pytest.raises(StorageError, match="truncated|magic|CRC"):
+                decode_record(data[:cut])
+
+    def test_unknown_and_combined_kinds_are_rejected(self):
+        with pytest.raises(StorageError, match="kind"):
+            WalRecord(sequence=0, series="s", kind=COMPACTION | RESET)
+        with pytest.raises(StorageError, match="metadata"):
+            WalRecord(sequence=0, series="s", kind=METADATA)
+        with pytest.raises(StorageError, match="metadata"):
+            WalRecord(sequence=0, series="s", metadata={"a": 1})
+        # A well-formed record whose flags byte names no kind: the CRC is
+        # right, the kind is not.
+        data = bytearray(encode_record(_record()))
+        data[18] = 0x08
+        data[-4:] = crc32c(bytes(data[:-4])).to_bytes(4, "little")
+        with pytest.raises(StorageError, match="flags"):
+            decode_record(bytes(data))
 
 
 class TestCrcRejectsEverySingleBitFlip:
@@ -161,3 +214,69 @@ class TestWriteAheadLog:
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(StorageError, match="fsync_policy"):
             WriteAheadLog(tmp_path / "x.wal", fsync_policy="sometimes")
+
+
+class TestFailedAppend:
+    """An append that raises must leave nothing in the file: the caller was
+    told it did not happen, and the next append reuses its sequence."""
+
+    @pytest.mark.parametrize("site", ["wal_append", "wal_sync"])
+    def test_injected_failure_is_cut_back_out(self, tmp_path, site):
+        path = tmp_path / "x.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(_record(0, "s", [1.0, 2.0]))
+            with active_plan([StorageFaultAction(kind="raise", site=site)]):
+                with pytest.raises(InjectedFault):
+                    wal.append(_record(1, "s", [3.0]))
+            assert wal.size == path.stat().st_size
+            wal.append(_record(1, "s", [4.0, 5.0]))
+            wal.append(_record(2, "s", [6.0]))
+        scan = scan_wal(path)
+        assert scan.truncated_bytes == 0
+        assert [r.values.tolist() for r in scan.records] == [
+            [1.0, 2.0], [4.0, 5.0], [6.0]]
+
+    def test_fsync_error_is_cut_back_out(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(_record(0, "s", [1.0]))
+            with monkeypatch.context() as patch:
+                def failing_fsync(_fd):
+                    raise OSError(5, "Input/output error")
+                patch.setattr("os.fsync", failing_fsync)
+                with pytest.raises(OSError):
+                    wal.append(_record(1, "s", [2.0]))
+            wal.append(_record(1, "s", [3.0]))
+        assert [r.values.tolist() for r in scan_wal(path).records] == [
+            [1.0], [3.0]]
+
+    def test_handle_fail_stops_when_the_cut_fails_too(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "x.wal"
+        wal = WriteAheadLog(path)
+        wal.append(_record(0, "s", [1.0]))
+
+        def failing(*_args):
+            raise OSError(5, "Input/output error")
+        with monkeypatch.context() as patch:
+            patch.setattr("os.fsync", failing)
+            patch.setattr(wal._handle, "truncate", failing, raising=False)
+            with pytest.raises(OSError):
+                wal.append(_record(1, "s", [2.0]))
+        with pytest.raises(StorageError, match="could not undo"):
+            wal.append(_record(1, "s", [3.0]))
+
+    def test_metadata_records_are_fsynced_under_every_policy(self, tmp_path,
+                                                             monkeypatch):
+        import os
+
+        synced = []
+        fsync = os.fsync
+        monkeypatch.setattr(
+            "os.fsync", lambda fd: (synced.append(fd), fsync(fd))[1])
+        wal = WriteAheadLog(tmp_path / "x.wal", fsync_policy="never")
+        wal.append(_record(0, "s", [1.0]))
+        assert synced == []
+        wal.append(WalRecord(sequence=1, series="s", kind=METADATA,
+                             metadata={"k": 1}))
+        assert len(synced) == 1

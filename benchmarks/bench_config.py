@@ -151,6 +151,16 @@ PERF_MIN_NATIVE_SEGMENT_SPEEDUP = 2.0
 PERF_REHEAP_REMOVALS = 120
 PERF_MIN_NATIVE_REHEAP_SPEEDUP = 2.0
 
+#: The whole greedy loop on one fleet-shaped series (``native.run_loop_500``
+#: / ``python.loop_500``): the one GIL-free compiled call vs the Python
+#: loop on the native tier (one ``native.reheap`` per removal).
+PERF_MIN_NATIVE_RUN_LOOP_SPEEDUP = 1.3
+
+#: The thread backend on the native tier, where every series' loop runs
+#: with the GIL released: its ratio over the serial backend is gated only
+#: on machines with ``PERF_ENGINE_WORKERS`` CPUs, like the process one.
+PERF_MIN_ENGINE_THREAD_SPEEDUP = 2.0
+
 #: The end-to-end benchmark's fleet shape for ``cameo.compress_fleet_500x32``:
 #: four copies of the eight paper datasets at 500 points, codec defaults.
 PERF_FLEET_LENGTH = 500

@@ -47,6 +47,7 @@ from bench_config import (
     PERF_MIN_CAMEO_SPECULATIVE_SPEEDUP,
     PERF_MIN_CODEC_SPEEDUP,
     PERF_MIN_ENGINE_PROCESS_SPEEDUP,
+    PERF_MIN_ENGINE_THREAD_SPEEDUP,
     PERF_MIN_HEAP_BULK_SPEEDUP,
     PERF_MIN_HOPS_BATCH_SPEEDUP,
     PERF_FLEET_COPIES,
@@ -55,6 +56,7 @@ from bench_config import (
     PERF_FLEET_MAX_LAG,
     PERF_MIN_NATIVE_E2E_SPEEDUP,
     PERF_MIN_NATIVE_REHEAP_SPEEDUP,
+    PERF_MIN_NATIVE_RUN_LOOP_SPEEDUP,
     PERF_MIN_NATIVE_SEGMENT_SPEEDUP,
     PERF_MIN_PACF_SPEEDUP,
     PERF_NATIVE_ACF_SEGMENT_LEN,
@@ -537,11 +539,11 @@ class TestNativeTier:
             pass
 
         class PauseAtStep(CameoCompressor):
-            def _reheap_neighbours(self, *step):
-                if self._state_version == PERF_REHEAP_REMOVALS:
-                    self.step = step
+            def _reheap_neighbours(self, run, removed):
+                if run.state_version == PERF_REHEAP_REMOVALS:
+                    self.step = (run, removed)
                     raise Paused
-                return super()._reheap_neighbours(*step)
+                return super()._reheap_neighbours(run, removed)
 
         def paused_run(native: bool):
             _kernels.set_native_enabled(native)
@@ -550,22 +552,21 @@ class TestNativeTier:
             with pytest.raises(Paused):
                 compressor.compress(series)
             super_step = super(PauseAtStep, compressor)._reheap_neighbours
-            return compressor, lambda: super_step(*compressor.step)
+            return compressor.step[0], lambda: super_step(*compressor.step)
 
         native_run, native_step = paused_run(True)
         numpy_run, numpy_step = paused_run(False)
         refreshed = native_step()
         _kernels.set_native_enabled(False)
         assert numpy_step() == refreshed > 0
-        native_heap, numpy_heap = native_run.step[2], numpy_run.step[2]
+        native_heap, numpy_heap = native_run.heap, numpy_run.heap
         assert np.array_equal(native_heap.keys(), numpy_heap.keys())
         assert np.array_equal(native_heap.items(), numpy_heap.items())
-        assert np.array_equal(native_run._spec_version,
-                              numpy_run._spec_version)
+        assert np.array_equal(native_run.spec_version, numpy_run.spec_version)
 
         ops = refreshed * PERF_FLEET_MAX_LAG
         meta = dict(length=PERF_FLEET_LENGTH, max_lag=PERF_FLEET_MAX_LAG,
-                    hops=native_run.step[4], refreshed=refreshed,
+                    hops=native_run.hops, refreshed=refreshed,
                     heap_size=len(native_heap))
         report.add(bench("numpy.reheap_500", numpy_step, ops=ops, repeats=25,
                          **meta))
@@ -577,6 +578,90 @@ class TestNativeTier:
         assert speedup >= PERF_MIN_NATIVE_REHEAP_SPEEDUP, (
             f"fused ReHeap step at {speedup:.2f}x the NumPy-tier chain is "
             f"below the {PERF_MIN_NATIVE_REHEAP_SPEEDUP}x floor")
+
+    def test_run_loop_speedup(self, report):
+        """``native.run_loop_500``: the whole greedy loop of one fleet-shaped
+        series (n=500, L=24, eps=0.01) as the one GIL-free compiled call vs
+        the Python loop on the native tier — one ``native.reheap`` call,
+        one ``apply_contiguous`` and the loop's own bookkeeping per accepted
+        removal.  Same kept set, same run statistics."""
+        series = np.round(load_dataset(dataset_names()[0],
+                                       length=PERF_FLEET_LENGTH,
+                                       seed=7).values, 2)
+
+        class PythonLoop(CameoCompressor):
+            def _native_loop_serves(self, run):
+                return False
+
+        _kernels.set_native_enabled(True)
+        compiled = CameoCompressor(PERF_FLEET_MAX_LAG, PERF_FLEET_EPSILON)
+        python = PythonLoop(PERF_FLEET_MAX_LAG, PERF_FLEET_EPSILON)
+        compiled_result = compiled.compress(series)
+        python_result = python.compress(series)
+        assert (compiled_result.indices.tolist()
+                == python_result.indices.tolist())
+        for key in ("iterations", "removed_points", "achieved_deviation",
+                    "reheap_updates", "stopped_by", "preview_reuse"):
+            assert compiled_result.metadata[key] == python_result.metadata[key]
+
+        meta = dict(length=PERF_FLEET_LENGTH, max_lag=PERF_FLEET_MAX_LAG,
+                    epsilon=PERF_FLEET_EPSILON,
+                    iterations=compiled_result.metadata["iterations"],
+                    kept=len(compiled_result))
+        report.add(bench("python.loop_500", lambda: python.compress(series),
+                         ops=PERF_FLEET_LENGTH, repeats=9, **meta))
+        report.add(bench("native.run_loop_500",
+                         lambda: compiled.compress(series),
+                         ops=PERF_FLEET_LENGTH, repeats=9, **meta))
+        speedup = report.speedup("native_run_loop_500", "native.run_loop_500",
+                                 "python.loop_500")
+        assert speedup >= PERF_MIN_NATIVE_RUN_LOOP_SPEEDUP, (
+            f"compiled greedy loop at {speedup:.2f}x the Python loop on the "
+            f"native tier is below the {PERF_MIN_NATIVE_RUN_LOOP_SPEEDUP}x "
+            "floor")
+
+    def test_thread_vs_serial_throughput(self, report):
+        """``engine.batch_64x4k_thread``: the thread backend vs the serial
+        one, both on the native tier, where a series' whole loop runs with
+        the GIL released — results identical, ratio recorded beside
+        ``engine_process_vs_serial`` and gated only where the machine has
+        ``PERF_ENGINE_WORKERS`` CPUs."""
+        from repro.engine import BatchEngine
+
+        _kernels.set_native_enabled(True)
+        fleet = TestBatchEngine._fleet(PERF_ENGINE_SERIES, PERF_ENGINE_LENGTH)
+        options = dict(max_lag=PERF_ENGINE_MAX_LAG, epsilon=None,
+                       target_ratio=PERF_ENGINE_TARGET_RATIO)
+        ops = PERF_ENGINE_SERIES * PERF_ENGINE_LENGTH
+        serial_engine = BatchEngine("cameo", codec_options=options,
+                                    backend="serial")
+        thread_engine = BatchEngine("cameo", codec_options=options,
+                                    backend="thread",
+                                    workers=PERF_ENGINE_WORKERS)
+        serial_result = serial_engine.compress(fleet)
+        thread_result = thread_engine.compress(fleet)
+        assert serial_result.report.failed == thread_result.report.failed == 0
+        for serial_outcome, thread_outcome in zip(serial_result,
+                                                  thread_result):
+            left = serial_outcome.unwrap().payload
+            right = thread_outcome.unwrap().payload
+            assert left.indices.tolist() == right.indices.tolist()
+            assert np.array_equal(left.values, right.values)
+        report.add(bench("engine.batch_64x4k_serial_native",
+                         lambda: serial_engine.compress(fleet), ops=ops,
+                         repeats=2, warmup=False, series=PERF_ENGINE_SERIES,
+                         length=PERF_ENGINE_LENGTH))
+        report.add(bench("engine.batch_64x4k_thread",
+                         lambda: thread_engine.compress(fleet), ops=ops,
+                         repeats=2, warmup=False,
+                         workers=PERF_ENGINE_WORKERS))
+        speedup = report.speedup("engine_thread_vs_serial",
+                                 "engine.batch_64x4k_thread",
+                                 "engine.batch_64x4k_serial_native")
+        if (os.cpu_count() or 1) >= PERF_ENGINE_WORKERS:
+            assert speedup >= PERF_MIN_ENGINE_THREAD_SPEEDUP, (
+                f"thread backend at {speedup:.2f}x the serial backend is "
+                f"below the {PERF_MIN_ENGINE_THREAD_SPEEDUP}x floor")
 
     def test_pop_loop_throughput(self, report):
         """``native.pop_loop``: heapify + full drain, C sifts vs hybrid.

@@ -11,11 +11,15 @@ of the library routes through:
 * :mod:`repro._kernels.pacf` — the batched Durbin-Levinson recursion that
   turns many candidate ACF rows into PACF rows at once (the
   ``statistic="pacf"`` hot path),
+* :mod:`repro._kernels.lagdot` — the left-to-right lag sums of the
+  aggregate update (the ``sxxl`` delta of a contiguous change), whose
+  accumulation order every tier reproduces,
 * :mod:`repro._kernels._native` — the *optional* compiled tier: the whole
-  ReHeap step (removed index in, heap updated out), its evaluation kernel
-  on its own (gaps in, impacts out), the indexed-min-heap primitives, and
-  the greedy-pop gap deltas as C loops (OpenMP when available), verified
-  bit-identical to the NumPy kernels at import time,
+  greedy loop (pop, decide, apply, remove, ReHeap — one GIL-free call), the
+  whole ReHeap step (removed index in, heap updated out), its evaluation
+  kernel on its own (gaps in, impacts out), the indexed-min-heap
+  primitives, and the greedy-pop gap deltas as C loops (OpenMP when
+  available), verified bit-identical to the NumPy kernels at import time,
 * :mod:`repro._kernels.reference` — the original per-bit / per-row
   implementations, kept as the ground truth for bit-exact cross-checks and
   as the baseline the perf harness measures speedups against.
@@ -61,7 +65,8 @@ __all__ = [
 NATIVE_ENV = "REPRO_NATIVE"
 
 #: The kernels with a native implementation (reported by active_tier).
-_NATIVE_KERNELS = ("reheap", "segment_impacts", "heap", "gap_deltas")
+_NATIVE_KERNELS = ("run_loop", "reheap", "segment_impacts", "heap",
+                   "gap_deltas")
 
 
 def _env_allows_native() -> bool:

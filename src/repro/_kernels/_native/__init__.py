@@ -23,6 +23,12 @@ admitting the extension:
   inside ``reheap``) must reproduce ``np.argsort(kind="stable")`` on keys
   with duplicates, NaN, ±inf and ±0.0: a different tie order would change
   which of two equal-impact points is removed first.
+* ``lagdot_check`` — the extension's left-to-right lag sums (the ``sxxl``
+  update ``run_loop`` applies after every accepted removal) must reproduce
+  :func:`repro._kernels.lagdot.lagged_dot_deltas`, whose order rests on
+  this NumPy reducing a matrix along axis 0 row after row; ranges at both
+  series ends and lengths across NumPy's pairwise-summation regime edges
+  (8, 128) are in the battery, and the whole series at once.
 * ``fma_probe`` — ``a*b - a*b`` must be exactly ``0.0``; a non-zero
   result means the compiler contracted a product into a fused
   multiply-add, which rounds differently from NumPy's separate ops.
@@ -39,6 +45,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+from ..lagdot import lagged_dot_deltas
 
 __all__ = ["MODULE", "BUILD_INFO"]
 
@@ -118,6 +126,28 @@ def _check_stable_order(mod) -> bool:
                for keys in batteries)
 
 
+def _check_lagdot_model(mod) -> bool:
+    """Do the extension's lag sums match the NumPy expression, bit for bit?"""
+    rng = np.random.default_rng(0xCA3E3)
+    for max_lag, n in ((1, 40), (3, 40), (24, 160)):
+        padded = np.zeros(n + 2 * max_lag)
+        current = padded[max_lag:max_lag + n]
+        current[:] = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n)
+        work = np.zeros(n + max_lag)
+        for m in (1, 2, 7, 8, 9, 33, 129, n):
+            if m > n:
+                continue
+            for start in {0, (n - m) // 2, n - m}:
+                deltas = rng.normal(0.0, 1.0, m) * 10.0 ** rng.integers(
+                    -6, 7, m)
+                expected = lagged_dot_deltas(padded, max_lag, start, deltas,
+                                             work)
+                got = mod.lagdot_check(current, max_lag, start, deltas)
+                if expected.tobytes() != got.tobytes():
+                    return False
+    return True
+
+
 def _self_check(mod) -> str | None:
     """Return a rejection reason, or ``None`` when the module is usable."""
     try:
@@ -129,6 +159,8 @@ def _self_check(mod) -> str | None:
             return "np.mean/np.max row reductions not reproduced"
         if not _check_stable_order(mod):
             return "np.argsort(kind='stable') order not reproduced"
+        if not _check_lagdot_model(mod):
+            return "axis-0 np.add.reduce lag sums not reproduced"
     except Exception as exc:  # pragma: no cover - defensive
         return f"self-check crashed: {exc!r}"
     return None

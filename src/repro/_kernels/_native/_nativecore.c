@@ -2,6 +2,12 @@
  *
  * Implements, in portable C99:
  *
+ *   - ``run_loop``: the compressor's greedy loop as one call on the
+ *     caller's arrays, the GIL released throughout — per iteration the
+ *     pop, the candidate's deviation (fresh heap key, speculative cache or
+ *     a preview of the aggregates), the error-bound test, the state update
+ *     of Equations 8-9, the unlink and the ``reheap`` step below — until
+ *     the compression stops or an iteration has to run in Python;
  *   - ``reheap``: the compressor's whole ReHeap step as one call — removed
  *     index in, heap updated out.  Chases the blocking neighbourhood over
  *     the neighbour list's pointers, peeks the speculative items, runs the
@@ -22,7 +28,7 @@
  *     greedy pop step.
  *
  * Bit-identity contract: every function reproduces the NumPy formulation
- * of the same computation *bit for bit*.  Two ingredients make that
+ * of the same computation *bit for bit*.  Three ingredients make that
  * possible:
  *
  *   1. Segment reductions replicate ``np.add.reduceat``'s accumulation
@@ -38,6 +44,10 @@
  *      and the ``FP_CONTRACT OFF`` pragma): a fused multiply-add would
  *      round differently from NumPy's separate multiply and add.  The
  *      loader probes for contraction at import time as well.
+ *   3. The lag sums of the state update are *defined* as left-to-right
+ *      sums of products (repro/_kernels/lagdot.py): plain loops here, an
+ *      axis-0 ``np.add.reduce`` on the NumPy side, cross-checked against
+ *      each other at import time.
  *
  * Everything else (multiply, divide, sqrt, compares) is IEEE-754-exact and
  * therefore matches NumPy's elementwise ufuncs operand for operand; the
@@ -299,20 +309,18 @@ segment_row(const reheap_ctx *c, npy_intp start, npy_intp len,
     }
 }
 
-/* ACF of the unchanged state (ACFAggregateState._acf_from): the row of a
- * zero-length segment. */
+/* ``ACFAggregateState._acf_from`` over explicit aggregate vectors. */
 static void
-current_row(const reheap_ctx *c, double *row)
+sums_row(const double *counts, const double *sx, const double *sxl,
+         const double *sx2, const double *sx2l, const double *sxxl,
+         npy_intp num_lags, double *row)
 {
     npy_intp j;
 
-    for (j = 0; j < c->num_lags; j++) {
-        const double numerator =
-            c->counts[j] * c->sxxl[j] - c->sx[j] * c->sxl[j];
-        const double var_head =
-            c->counts[j] * c->sx2[j] - c->sx[j] * c->sx[j];
-        const double var_tail =
-            c->counts[j] * c->sx2l[j] - c->sxl[j] * c->sxl[j];
+    for (j = 0; j < num_lags; j++) {
+        const double numerator = counts[j] * sxxl[j] - sx[j] * sxl[j];
+        const double var_head = counts[j] * sx2[j] - sx[j] * sx[j];
+        const double var_tail = counts[j] * sx2l[j] - sxl[j] * sxl[j];
         row[j] = 0.0;
         if (var_head > 0.0 && var_tail > 0.0) {
             const double denom = sqrt(var_head * var_tail);
@@ -321,6 +329,14 @@ current_row(const reheap_ctx *c, double *row)
             }
         }
     }
+}
+
+/* ACF of the unchanged state: the row of a zero-length segment. */
+static void
+current_row(const reheap_ctx *c, double *row)
+{
+    sums_row(c->counts, c->sx, c->sxl, c->sx2, c->sx2l, c->sxxl,
+             c->num_lags, row);
 }
 
 /* ``ResolvedMetric.rowwise`` for one row (overwritten as workspace).
@@ -409,8 +425,8 @@ ctx_from_objects(PyArrayObject *current, PyArrayObject *counts,
 }
 
 /* Validate a request's gap anchors and measure it: ``total`` changed
- * positions, the longest gap ``max_len``.  Returns 0 and sets an
- * exception on an anchor outside the series. */
+ * positions, the longest gap ``max_len``.  Returns 0 on an anchor outside
+ * the series (no Python object is touched: the caller raises). */
 static int
 scan_gaps(npy_intp n, const npy_int64 *lefts, const npy_int64 *rights,
           npy_intp num_gaps, npy_intp *total, npy_intp *max_len)
@@ -427,7 +443,6 @@ scan_gaps(npy_intp n, const npy_int64 *lefts, const npy_int64 *rights,
          * gap that holds points needs both anchors inside the series */
         if (left < -1 || left > n || right < -1 || right > n
                 || (right - left > 1 && (left < 0 || right >= n))) {
-            PyErr_SetString(PyExc_ValueError, "gap anchors out of range");
             return 0;
         }
         len = (npy_intp)(right - left - 1);
@@ -568,6 +583,7 @@ py_segment_impacts(PyObject *self, PyObject *args)
     lefts_p = (const npy_int64 *)PyArray_DATA(lefts);
     rights_p = (const npy_int64 *)PyArray_DATA(rights);
     if (!scan_gaps(ctx.n, lefts_p, rights_p, num_gaps, &total, &max_len)) {
+        PyErr_SetString(PyExc_ValueError, "gap anchors out of range");
         return NULL;
     }
     if (over_one_block(total, max_len, (npy_intp)cell_budget)) {
@@ -599,15 +615,28 @@ py_segment_impacts(PyObject *self, PyObject *args)
 /* gap re-interpolation deltas                                         */
 /* ------------------------------------------------------------------ */
 
+/* ``segment_interpolation_deltas``: new minus current for the points
+ * strictly inside ``(left, right)``, put on the line between the anchors. */
+static void
+fill_gap_deltas(const double *current, npy_intp left, npy_intp right,
+                double *out)
+{
+    const double span = (double)(right - left);
+    const double cl = current[left], cr = current[right];
+    npy_intp i;
+
+    for (i = 0; i < right - left - 1; i++) {
+        const double w = (double)(i + 1) / span;
+        out[i] = (cl * (1.0 - w) + cr * w) - current[left + 1 + i];
+    }
+}
+
 static PyObject *
 py_gap_deltas(PyObject *self, PyObject *args)
 {
     PyArrayObject *current;
     long left_arg, right_arg;
-    npy_intp left, right, n, m, i;
-    const double *cur;
-    double *out_p;
-    double span, cl, cr;
+    npy_intp left, right, n;
     npy_intp dims[1];
     PyObject *out;
 
@@ -625,22 +654,13 @@ py_gap_deltas(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "invalid gap bounds");
         return NULL;
     }
-    m = right - left - 1;
-    dims[0] = m;
+    dims[0] = right - left - 1;
     out = PyArray_SimpleNew(1, dims, NPY_FLOAT64);
     if (out == NULL) {
         return NULL;
     }
-    cur = (const double *)PyArray_DATA(current);
-    out_p = (double *)PyArray_DATA((PyArrayObject *)out);
-    span = (double)(right - left);
-    cl = cur[left];
-    cr = cur[right];
-    for (i = 0; i < m; i++) {
-        const double w = (double)(i + 1) / span;
-        const double new_value = cl * (1.0 - w) + cr * w;
-        out_p[i] = new_value - cur[left + 1 + i];
-    }
+    fill_gap_deltas((const double *)PyArray_DATA(current), left, right,
+                    (double *)PyArray_DATA((PyArrayObject *)out));
     return out;
 }
 
@@ -1279,8 +1299,20 @@ heap_rebuild(heap_t *h, npy_intp size, sort_entry *scratch)
 /* the whole ReHeap step: removed index in, heap updated out           */
 /* ------------------------------------------------------------------ */
 
-/* An optional per-point stamp array of the compressor's speculation
- * state (``None`` when speculation is off). */
+/* The neighbour list's live arrays (``NeighborList.pointer_arrays``). */
+typedef struct {
+    npy_int64 *left, *right;
+    npy_bool *alive;
+    npy_intp n;
+} neighbours_t;
+
+/* The compressor's speculation stamps: all NULL when speculation is off. */
+typedef struct {
+    npy_int64 *key_version, *spec_version;
+    double *spec_deviation;
+} stamps_t;
+
+/* An optional per-point stamp array (``None`` when speculation is off). */
 static int
 stamp_array(PyObject *obj, int typenum, npy_intp n, const char *name,
             const char *tyname, void **data)
@@ -1306,21 +1338,255 @@ stamp_array(PyObject *obj, int typenum, npy_intp n, const char *name,
     return 1;
 }
 
+/* The neighbour, heap and stamp arrays ``reheap`` and ``run_loop`` share:
+ * one entry per point each, and speculative peeks need the spec stamps. */
+static int
+step_arrays_from_objects(npy_intp n, PyArrayObject *left,
+                         PyArrayObject *right, PyArrayObject *alive,
+                         PyArrayObject *keys, PyArrayObject *items,
+                         PyArrayObject *slot_of, PyObject *key_version,
+                         PyObject *spec_version, PyObject *spec_deviation,
+                         Py_ssize_t peek, neighbours_t *nb, heap_t *h,
+                         stamps_t *stamps)
+{
+    if (!CHECK_I64(left, "left") || !CHECK_I64(right, "right")
+            || !check_1d(alive, NPY_BOOL, "alive", "bool")
+            || !heap_from_objects(keys, items, slot_of, h)) {
+        return 0;
+    }
+    if (PyArray_DIM(left, 0) != n || PyArray_DIM(right, 0) != n
+            || PyArray_DIM(alive, 0) != n || h->capacity != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "neighbour and heap arrays must have one entry per "
+                        "point");
+        return 0;
+    }
+    if (!stamp_array(key_version, NPY_INT64, n, "key_version", "int64",
+                     (void **)&stamps->key_version)
+            || !stamp_array(spec_version, NPY_INT64, n, "spec_version",
+                            "int64", (void **)&stamps->spec_version)
+            || !stamp_array(spec_deviation, NPY_FLOAT64, n, "spec_deviation",
+                            "float64", (void **)&stamps->spec_deviation)) {
+        return 0;
+    }
+    if (peek > 0 && (stamps->spec_version == NULL
+                     || stamps->spec_deviation == NULL)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "speculative peeks need the spec stamp arrays");
+        return 0;
+    }
+    nb->left = (npy_int64 *)PyArray_DATA(left);
+    nb->right = (npy_int64 *)PyArray_DATA(right);
+    nb->alive = (npy_bool *)PyArray_DATA(alive);
+    nb->n = n;
+    return 1;
+}
+
+/* One ReHeap request: the re-keyed candidates, then the speculative items,
+ * and the gap of each.  ``items``/``lefts``/``rights`` hold
+ * ``2 * side + peek`` entries, ``frontier`` ``2 * peek + 2``. */
+typedef struct {
+    npy_int64 *items, *lefts, *rights;
+    frontier_entry *frontier;
+    npy_intp refreshed, count, total, max_len;
+} reheap_request;
+
+enum {
+    REHEAP_OK = 0,
+    REHEAP_OVER_BLOCK,
+    REHEAP_BAD_POINTERS,
+    REHEAP_BAD_SLOT,
+    REHEAP_BAD_ITEM,
+    REHEAP_BAD_GAP
+};
+
+static void
+raise_reheap_error(int status)
+{
+    static const char *const messages[] = {
+        NULL, NULL, "neighbour pointers out of order",
+        "heap slot map out of range", "heap item out of range",
+        "gap anchors out of range"};
+    PyErr_SetString(PyExc_ValueError, messages[status]);
+}
+
+static npy_int64 *
+alloc_request(reheap_request *rq, npy_intp side, npy_intp peek)
+{
+    const npy_intp capacity = 2 * side + peek;
+    npy_int64 *block = (npy_int64 *)malloc((size_t)(3 * capacity + 1)
+                                           * sizeof(npy_int64));
+    rq->frontier = (frontier_entry *)malloc((size_t)(2 * peek + 2)
+                                            * sizeof(frontier_entry));
+    rq->items = block;
+    if (block != NULL) {
+        rq->lefts = block + capacity;
+        rq->rights = rq->lefts + capacity;
+    }
+    return block;
+}
+
+/* The read-only half of a ReHeap step.  From ``removed``: chase ``side``
+ * survivors each way over the neighbour list's pointers
+ * (``NeighborList.hops``: nearest first, left side then right, series
+ * endpoints excluded), keep those in the heap, append the ``peek``
+ * cheapest heap items not already among them, and measure their gaps.
+ * Writes nothing but ``rq``; touches no Python object. */
+static int
+reheap_gather(const neighbours_t *nb, const heap_t *h, npy_intp size,
+              npy_intp removed, npy_intp side, npy_intp peek,
+              npy_intp cell_budget, reheap_request *rq)
+{
+    const npy_intp n = nb->n;
+    npy_int64 la = removed, ra = removed;
+    npy_intp refreshed = 0, count, cursor, steps, i, p;
+
+    /* NeighborList.gap: the surviving anchors that bracket ``removed``
+     * (its own pointers once removed may reference removed points).  A
+     * pointer must move strictly outwards and stay within the sentinels:
+     * that bounds every walk and every read below. */
+    do {
+        const npy_int64 next = nb->left[la];
+        if (next < -1 || next >= la) {
+            return REHEAP_BAD_POINTERS;
+        }
+        la = next;
+    } while (la >= 0 && !nb->alive[la]);
+    do {
+        const npy_int64 next = nb->right[ra];
+        if (next > n || next <= ra) {
+            return REHEAP_BAD_POINTERS;
+        }
+        ra = next;
+    } while (ra < n && !nb->alive[ra]);
+
+    for (cursor = (npy_intp)la, steps = 0; cursor >= 0 && steps < side;
+            steps++) {
+        const npy_int64 next = nb->left[cursor];
+        if (cursor > 0 && cursor < n - 1
+                && h->slot_of[cursor] != HEAP_ABSENT) {
+            rq->items[refreshed++] = cursor;
+        }
+        if (next < -1 || next >= cursor) {
+            return REHEAP_BAD_POINTERS;
+        }
+        cursor = (npy_intp)next;
+    }
+    for (cursor = (npy_intp)ra, steps = 0; cursor < n && steps < side;
+            steps++) {
+        const npy_int64 next = nb->right[cursor];
+        if (cursor > 0 && cursor < n - 1
+                && h->slot_of[cursor] != HEAP_ABSENT) {
+            rq->items[refreshed++] = cursor;
+        }
+        if (next > n || next <= cursor) {
+            return REHEAP_BAD_POINTERS;
+        }
+        cursor = (npy_intp)next;
+    }
+    for (i = 0; i < refreshed; i++) {
+        const npy_int64 slot = h->slot_of[rq->items[i]];
+        if (slot < 0 || slot >= size) {
+            return REHEAP_BAD_SLOT;
+        }
+    }
+    count = refreshed;
+    if (peek > 0) {
+        /* the peek's own outputs live in the not yet used gap arrays */
+        npy_int64 *peeked = rq->lefts;
+        double *peeked_keys = (double *)rq->rights;
+        heap_peek_many(h->keys, h->items, size, peek, rq->frontier, peeked,
+                       peeked_keys);
+        for (p = 0; p < peek; p++) {
+            const npy_int64 item = peeked[p];
+            if (item < 0 || item >= n) {
+                return REHEAP_BAD_ITEM;
+            }
+            for (i = 0; i < refreshed && rq->items[i] != item; i++) {
+            }
+            if (i == refreshed) {
+                rq->items[count++] = item;
+            }
+        }
+    }
+    for (i = 0; i < count; i++) {
+        rq->lefts[i] = nb->left[rq->items[i]];
+        rq->rights[i] = nb->right[rq->items[i]];
+    }
+    rq->refreshed = refreshed;
+    rq->count = count;
+    if (!scan_gaps(n, rq->lefts, rq->rights, count, &rq->total,
+                   &rq->max_len)) {
+        return REHEAP_BAD_GAP;
+    }
+    if (count > 0 && over_one_block(rq->total, rq->max_len, cell_budget)) {
+        return REHEAP_OVER_BLOCK;
+    }
+    return REHEAP_OK;
+}
+
+/* ``update_many`` rebuilds rather than sifts a batch this large. */
+static int
+reheap_rebuilds(npy_intp refreshed, npy_intp size)
+{
+    return refreshed > 0 && refreshed * HEAP_REBUILD_FRACTION >= size;
+}
+
+static size_t
+sort_scratch_bytes(npy_intp size)
+{
+    return (size_t)size * (2 * sizeof(sort_entry) + sizeof(npy_int64));
+}
+
+/* The writing half: evaluate the gathered request as one
+ * ``segment_impacts`` call, re-key the neighbourhood in place
+ * (``update_many``: stable-sort rebuild for heap-scale batches, sequential
+ * sifts otherwise; every candidate is present, so nothing is pushed and
+ * the size stands) and stamp the version arrays.  The speculative items'
+ * impacts go to ``spec_deviation``, never into the heap.  ``impacts``
+ * holds ``rq->count`` values, ``gap_scratch`` serves ``rq->max_len``,
+ * ``sort_scratch`` (``sort_scratch_bytes(size)``) a rebuild. */
+static void
+reheap_commit(reheap_ctx *ctx, heap_t *h, npy_intp size,
+              const stamps_t *stamps, npy_int64 state_version,
+              const reheap_request *rq, double *impacts, double *gap_scratch,
+              sort_entry *sort_scratch)
+{
+    const npy_intp refreshed = rq->refreshed;
+    npy_intp i;
+
+    if (rq->count == 0) {
+        return;
+    }
+    evaluate_gaps(ctx, rq->lefts, rq->rights, rq->count, rq->total,
+                  rq->max_len, gap_scratch, impacts);
+    if (reheap_rebuilds(refreshed, size)) {
+        for (i = 0; i < refreshed; i++) {
+            h->keys[h->slot_of[rq->items[i]]] = impacts[i];
+        }
+        heap_rebuild(h, size, sort_scratch);
+    }
+    else {
+        heap_update_present(h, size, rq->items, impacts, refreshed);
+    }
+    if (stamps->key_version != NULL) {
+        for (i = 0; i < refreshed; i++) {
+            stamps->key_version[rq->items[i]] = state_version;
+        }
+    }
+    for (i = refreshed; i < rq->count; i++) {
+        stamps->spec_deviation[rq->items[i]] = impacts[i];
+        stamps->spec_version[rq->items[i]] = state_version;
+    }
+}
+
 /* reheap(current, counts, sx, sxl, sx2, sx2l, sxxl, reference, metric,
  *        cell_budget, left, right, alive, keys, items, slot_of, size,
  *        removed, hops, peek, state_version, key_version, spec_version,
  *        spec_deviation) -> refreshed | None
  *
- * ``CameoCompressor._reheap_neighbours`` in one call.  From ``removed``:
- * chase ``hops`` survivors each side over the neighbour list's pointers
- * (``NeighborList.hops``: nearest first, left side then right, series
- * endpoints excluded), keep those in the heap, append the ``peek``
- * cheapest heap items not already among them, evaluate all their gaps as
- * one ``segment_impacts`` request, re-key the neighbourhood in place
- * (``update_many``: stable-sort rebuild for heap-scale batches, sequential
- * sifts otherwise; every candidate is present, so nothing is pushed and
- * the size stands) and stamp the version arrays.  The speculative items'
- * impacts go to ``spec_deviation``, never into the heap.
+ * ``CameoCompressor._reheap_neighbours`` in one call: ``reheap_gather``
+ * around ``removed``, then ``reheap_commit``.
  *
  * Returns the number of re-keyed neighbours, or ``None`` — with nothing
  * written — when the request is over one block.  Every check that can
@@ -1335,17 +1601,15 @@ py_reheap(PyObject *self, PyObject *args)
     Py_ssize_t cell_budget, size_arg, removed, hops, peek;
     long long state_version;
     reheap_ctx ctx;
+    neighbours_t nb;
     heap_t h;
-    const npy_int64 *left_p, *right_p;
-    const npy_bool *alive_p;
-    npy_int64 *key_version, *spec_version;
-    double *spec_deviation;
-    npy_int64 *request = NULL, *lefts, *rights;
+    stamps_t stamps;
+    reheap_request rq;
+    npy_int64 *request = NULL;
     double *impacts = NULL, *gap_scratch = NULL;
     sort_entry *sort_scratch = NULL;
-    npy_intp n, size, side, capacity, refreshed = 0, count, total, max_len;
-    npy_intp cursor, steps, i;
-    int rebuild;
+    npy_intp n, size;
+    int status;
     PyObject *result = NULL;
 
     if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!snO!O!O!O!O!O!nnnnLOOO",
@@ -1365,200 +1629,580 @@ py_reheap(PyObject *self, PyObject *args)
     }
     if (!ctx_from_objects(current, counts, sx, sxl, sx2, sx2l, sxxl,
                           reference, metric_name, &ctx)
-            || !CHECK_I64(left, "left") || !CHECK_I64(right, "right")
-            || !check_1d(alive, NPY_BOOL, "alive", "bool")
-            || !heap_from_objects(keys, items, slot_of, &h)) {
+            || !step_arrays_from_objects(ctx.n, left, right, alive, keys,
+                                         items, slot_of, key_version_o,
+                                         spec_version_o, spec_deviation_o,
+                                         peek, &nb, &h, &stamps)) {
         return NULL;
     }
     n = ctx.n;
     size = (npy_intp)size_arg;
-    if (PyArray_DIM(left, 0) != n || PyArray_DIM(right, 0) != n
-            || PyArray_DIM(alive, 0) != n || h.capacity != n) {
-        PyErr_SetString(PyExc_ValueError,
-                        "neighbour and heap arrays must have one entry per "
-                        "point");
-        return NULL;
-    }
     if (size < 0 || size > n || removed < 0 || removed >= n || hops < 0
             || peek < 0) {
         PyErr_SetString(PyExc_ValueError, "reheap request out of range");
         return NULL;
     }
-    if (!stamp_array(key_version_o, NPY_INT64, n, "key_version", "int64",
-                     (void **)&key_version)
-            || !stamp_array(spec_version_o, NPY_INT64, n, "spec_version",
-                            "int64", (void **)&spec_version)
-            || !stamp_array(spec_deviation_o, NPY_FLOAT64, n,
-                            "spec_deviation", "float64",
-                            (void **)&spec_deviation)) {
-        return NULL;
+    if (hops > n) {
+        hops = n;
     }
-    if (peek > 0 && (spec_version == NULL || spec_deviation == NULL)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "speculative peeks need the spec stamp arrays");
-        return NULL;
-    }
-    left_p = (const npy_int64 *)PyArray_DATA(left);
-    right_p = (const npy_int64 *)PyArray_DATA(right);
-    alive_p = (const npy_bool *)PyArray_DATA(alive);
-
-    /* the request: candidates, then speculative items; then its gaps */
-    side = hops < n ? (npy_intp)hops : n;
     if (peek > size) {
         peek = size;
     }
-    capacity = 2 * side + (npy_intp)peek;
-    request = (npy_int64 *)malloc((size_t)(3 * capacity + 1)
-                                  * sizeof(npy_int64));
-    if (request == NULL) {
-        return PyErr_NoMemory();
-    }
-    lefts = request + capacity;
-    rights = lefts + capacity;
-
-    /* NeighborList.gap: the surviving anchors that bracket ``removed``
-     * (its own pointers once removed may reference removed points).  A
-     * pointer must move strictly outwards and stay within the sentinels:
-     * that bounds every walk and every read below. */
-    {
-        npy_int64 la = removed, ra = removed;
-        do {
-            const npy_int64 next = left_p[la];
-            if (next < -1 || next >= la) {
-                goto bad_pointers;
-            }
-            la = next;
-        } while (la >= 0 && !alive_p[la]);
-        do {
-            const npy_int64 next = right_p[ra];
-            if (next > n || next <= ra) {
-                goto bad_pointers;
-            }
-            ra = next;
-        } while (ra < n && !alive_p[ra]);
-
-        for (cursor = (npy_intp)la, steps = 0; cursor >= 0 && steps < side;
-                steps++) {
-            const npy_int64 next = left_p[cursor];
-            if (cursor > 0 && cursor < n - 1
-                    && h.slot_of[cursor] != HEAP_ABSENT) {
-                request[refreshed++] = cursor;
-            }
-            if (next < -1 || next >= cursor) {
-                goto bad_pointers;
-            }
-            cursor = (npy_intp)next;
-        }
-        for (cursor = (npy_intp)ra, steps = 0; cursor < n && steps < side;
-                steps++) {
-            const npy_int64 next = right_p[cursor];
-            if (cursor > 0 && cursor < n - 1
-                    && h.slot_of[cursor] != HEAP_ABSENT) {
-                request[refreshed++] = cursor;
-            }
-            if (next > n || next <= cursor) {
-                goto bad_pointers;
-            }
-            cursor = (npy_intp)next;
-        }
-    }
-    for (i = 0; i < refreshed; i++) {
-        const npy_int64 slot = h.slot_of[request[i]];
-        if (slot < 0 || slot >= size) {
-            PyErr_SetString(PyExc_ValueError, "heap slot map out of range");
-            goto done;
-        }
-    }
-    count = refreshed;
-    if (peek > 0) {
-        /* the peek's own outputs live in the not yet used gap arrays */
-        frontier_entry *frontier = (frontier_entry *)malloc(
-            (size_t)(2 * peek + 2) * sizeof(frontier_entry));
-        npy_int64 *peeked = lefts;
-        double *peeked_keys = (double *)rights;
-        npy_intp p;
-        if (frontier == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        heap_peek_many(h.keys, h.items, size, (npy_intp)peek, frontier,
-                       peeked, peeked_keys);
-        free(frontier);
-        for (p = 0; p < peek; p++) {
-            const npy_int64 item = peeked[p];
-            if (item < 0 || item >= n) {
-                PyErr_SetString(PyExc_ValueError, "heap item out of range");
-                goto done;
-            }
-            for (i = 0; i < refreshed && request[i] != item; i++) {
-            }
-            if (i == refreshed) {
-                request[count++] = item;
-            }
-        }
-    }
-    if (count == 0) {
-        result = PyLong_FromLong(0);
+    request = alloc_request(&rq, (npy_intp)hops, (npy_intp)peek);
+    if (request == NULL || rq.frontier == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < count; i++) {
-        lefts[i] = left_p[request[i]];
-        rights[i] = right_p[request[i]];
-    }
-    if (!scan_gaps(n, lefts, rights, count, &total, &max_len)) {
-        goto done;
-    }
-    if (over_one_block(total, max_len, (npy_intp)cell_budget)) {
+    status = reheap_gather(&nb, &h, size, (npy_intp)removed, (npy_intp)hops,
+                           (npy_intp)peek, (npy_intp)cell_budget, &rq);
+    if (status == REHEAP_OVER_BLOCK) {
         result = Py_None;
         Py_INCREF(result);
         goto done;
     }
-
-    rebuild = refreshed > 0 && refreshed * HEAP_REBUILD_FRACTION >= size;
-    impacts = (double *)malloc((size_t)count * sizeof(double));
-    gap_scratch = alloc_gap_scratch(max_len, ctx.num_lags);
-    if (rebuild) {
-        sort_scratch = (sort_entry *)malloc(
-            (size_t)size * (2 * sizeof(sort_entry) + sizeof(npy_int64)));
+    if (status != REHEAP_OK) {
+        raise_reheap_error(status);
+        goto done;
     }
-    if (impacts == NULL || gap_scratch == NULL
-            || (rebuild && sort_scratch == NULL)) {
+    if (rq.count > 0) {
+        impacts = (double *)malloc((size_t)rq.count * sizeof(double));
+        gap_scratch = alloc_gap_scratch(rq.max_len, ctx.num_lags);
+        if (reheap_rebuilds(rq.refreshed, size)) {
+            sort_scratch = (sort_entry *)malloc(sort_scratch_bytes(size));
+        }
+        if (impacts == NULL || gap_scratch == NULL
+                || (reheap_rebuilds(rq.refreshed, size)
+                    && sort_scratch == NULL)) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        Py_BEGIN_ALLOW_THREADS
+        reheap_commit(&ctx, &h, size, &stamps, (npy_int64)state_version, &rq,
+                      impacts, gap_scratch, sort_scratch);
+        Py_END_ALLOW_THREADS
+    }
+    result = PyLong_FromSsize_t((Py_ssize_t)rq.refreshed);
+
+done:
+    free(request);
+    free(rq.frontier);
+    free(impacts);
+    free(gap_scratch);
+    free(sort_scratch);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* the greedy loop: pop, decide, apply, remove, ReHeap                 */
+/* ------------------------------------------------------------------ */
+
+/* ``repro._kernels.lagdot.lagged_dot_deltas``: the change of ``sxxl`` at lags
+ * ``1..num_lags`` when ``current[start .. start+m)`` moves by ``d``.  Per
+ * lag three sums over the changed positions, each accumulated left to
+ * right from 0.0 — head ``d_k * x[start+k+lag]``, tail
+ * ``d_k * x[start+k-lag]``, cross ``d_k * d_{k+lag}`` — with a partner
+ * outside the series (or the range) as a 0.0 factor, combined as
+ * ``(head + tail) + cross``. */
+/* How many of a range's ``m`` positions a boundary leaves on one side. */
+static npy_intp
+clip_count(npy_intp count, npy_intp m)
+{
+    return count < 0 ? 0 : count > m ? m : count;
+}
+
+static void
+lagged_dot_deltas(const double *current, npy_intp n, npy_intp num_lags,
+                  npy_intp start, const double *d, npy_intp m, double *out)
+{
+    npy_intp j, k;
+
+    for (j = 0; j < num_lags; j++) {
+        const npy_intp lag = j + 1;
+        const npy_intp head_count = clip_count(n - lag - start, m);
+        const npy_intp tail_start = clip_count(lag - start, m);
+        const npy_intp cross_count = clip_count(m - lag, m);
+        double head = 0.0, tail = 0.0, cross = 0.0;
+
+        for (k = 0; k < head_count; k++) {
+            head += d[k] * current[start + k + lag];
+        }
+        for (; k < m; k++) {
+            head += d[k] * 0.0;
+        }
+        for (k = 0; k < tail_start; k++) {
+            tail += d[k] * 0.0;
+        }
+        for (; k < m; k++) {
+            tail += d[k] * current[start + k - lag];
+        }
+        for (k = 0; k < cross_count; k++) {
+            cross += d[k] * d[k + lag];
+        }
+        for (; k < m; k++) {
+            cross += d[k] * 0.0;
+        }
+        out[j] = (head + tail) + cross;
+    }
+}
+
+/* Work buffers of one pop: the gap's deltas, their energies and the two
+ * prefix sums (``capacity`` changed positions, grown on demand), and per
+ * lag the five aggregate deltas, the previewed aggregates and an ACF row. */
+typedef struct {
+    double *gap_block, *lag_block;
+    npy_intp capacity;
+    double *d, *energy, *prefix_d, *prefix_e;
+    double *d_sx, *d_sxl, *d_sx2, *d_sx2l, *d_sxxl;
+    double *p_sx, *p_sxl, *p_sx2, *p_sx2l, *p_sxxl, *row;
+} pop_scratch;
+
+static int
+pop_scratch_init(pop_scratch *ps, npy_intp num_lags)
+{
+    double *block = (double *)malloc((size_t)(11 * num_lags)
+                                     * sizeof(double));
+    memset(ps, 0, sizeof(*ps));
+    if (block == NULL) {
+        return 0;
+    }
+    ps->lag_block = block;
+    ps->d_sx = block;
+    ps->d_sxl = block + num_lags;
+    ps->d_sx2 = block + 2 * num_lags;
+    ps->d_sx2l = block + 3 * num_lags;
+    ps->d_sxxl = block + 4 * num_lags;
+    ps->p_sx = block + 5 * num_lags;
+    ps->p_sxl = block + 6 * num_lags;
+    ps->p_sx2 = block + 7 * num_lags;
+    ps->p_sx2l = block + 8 * num_lags;
+    ps->p_sxxl = block + 9 * num_lags;
+    ps->row = block + 10 * num_lags;
+    return 1;
+}
+
+static int
+pop_scratch_reserve(pop_scratch *ps, npy_intp m)
+{
+    if (m > ps->capacity) {
+        const npy_intp capacity = m > 2 * ps->capacity ? m : 2 * ps->capacity;
+        double *block = (double *)realloc(
+            ps->gap_block, (size_t)(4 * capacity + 2) * sizeof(double));
+        if (block == NULL) {
+            return 0;
+        }
+        ps->gap_block = block;
+        ps->capacity = capacity;
+        ps->d = block;
+        ps->energy = block + capacity;
+        ps->prefix_d = ps->energy + capacity;
+        ps->prefix_e = ps->prefix_d + capacity + 1;
+    }
+    return 1;
+}
+
+/* ``ACFAggregateState._contiguous_delta_sums`` for the gap whose deltas
+ * sit in ``ps->d``: sequential prefix sums of the deltas and energies,
+ * read at each lag's clipped head count / tail start, and the lag sums. */
+static void
+delta_sums(const reheap_ctx *c, npy_intp start, npy_intp m, pop_scratch *ps)
+{
+    npy_intp t, j;
+
+    for (t = 0; t < m; t++) {
+        const double old = c->current[start + t];
+        ps->energy[t] = ps->d[t] * (2.0 * old + ps->d[t]);
+    }
+    ps->prefix_d[0] = 0.0;
+    ps->prefix_e[0] = 0.0;
+    ps->prefix_d[1] = ps->d[0];
+    ps->prefix_e[1] = ps->energy[0];
+    for (t = 1; t < m; t++) {
+        ps->prefix_d[t + 1] = ps->prefix_d[t] + ps->d[t];
+        ps->prefix_e[t + 1] = ps->prefix_e[t] + ps->energy[t];
+    }
+    for (j = 0; j < c->num_lags; j++) {
+        const npy_intp lag = j + 1;
+        const npy_intp head_count = clip_count(c->n - start - lag, m);
+        const npy_intp tail_start = clip_count(lag - start, m);
+        ps->d_sx[j] = ps->prefix_d[head_count];
+        ps->d_sx2[j] = ps->prefix_e[head_count];
+        ps->d_sxl[j] = ps->prefix_d[m] - ps->prefix_d[tail_start];
+        ps->d_sx2l[j] = ps->prefix_e[m] - ps->prefix_e[tail_start];
+    }
+    lagged_dot_deltas(c->current, c->n, c->num_lags, start, ps->d, m,
+                      ps->d_sxxl);
+}
+
+/* Why ``run_loop`` came back: a stop (``CompressionStats.stopped_by``),
+ * or a yield — the top candidate's ReHeap may not fit one block, nothing
+ * of that iteration is done, and the caller runs it. */
+static const char *const loop_reasons[] = {
+    "heap-exhausted", "error-bound", "min-keep", "target-ratio", NULL};
+enum { LOOP_EXHAUSTED, LOOP_ERROR_BOUND, LOOP_MIN_KEEP, LOOP_TARGET_RATIO,
+       LOOP_YIELD, LOOP_NO_MEMORY, LOOP_BROKEN };
+
+/* Everything a run_loop call can get wrong about the neighbour list and
+ * the heap, checked in one pass before the first write: live points are
+ * doubly linked in increasing order between the two (live) endpoints,
+ * every heap slot holds a distinct live interior point, and the slot map
+ * agrees.  The loop keeps these true itself, so nothing inside it can
+ * fail.  Returns the longest run of removed points, or -1. */
+static npy_intp
+validate_run(const neighbours_t *nb, const heap_t *h, npy_intp size)
+{
+    const npy_intp n = nb->n;
+    npy_intp i, previous = -1, longest = 0, in_heap = 0;
+
+    if (n < 2 || !nb->alive[0] || !nb->alive[n - 1]) {
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        const npy_int64 slot = h->slot_of[i];
+        if (slot != HEAP_ABSENT) {
+            if (slot < 0 || slot >= size || h->items[slot] != i
+                    || !nb->alive[i] || i == 0 || i == n - 1) {
+                return -1;
+            }
+            in_heap++;
+        }
+        if (!nb->alive[i]) {
+            continue;
+        }
+        if (nb->left[i] != previous) {
+            return -1;
+        }
+        if (previous >= 0 && nb->right[previous] != i) {
+            return -1;
+        }
+        if (i - previous - 1 > longest) {
+            longest = i - previous - 1;
+        }
+        previous = i;
+    }
+    if (nb->right[n - 1] != n || in_heap != size) {
+        return -1;
+    }
+    return longest;
+}
+
+/* run_loop(current, counts, sx, sxl, sx2, sx2l, sxxl, reference, metric,
+ *          cell_budget, left, right, alive, keys, items, slot_of, size,
+ *          hops, peek, state_version, key_version, spec_version,
+ *          spec_deviation, epsilon, kept, removed, max_removable,
+ *          target_kept, achieved_deviation)
+ *     -> (reason, size, accepted, pops, reheap_updates, fresh_key_hits,
+ *         speculative_hits, scalar_previews, achieved_deviation)
+ *
+ * ``CameoCompressor``'s greedy loop (``on_violation="stop"``, one pop per
+ * iteration) on the caller's arrays, the GIL released throughout.  Per
+ * iteration: take the heap's top candidate, re-interpolate its gap
+ * (``gap_deltas``), take its deviation from its heap key when that is
+ * fresh, else from the speculative cache, else preview it
+ * (``preview_acf_contiguous`` + the metric), pop it, stop at ``epsilon``;
+ * otherwise apply the change to the aggregates and the series
+ * (``apply_contiguous``), unlink the point, bump the state version, stop
+ * at ``max_removable`` / ``target_kept``, and run the ReHeap step above.
+ *
+ * ``reason`` is the ``stopped_by`` string of a finished run, or ``None``
+ * for a yield: the top candidate's ReHeap request may exceed one block
+ * (judged before the pop, from an upper bound on its size), that
+ * iteration has not begun, and the caller runs it before calling again.
+ * ``epsilon`` is a float or ``None``, ``target_kept`` negative for none;
+ * the counters are those of this call.  Every check that can raise runs
+ * before the first write. */
+static PyObject *
+py_run_loop(PyObject *self, PyObject *args)
+{
+    PyArrayObject *current, *counts, *sx, *sxl, *sx2, *sx2l, *sxxl;
+    PyArrayObject *reference, *left, *right, *alive, *keys, *items, *slot_of;
+    PyArrayObject *written[12];
+    PyObject *key_version_o, *spec_version_o, *spec_deviation_o, *epsilon_o;
+    const char *metric_name;
+    Py_ssize_t cell_budget, size_arg, hops, peek, kept, removed;
+    Py_ssize_t max_removable, target_kept;
+    long long state_version;
+    double achieved, epsilon = 0.0;
+    int has_epsilon, reason = LOOP_EXHAUSTED;
+    reheap_ctx ctx;
+    neighbours_t nb;
+    heap_t h;
+    stamps_t stamps;
+    reheap_request rq;
+    pop_scratch ps;
+    npy_int64 *request = NULL;
+    double *impacts = NULL, *gap_scratch = NULL;
+    double *sums[5];
+    sort_entry *sort_scratch = NULL;
+    npy_intp n, size, side, longest, gap_capacity = 0, num_lags, i;
+    npy_intp accepted = 0, pops = 0, reheap_updates = 0;
+    npy_intp fresh_hits = 0, spec_hits = 0, previews = 0;
+    int nthreads = 1;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!snO!O!O!O!O!O!nnnLOOOOnnnnd",
+                          &PyArray_Type, &current, &PyArray_Type, &counts,
+                          &PyArray_Type, &sx, &PyArray_Type, &sxl,
+                          &PyArray_Type, &sx2, &PyArray_Type, &sx2l,
+                          &PyArray_Type, &sxxl, &PyArray_Type, &reference,
+                          &metric_name, &cell_budget,
+                          &PyArray_Type, &left, &PyArray_Type, &right,
+                          &PyArray_Type, &alive,
+                          &PyArray_Type, &keys, &PyArray_Type, &items,
+                          &PyArray_Type, &slot_of, &size_arg,
+                          &hops, &peek, &state_version,
+                          &key_version_o, &spec_version_o,
+                          &spec_deviation_o, &epsilon_o, &kept, &removed,
+                          &max_removable, &target_kept, &achieved)) {
+        return NULL;
+    }
+    if (!ctx_from_objects(current, counts, sx, sxl, sx2, sx2l, sxxl,
+                          reference, metric_name, &ctx)
+            || !step_arrays_from_objects(ctx.n, left, right, alive, keys,
+                                         items, slot_of, key_version_o,
+                                         spec_version_o, spec_deviation_o,
+                                         peek, &nb, &h, &stamps)) {
+        return NULL;
+    }
+    has_epsilon = epsilon_o != Py_None;
+    if (has_epsilon) {
+        epsilon = PyFloat_AsDouble(epsilon_o);
+        if (epsilon == -1.0 && PyErr_Occurred()) {
+            return NULL;
+        }
+    }
+    n = ctx.n;
+    num_lags = ctx.num_lags;
+    size = (npy_intp)size_arg;
+    if (size < 0 || size > n || hops < 0 || peek < 0 || kept < 0
+            || removed < 0 || max_removable < 0 || cell_budget < 0
+            || (stamps.key_version == NULL) != (stamps.spec_version == NULL)
+            || (stamps.key_version == NULL)
+                != (stamps.spec_deviation == NULL)) {
+        PyErr_SetString(PyExc_ValueError, "run_loop request out of range");
+        return NULL;
+    }
+    written[0] = current; written[1] = sx; written[2] = sxl;
+    written[3] = sx2; written[4] = sx2l; written[5] = sxxl;
+    written[6] = left; written[7] = right; written[8] = alive;
+    written[9] = keys; written[10] = items; written[11] = slot_of;
+    for (i = 0; i < 12; i++) {
+        if (!PyArray_ISWRITEABLE(written[i])) {
+            PyErr_SetString(PyExc_ValueError,
+                            "run_loop updates its arrays in place: they "
+                            "must be writeable");
+            return NULL;
+        }
+    }
+    if (stamps.key_version != NULL
+            && !(PyArray_ISWRITEABLE((PyArrayObject *)key_version_o)
+                 && PyArray_ISWRITEABLE((PyArrayObject *)spec_version_o)
+                 && PyArray_ISWRITEABLE((PyArrayObject *)spec_deviation_o))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "run_loop stamps its arrays in place: they must be "
+                        "writeable");
+        return NULL;
+    }
+    longest = validate_run(&nb, &h, size);
+    if (longest < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "neighbour list and heap are not consistent");
+        return NULL;
+    }
+    /* the state update writes through the context's read-only views */
+    sums[0] = (double *)ctx.sx;
+    sums[1] = (double *)ctx.sxl;
+    sums[2] = (double *)ctx.sx2;
+    sums[3] = (double *)ctx.sx2l;
+    sums[4] = (double *)ctx.sxxl;
+
+    side = hops < n ? (npy_intp)hops : n;
+    if (peek > size) {
+        peek = size;
+    }
+#ifdef _OPENMP
+    nthreads = omp_get_max_threads();
+#endif
+    request = alloc_request(&rq, side, (npy_intp)peek);
+    impacts = (double *)malloc((size_t)(2 * side + peek + 1)
+                               * sizeof(double));
+    sort_scratch = (sort_entry *)malloc(sort_scratch_bytes(size) + 1);
+    if (!pop_scratch_init(&ps, num_lags) || request == NULL
+            || rq.frontier == NULL || impacts == NULL
+            || sort_scratch == NULL) {
         PyErr_NoMemory();
         goto done;
     }
 
     Py_BEGIN_ALLOW_THREADS
-    evaluate_gaps(&ctx, lefts, rights, count, total, max_len, gap_scratch,
-                  impacts);
-    if (rebuild) {
-        for (i = 0; i < refreshed; i++) {
-            h.keys[h.slot_of[request[i]]] = impacts[i];
+    while (size > 0) {
+        const npy_intp candidate = (npy_intp)h.items[0];
+        const double key = h.keys[0];
+        const npy_intp lc = (npy_intp)nb.left[candidate];
+        const npy_intp rc = (npy_intp)nb.right[candidate];
+        const npy_intp m = rc - lc - 1;
+        const npy_intp peeked = peek < size - 1 ? (npy_intp)peek : size - 1;
+        npy_intp gap_total = 0, gap_longest = 0, cursor, steps, t, j;
+        double deviation;
+        int have_sums = 0, status;
+
+        /* An upper bound on the ReHeap request this removal would make:
+         * the blocking neighbourhood's gaps as they will be once
+         * ``candidate`` is unlinked, plus — the peek cannot be known
+         * before the pop — ``peeked`` gaps of the longest shape any point
+         * can have, two longest runs and the point between them. */
+        if (m > longest) {
+            longest = m;
         }
-        heap_rebuild(&h, size, sort_scratch);
-    }
-    else {
-        heap_update_present(&h, size, request, impacts, refreshed);
-    }
-    if (key_version != NULL) {
-        for (i = 0; i < refreshed; i++) {
-            key_version[request[i]] = (npy_int64)state_version;
+        for (cursor = lc, steps = 0; cursor >= 0 && steps < side; steps++) {
+            if (cursor > 0) {
+                const npy_intp len =
+                    (cursor == lc ? rc : (npy_intp)nb.right[cursor])
+                    - (npy_intp)nb.left[cursor] - 1;
+                gap_total += len;
+                gap_longest = len > gap_longest ? len : gap_longest;
+            }
+            cursor = (npy_intp)nb.left[cursor];
         }
-    }
-    for (i = refreshed; i < count; i++) {
-        spec_deviation[request[i]] = impacts[i];
-        spec_version[request[i]] = (npy_int64)state_version;
+        for (cursor = rc, steps = 0; cursor < n && steps < side; steps++) {
+            if (cursor < n - 1) {
+                const npy_intp len = (npy_intp)nb.right[cursor]
+                    - (cursor == rc ? lc : (npy_intp)nb.left[cursor]) - 1;
+                gap_total += len;
+                gap_longest = len > gap_longest ? len : gap_longest;
+            }
+            cursor = (npy_intp)nb.right[cursor];
+        }
+        if (peeked > 0) {
+            gap_total += peeked * (2 * longest + 1);
+            gap_longest = 2 * longest + 1 > gap_longest ? 2 * longest + 1
+                                                        : gap_longest;
+        }
+        if (gap_total > (npy_intp)cell_budget) {
+            reason = LOOP_YIELD;
+            break;
+        }
+        if (gap_longest > gap_capacity) {
+            free(gap_scratch);
+            gap_capacity = gap_longest > 2 * gap_capacity ? gap_longest
+                                                          : 2 * gap_capacity;
+            gap_scratch = (double *)malloc(
+                (size_t)nthreads * (size_t)(3 * gap_capacity + num_lags)
+                * sizeof(double));
+            if (gap_scratch == NULL) {
+                reason = LOOP_NO_MEMORY;
+                break;
+            }
+        }
+        if (!pop_scratch_reserve(&ps, m)) {
+            reason = LOOP_NO_MEMORY;
+            break;
+        }
+
+        fill_gap_deltas(ctx.current, lc, rc, ps.d);
+        if (stamps.key_version != NULL
+                && stamps.key_version[candidate] == state_version) {
+            /* the key was computed against this very state */
+            deviation = key;
+            fresh_hits++;
+        }
+        else if (stamps.spec_version != NULL
+                 && stamps.spec_version[candidate] == state_version) {
+            deviation = stamps.spec_deviation[candidate];
+            spec_hits++;
+        }
+        else {
+            delta_sums(&ctx, lc + 1, m, &ps);
+            have_sums = 1;
+            for (j = 0; j < num_lags; j++) {
+                ps.p_sx[j] = ctx.sx[j] + ps.d_sx[j];
+                ps.p_sxl[j] = ctx.sxl[j] + ps.d_sxl[j];
+                ps.p_sx2[j] = ctx.sx2[j] + ps.d_sx2[j];
+                ps.p_sx2l[j] = ctx.sx2l[j] + ps.d_sx2l[j];
+                ps.p_sxxl[j] = ctx.sxxl[j] + ps.d_sxxl[j];
+            }
+            sums_row(ctx.counts, ps.p_sx, ps.p_sxl, ps.p_sx2, ps.p_sx2l,
+                     ps.p_sxxl, num_lags, ps.row);
+            deviation = row_deviation(ctx.metric, ctx.reference, num_lags,
+                                      ps.row);
+            previews++;
+        }
+
+        size = heap_remove_slot(&h, size, 0);
+        pops++;
+        if (has_epsilon && deviation >= epsilon) {
+            reason = LOOP_ERROR_BOUND;
+            break;
+        }
+
+        /* apply_contiguous, NeighborList.remove */
+        if (!have_sums) {
+            delta_sums(&ctx, lc + 1, m, &ps);
+        }
+        for (j = 0; j < num_lags; j++) {
+            sums[0][j] += ps.d_sx[j];
+            sums[1][j] += ps.d_sxl[j];
+            sums[2][j] += ps.d_sx2[j];
+            sums[3][j] += ps.d_sx2l[j];
+            sums[4][j] += ps.d_sxxl[j];
+        }
+        for (t = 0; t < m; t++) {
+            ((double *)ctx.current)[lc + 1 + t] += ps.d[t];
+        }
+        nb.right[lc] = rc;
+        nb.left[rc] = lc;
+        nb.alive[candidate] = 0;
+        kept--;
+        removed++;
+        accepted++;
+        achieved = deviation;
+        if (stamps.key_version != NULL) {
+            /* every outstanding speculative preview is now stale */
+            state_version++;
+        }
+        if (removed >= max_removable) {
+            reason = LOOP_MIN_KEEP;
+            break;
+        }
+        if (target_kept >= 0 && kept <= target_kept) {
+            reason = LOOP_TARGET_RATIO;
+            break;
+        }
+
+        status = reheap_gather(&nb, &h, size, candidate, side, peeked,
+                               (npy_intp)cell_budget, &rq);
+        if (status != REHEAP_OK) {
+            reason = LOOP_BROKEN;
+            break;
+        }
+        reheap_commit(&ctx, &h, size, &stamps, (npy_int64)state_version, &rq,
+                      impacts, gap_scratch, sort_scratch);
+        reheap_updates += rq.refreshed;
     }
     Py_END_ALLOW_THREADS
-    result = PyLong_FromSsize_t((Py_ssize_t)refreshed);
-    goto done;
 
-bad_pointers:
-    PyErr_SetString(PyExc_ValueError, "neighbour pointers out of order");
+    if (reason == LOOP_NO_MEMORY) {
+        PyErr_NoMemory();
+    }
+    else if (reason == LOOP_BROKEN) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "run_loop: a validated ReHeap request failed");
+    }
+    else {
+        result = Py_BuildValue("znnnnnnnd", loop_reasons[reason],
+                               (Py_ssize_t)size, (Py_ssize_t)accepted,
+                               (Py_ssize_t)pops, (Py_ssize_t)reheap_updates,
+                               (Py_ssize_t)fresh_hits, (Py_ssize_t)spec_hits,
+                               (Py_ssize_t)previews, achieved);
+    }
+
 done:
     free(request);
+    free(rq.frontier);
     free(impacts);
     free(gap_scratch);
     free(sort_scratch);
+    free(ps.lag_block);
+    free(ps.gap_block);
     return result;
 }
 
@@ -1689,6 +2333,43 @@ py_stable_order_check(PyObject *self, PyObject *args)
     return out;
 }
 
+/* The lag sums of one contiguous change under this module's model, for
+ * the loader's cross-check against ``ACFAggregateState``'s NumPy
+ * expression. */
+static PyObject *
+py_lagdot_check(PyObject *self, PyObject *args)
+{
+    PyArrayObject *current, *deltas;
+    Py_ssize_t max_lag, start;
+    npy_intp n, m;
+    npy_intp dims[1];
+    PyObject *out;
+
+    if (!PyArg_ParseTuple(args, "O!nnO!", &PyArray_Type, &current, &max_lag,
+                          &start, &PyArray_Type, &deltas)) {
+        return NULL;
+    }
+    if (!CHECK_F64(current, "current") || !CHECK_F64(deltas, "deltas")) {
+        return NULL;
+    }
+    n = PyArray_DIM(current, 0);
+    m = PyArray_DIM(deltas, 0);
+    if (max_lag < 1 || start < 0 || m < 1 || start + m > n) {
+        PyErr_SetString(PyExc_ValueError, "contiguous range out of bounds");
+        return NULL;
+    }
+    dims[0] = max_lag;
+    out = PyArray_SimpleNew(1, dims, NPY_FLOAT64);
+    if (out == NULL) {
+        return NULL;
+    }
+    lagged_dot_deltas((const double *)PyArray_DATA(current), n,
+                      (npy_intp)max_lag, (npy_intp)start,
+                      (const double *)PyArray_DATA(deltas), m,
+                      (double *)PyArray_DATA((PyArrayObject *)out));
+    return out;
+}
+
 /* ``a*b - a*b`` in the shape the ACF numerator uses.  Exactly 0.0 unless
  * the compiler contracted one of the products into an FMA. */
 static PyObject *
@@ -1776,6 +2457,8 @@ static PyMethodDef nativecore_methods[] = {
      "Fused ReHeap kernel: gaps in, impacts out (None when over budget)."},
     {"reheap", py_reheap, METH_VARARGS,
      "The whole ReHeap step: removed index in, heap re-keyed in place."},
+    {"run_loop", py_run_loop, METH_VARARGS,
+     "The greedy loop on the caller's arrays, until a stop or a yield."},
     {"gap_deltas", py_gap_deltas, METH_VARARGS,
      "Linear re-interpolation deltas for positions inside (left, right)."},
     {"heap_heapify", py_heap_heapify, METH_VARARGS,
@@ -1802,6 +2485,8 @@ static PyMethodDef nativecore_methods[] = {
      "Per-row deviations under the module's ResolvedMetric.rowwise model."},
     {"stable_order_check", py_stable_order_check, METH_VARARGS,
      "Slot order under the module's np.argsort(kind='stable') model."},
+    {"lagdot_check", py_lagdot_check, METH_VARARGS,
+     "Lag sums of one contiguous change under the module's model."},
     {"fma_probe", py_fma_probe, METH_VARARGS,
      "a*b - a*b; non-zero iff the build contracted to FMA."},
     {"build_info", py_build_info, METH_NOARGS,

@@ -31,6 +31,7 @@ __all__ = [
     "reference_chimp_decode",
     "reference_pacf_from_acf",
     "reference_batched_contiguous_acf",
+    "reference_lagged_dot_deltas",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -533,6 +534,38 @@ class ReferenceIndexedMinHeap:
 
 # --------------------------------------------------------------------- #
 # reference fused ReHeap kernel (the pre-speculative-batch implementation)
+def reference_lagged_dot_deltas(current, max_lag: int, start: int, deltas
+                                ) -> np.ndarray:
+    """Scalar twin of :func:`repro._kernels.lagdot.lagged_dot_deltas`.
+
+    The change of ``sxxl`` at lags ``1..max_lag`` when the contiguous range
+    of ``current`` beginning at ``start`` moves by ``deltas``: per lag the
+    head, tail and cross sums, each accumulated left to right from ``0.0``,
+    with a partner outside the series (or the range) as a ``0.0`` factor, combined as ``(head + tail) + cross``.  Plain Python
+    floats, one operation at a time — the order the NumPy expression and
+    the compiled tier must reproduce bit for bit.
+    """
+    current = [float(value) for value in current]
+    deltas = [float(value) for value in deltas]
+    n, m = len(current), len(deltas)
+
+    def value_at(index: int) -> float:
+        return current[index] if 0 <= index < n else 0.0
+
+    def delta_at(index: int) -> float:
+        return deltas[index] if index < m else 0.0
+
+    out = np.empty(max_lag, dtype=np.float64)
+    for lag in range(1, max_lag + 1):
+        head = tail = cross = 0.0
+        for k in range(m):
+            head = head + deltas[k] * value_at(start + k + lag)
+            tail = tail + deltas[k] * value_at(start + k - lag)
+            cross = cross + deltas[k] * delta_at(k + lag)
+        out[lag - 1] = (head + tail) + cross
+    return out
+
+
 # --------------------------------------------------------------------- #
 #: Upper bound on ``total_positions * max_lag`` per vectorized block in
 #: :func:`reference_batched_contiguous_acf` (the original budget).

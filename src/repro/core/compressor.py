@@ -15,6 +15,10 @@ The implementation follows the paper's structure:
   neighbourhood (Section 4.3)         →  :meth:`CameoCompressor._reheap_neighbours`
   (one compiled call, ``native.reheap``, where the native tier serves the
   configuration; the NumPy-level chain everywhere else)
+* the greedy loop itself              →  :meth:`CameoCompressor._step`, one
+  iteration per call — or, where the native tier serves the configuration
+  and ``on_violation="stop"``, the whole loop as one GIL-free compiled call
+  (``native.run_loop``) that hands back single iterations it cannot take
 
 Speculative multi-pop previews (``batch_size`` > 1, the default)
 ----------------------------------------------------------------
@@ -54,8 +58,12 @@ from ..exceptions import InvalidParameterError
 from ..stats.descriptors import Statistic
 from .blocking import resolve_blocking_hops
 from .custom import GenericStatisticTracker
-from .heap import IndexedMinHeap, make_heap
-from .impact import resolve_rowwise_metric, segment_interpolation_deltas
+from .heap import NativeIndexedMinHeap, make_heap
+from .impact import (
+    native_run_loop,
+    resolve_rowwise_metric,
+    segment_interpolation_deltas,
+)
 from .neighbors import NeighborList
 from .tracker import StatisticTracker
 
@@ -94,6 +102,107 @@ class CompressionStats:
             "reheap_updates": self.reheap_updates,
             **self.extra,
         }
+
+
+class GreedyRun:
+    """Everything one ``compress`` call reads and mutates while it runs.
+
+    A run owns its tracker, neighbour list and heap, the speculation stamps
+    (``state_version`` counts accepted removals; ``key_version[i]`` /
+    ``spec_version[i]`` say against which state point ``i``'s heap key /
+    cached speculative deviation was computed) and the loop's counters.
+    Nothing of it lives on the compressor, so one compressor — or the codec
+    wrapping one — can serve several threads at once.
+    """
+
+    __slots__ = (
+        "tracker", "neighbours", "heap", "metric", "hops", "batch_size",
+        "speculate", "spec_peek", "drain", "state_version", "key_version",
+        "spec_version", "spec_deviation", "member_scratch", "kept",
+        "max_removable", "target_kept", "iterations", "removed_points",
+        "reheap_updates", "achieved_deviation", "fresh_hits", "spec_hits",
+        "preview_evals", "stopped_by",
+    )
+
+    def __init__(self, tracker, neighbours: NeighborList, heap, metric,
+                 hops: int, batch_size: int):
+        n = neighbours.n
+        self.tracker = tracker
+        self.neighbours = neighbours
+        self.heap = heap
+        self.metric = metric
+        self.hops = hops
+        self.batch_size = batch_size
+        self.speculate = batch_size > 1
+        self.state_version = 0
+        if self.speculate:
+            # Initial impacts are exact deviations against the initial state:
+            # every heapified key starts out fresh at version 0.
+            self.key_version = np.zeros(n, dtype=np.int64)
+            self.spec_version = np.full(n, -1, dtype=np.int64)
+            self.spec_deviation = np.empty(n, dtype=np.float64)
+            self.member_scratch = np.zeros(n, dtype=bool)
+            # Peeked speculative previews ride the vectorized ReHeap kernel;
+            # the generic tracker previews segments one by one, so peeking
+            # would cost more scalar previews than it saves.
+            self.spec_peek = (batch_size - 1
+                              if isinstance(tracker, StatisticTracker) else 0)
+        else:
+            self.key_version = self.spec_version = None
+            self.spec_deviation = self.member_scratch = None
+            self.spec_peek = 0
+        self.drain = False
+        self.kept = n
+        self.max_removable = n - 2
+        self.target_kept = None
+        self.iterations = self.removed_points = self.reheap_updates = 0
+        self.achieved_deviation = 0.0
+        self.fresh_hits = self.spec_hits = self.preview_evals = 0
+        #: ``None`` while the loop runs; the reason it ended afterwards.
+        self.stopped_by = None
+
+    def advance_native(self, epsilon: float | None) -> bool:
+        """Run the greedy loop in ``native.run_loop`` from where it stands.
+
+        Returns ``True`` when the compression is over (``stopped_by`` says
+        why), ``False`` when the compiled loop handed the next iteration
+        back: nothing of that iteration has happened yet.
+        """
+        tracker = self.tracker
+        (reason, _size, accepted, pops, reheap_updates, fresh_hits, spec_hits,
+         preview_evals, self.achieved_deviation) = native_run_loop(
+            tracker.state, tracker.reference, self.metric, self.neighbours,
+            self.heap, self.hops, self.spec_peek, self.state_version,
+            self.key_version, self.spec_version, self.spec_deviation, epsilon,
+            self.kept, self.removed_points, self.max_removable,
+            self.target_kept, self.achieved_deviation)
+        self.kept -= accepted
+        self.removed_points += accepted
+        if self.speculate:
+            self.state_version += accepted
+        self.iterations += pops
+        self.reheap_updates += reheap_updates
+        self.fresh_hits += fresh_hits
+        self.spec_hits += spec_hits
+        self.preview_evals += preview_evals
+        self.stopped_by = reason
+        return reason is not None
+
+    def stats(self) -> CompressionStats:
+        """The finished run's :class:`CompressionStats`."""
+        stats = CompressionStats(
+            iterations=self.iterations, removed_points=self.removed_points,
+            kept_points=self.kept, achieved_deviation=self.achieved_deviation,
+            stopped_by=self.stopped_by or "heap-exhausted",
+            reheap_updates=self.reheap_updates)
+        if self.speculate:
+            stats.extra["preview_reuse"] = {
+                "fresh_key_hits": self.fresh_hits,
+                "speculative_hits": self.spec_hits,
+                "scalar_previews": self.preview_evals,
+            }
+        stats.extra["batch_size"] = self.batch_size
+        return stats
 
 
 class CameoCompressor:
@@ -190,13 +299,6 @@ class CameoCompressor:
             if batch_size < 1:
                 raise InvalidParameterError("batch_size must be >= 1 or 'auto'")
         self.batch_size = batch_size
-        # Speculation state; populated per run by _run().
-        self._spec_enabled = False
-        self._spec_peek = 0
-        self._state_version = 0
-        self._key_version: np.ndarray | None = None
-        self._spec_version: np.ndarray | None = None
-        self._spec_deviation: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -235,9 +337,11 @@ class CameoCompressor:
             scale = (self.blocking_window_scale if self.blocking_window_scale is not None
                      else min(self.agg_window, 2))
             hops *= int(scale)
-        stats = self._run(values, tracker, hops)
+        run = self._run(values, tracker, hops)
+        stats = run.stats()
         stats.elapsed_seconds = time.perf_counter() - start_time
-        return self._build_result(values, self._alive_mask, name, stats, tracker)
+        return self._build_result(values, run.neighbours.alive_mask(), name,
+                                  stats, tracker)
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -248,165 +352,140 @@ class CameoCompressor:
         return int(self.batch_size)
 
     def _run(self, values: np.ndarray, tracker: StatisticTracker, hops: int
-             ) -> CompressionStats:
+             ) -> GreedyRun:
         n = values.size
-        neighbours = NeighborList(n)
-        # make_heap resolves the kernel tier: the native heap when the
-        # compiled tier is active, the hybrid list heap otherwise.  Both
-        # evolve identical slot layouts, so pop order cannot change.
-        heap = make_heap(n)
         # Resolve the deviation metric once per run; every inner-loop call
         # takes the pre-resolved object instead of re-dispatching on the name.
         metric = resolve_rowwise_metric(self.metric)
+        # make_heap resolves the kernel tier: the native heap when the
+        # compiled tier is active, the hybrid list heap otherwise.  Both
+        # evolve identical slot layouts, so pop order cannot change.
+        run = GreedyRun(tracker, NeighborList(n), make_heap(n), metric, hops,
+                        self._resolve_batch_size())
         positions, impacts = tracker.initial_impacts(metric)
-        heap.heapify(positions, impacts)
-
-        batch_size = self._resolve_batch_size()
-        speculate = self._spec_enabled = batch_size > 1
-        if speculate:
-            # Initial impacts are exact deviations against the initial state:
-            # every heapified key starts out fresh at version 0.
-            self._state_version = 0
-            self._key_version = np.zeros(n, dtype=np.int64)
-            self._spec_version = np.full(n, -1, dtype=np.int64)
-            self._spec_deviation = np.empty(n, dtype=np.float64)
-            self._member_scratch = np.zeros(n, dtype=bool)
-            # Peeked speculative previews ride the vectorized ReHeap kernel;
-            # the generic tracker previews segments one by one, so peeking
-            # would cost more scalar previews than it saves.
-            self._spec_peek = (batch_size - 1
-                               if isinstance(tracker, StatisticTracker) else 0)
-        else:
-            self._spec_peek = 0
-
-        stats = CompressionStats(kept_points=n)
-        kept = n
-        max_removable = n - max(self.min_keep, 2)
-        target_kept = None
+        run.heap.heapify(positions, impacts)
+        run.max_removable = n - max(self.min_keep, 2)
         if self.target_ratio is not None:
-            target_kept = max(int(np.ceil(n / self.target_ratio)), self.min_keep, 2)
-        fresh_hits = spec_hits = preview_evals = 0
+            run.target_kept = max(int(np.ceil(n / self.target_ratio)),
+                                  self.min_keep, 2)
         # With on_violation="skip" and an error bound, long rejection runs
         # drain the heap; pop_many consumes them in batches and the
         # unconsumed remainder is re-pushed on the first acceptance.
-        drain = (speculate and self.on_violation == "skip"
-                 and self.epsilon is not None)
+        run.drain = (run.speculate and self.on_violation == "skip"
+                     and self.epsilon is not None)
 
-        # Per-pop bookkeeping runs ~10^4 times per series; hoisting the
-        # attribute lookups and method binds out of the loop shaves the
-        # interpreter's LOAD_ATTR/LOAD_GLOBAL traffic without touching any
-        # arithmetic (results are bit-identical to the unhoisted loop).
+        if self._native_loop_serves(run):
+            # The compiled loop runs until the compression stops or until
+            # it meets an iteration it does not take; that one runs here.
+            while not run.advance_native(self.epsilon):
+                self._step(run)
+                if run.stopped_by is not None:
+                    break
+        else:
+            step = self._step
+            heap = run.heap
+            while heap and run.stopped_by is None:
+                step(run)
+        return run
+
+    def _native_loop_serves(self, run: GreedyRun) -> bool:
+        """Does ``native.run_loop`` run this configuration's greedy loop?
+
+        It does where the compiled tier serves the ReHeap step
+        (:func:`repro.core.impact.native_serves`, on the native heap) and
+        the loop takes one pop per iteration and stops at the first
+        violation.  A subclass that supplies its own ReHeap step keeps the
+        Python loop — the compiled one would never call it.
+        """
+        return (type(self)._reheap_neighbours
+                is CameoCompressor._reheap_neighbours
+                and (self.epsilon is None or self.on_violation == "stop")
+                and isinstance(run.heap, NativeIndexedMinHeap)
+                and isinstance(run.tracker, StatisticTracker)
+                and run.tracker.native_serves(run.metric))
+
+    def _step(self, run: GreedyRun) -> None:
+        """One iteration of the greedy loop (Algorithm 1's loop body).
+
+        Pop the cheapest candidate (a batch of them while draining
+        rejections), take its deviation — from its heap key or the
+        speculative cache when those are fresh, from a scalar preview
+        otherwise — and either stop / skip at the error bound or commit the
+        removal and ReHeap its neighbourhood.  Sets ``run.stopped_by`` when
+        the compression is over.
+        """
+        heap = run.heap
+        tracker = run.tracker
+        neighbours = run.neighbours
         epsilon = self.epsilon
-        stop_on_violation = self.on_violation == "stop"
-        heap_pop = heap.pop
-        # Bound lazily: only the drain path uses the bulk heap ops, and the
-        # perf harness swaps in a reference heap that does not provide them.
-        heap_pop_many = heap.pop_many if drain else None
-        heap_push_many = heap.push_many if drain else None
-        left_of = neighbours.left_of
-        right_of = neighbours.right_of
-        neighbours_remove = neighbours.remove
-        tracker_preview = tracker.preview
-        tracker_apply = tracker.apply
-        tracker_deviation = tracker.deviation
-        current_values = tracker.current_values  # stable, mutated in place
-        reheap_neighbours = self._reheap_neighbours
-        deltas_of_gap = segment_interpolation_deltas
-        key_version = self._key_version
-        spec_version = self._spec_version
-        spec_deviation = self._spec_deviation
-        iterations = removed_points = reheap_updates = 0
-        achieved_deviation = 0.0
-
-        done = False
-        while heap and not done:
-            if drain:
-                batch_items, batch_keys = heap_pop_many(batch_size)
-                queue = list(zip(batch_items.tolist(), batch_keys.tolist()))
+        speculate = run.speculate
+        if run.drain:
+            batch_items, batch_keys = heap.pop_many(run.batch_size)
+            queue = list(zip(batch_items.tolist(), batch_keys.tolist()))
+        else:
+            queue = (heap.pop(),)
+        for consumed, (candidate, key) in enumerate(queue):
+            run.iterations += 1
+            change_start, change_deltas = segment_interpolation_deltas(
+                tracker.current_values, neighbours.left_of(candidate),
+                neighbours.right_of(candidate))
+            if change_deltas.size == 0:
+                # Removing the point does not change the reconstruction at
+                # all (e.g. it already lies on the interpolation line).
+                deviation = run.achieved_deviation
+            elif speculate and run.key_version[candidate] == run.state_version:
+                # The heap key was computed against the current state and
+                # neighbourhood — it *is* the preview deviation.
+                deviation = key
+                run.fresh_hits += 1
+            elif speculate and run.spec_version[candidate] == run.state_version:
+                deviation = float(run.spec_deviation[candidate])
+                run.spec_hits += 1
             else:
-                queue = (heap_pop(),)
-            for consumed, (candidate, key) in enumerate(queue):
-                iterations += 1
-                change_start, change_deltas = deltas_of_gap(
-                    current_values, left_of(candidate), right_of(candidate))
-                if change_deltas.size == 0:
-                    # Removing the point does not change the reconstruction at
-                    # all (e.g. it already lies on the interpolation line).
-                    deviation = achieved_deviation
-                elif speculate and key_version[candidate] == self._state_version:
-                    # The heap key was computed against the current state and
-                    # neighbourhood — it *is* the preview deviation.
-                    deviation = key
-                    fresh_hits += 1
-                elif speculate and spec_version[candidate] == self._state_version:
-                    deviation = float(spec_deviation[candidate])
-                    spec_hits += 1
-                else:
-                    new_statistic = tracker_preview(change_start, change_deltas)
-                    deviation = tracker_deviation(metric, new_statistic)
-                    preview_evals += 1
+                new_statistic = tracker.preview(change_start, change_deltas)
+                deviation = tracker.deviation(run.metric, new_statistic)
+                run.preview_evals += 1
 
-                if epsilon is not None and deviation >= epsilon:
-                    if stop_on_violation:
-                        stats.stopped_by = "error-bound"
-                        done = True
-                        break
-                    # ``skip``: permanently leave this point in place.  The
-                    # state is untouched, so the remaining speculative batch
-                    # stays valid.
-                    continue
+            if epsilon is not None and deviation >= epsilon:
+                if self.on_violation == "stop":
+                    run.stopped_by = "error-bound"
+                    return
+                # ``skip``: permanently leave this point in place.  The
+                # state is untouched, so the remaining speculative batch
+                # stays valid.
+                continue
 
-                # Commit the removal.
-                if change_deltas.size:
-                    tracker_apply(change_start, change_deltas)
-                neighbours_remove(candidate)
-                kept -= 1
-                removed_points += 1
-                achieved_deviation = deviation
-                if speculate:
-                    # Any removal invalidates every outstanding speculative
-                    # preview (the tracked state and/or a neighbourhood
-                    # changed); bumping the version discards them all.
-                    self._state_version += 1
+            # Commit the removal.
+            if change_deltas.size:
+                tracker.apply(change_start, change_deltas)
+            neighbours.remove(candidate)
+            run.kept -= 1
+            run.removed_points += 1
+            run.achieved_deviation = deviation
+            if speculate:
+                # Any removal invalidates every outstanding speculative
+                # preview (the tracked state and/or a neighbourhood
+                # changed); bumping the version discards them all.
+                run.state_version += 1
 
-                if removed_points >= max_removable:
-                    stats.stopped_by = "min-keep"
-                    done = True
-                    break
-                if target_kept is not None and kept <= target_kept:
-                    stats.stopped_by = "target-ratio"
-                    done = True
-                    break
+            if run.removed_points >= run.max_removable:
+                run.stopped_by = "min-keep"
+                return
+            if run.target_kept is not None and run.kept <= run.target_kept:
+                run.stopped_by = "target-ratio"
+                return
 
-                remainder = queue[consumed + 1:]
-                if remainder:
-                    heap_push_many(
-                        np.fromiter((item for item, _key in remainder),
-                                    dtype=np.int64, count=len(remainder)),
-                        np.fromiter((key for _item, key in remainder),
-                                    dtype=np.float64, count=len(remainder)))
-                reheap_updates += reheap_neighbours(
-                    tracker, neighbours, heap, candidate, hops, metric)
-                break
+            remainder = queue[consumed + 1:]
+            if remainder:
+                heap.push_many(
+                    np.fromiter((item for item, _key in remainder),
+                                dtype=np.int64, count=len(remainder)),
+                    np.fromiter((key for _item, key in remainder),
+                                dtype=np.float64, count=len(remainder)))
+            run.reheap_updates += self._reheap_neighbours(run, candidate)
+            return
 
-        stats.iterations = iterations
-        stats.removed_points = removed_points
-        stats.achieved_deviation = achieved_deviation
-        stats.reheap_updates = reheap_updates
-        stats.kept_points = kept
-        if speculate:
-            stats.extra["preview_reuse"] = {
-                "fresh_key_hits": fresh_hits,
-                "speculative_hits": spec_hits,
-                "scalar_previews": preview_evals,
-            }
-        stats.extra["batch_size"] = batch_size
-        self._alive_mask = neighbours.alive_mask()
-        return stats
-
-    def _reheap_neighbours(self, tracker: StatisticTracker, neighbours: NeighborList,
-                           heap: IndexedMinHeap, removed: int, hops: int,
-                           metric=None) -> int:
+    def _reheap_neighbours(self, run: GreedyRun, removed: int) -> int:
         """Refresh the impacts of surviving points near ``removed``.
 
         Where the compiled tier serves the configuration this is one call —
@@ -415,21 +494,15 @@ class CameoCompressor:
         run as :meth:`_reheap_chain`.  Returns the number of re-keyed
         neighbours.
         """
-        if metric is None:
-            metric = resolve_rowwise_metric(self.metric)
-        refreshed = tracker.reheap(
-            metric, neighbours, heap, removed, hops, self._spec_peek,
-            self._state_version,
-            self._key_version if self._spec_enabled else None,
-            self._spec_version, self._spec_deviation)
+        refreshed = run.tracker.reheap(
+            run.metric, run.neighbours, run.heap, removed, run.hops,
+            run.spec_peek, run.state_version, run.key_version,
+            run.spec_version, run.spec_deviation)
         if refreshed is None:
-            refreshed = self._reheap_chain(tracker, neighbours, heap, removed,
-                                           hops, metric)
+            refreshed = self._reheap_chain(run, removed)
         return refreshed
 
-    def _reheap_chain(self, tracker: StatisticTracker, neighbours: NeighborList,
-                      heap: IndexedMinHeap, removed: int, hops: int,
-                      metric) -> int:
+    def _reheap_chain(self, run: GreedyRun, removed: int) -> int:
         """The ReHeap step on NumPy-level primitives.
 
         Fused pipeline: the surviving neighbourhood is collected once (one
@@ -444,16 +517,18 @@ class CameoCompressor:
         perturb the pop order — and reused if they are popped before the
         next acceptance.
         """
-        candidates = neighbours.hops_array(removed, hops)
+        neighbours = run.neighbours
+        heap = run.heap
+        candidates = neighbours.hops_array(removed, run.hops)
         if candidates.size:
             candidates = candidates[heap.contains_mask(candidates)]
         spec_items = None
-        if self._spec_peek and len(heap):
-            peeked, _peek_keys = heap.peek_many(self._spec_peek)
+        if run.spec_peek and len(heap):
+            peeked, _peek_keys = heap.peek_many(run.spec_peek)
             if candidates.size:
                 # Membership test via a reusable boolean scratch (np.isin
                 # costs ~25x as much at these sizes).
-                member = self._member_scratch
+                member = run.member_scratch
                 member[candidates] = True
                 peeked = peeked[~member[peeked]]
                 member[candidates] = False
@@ -468,15 +543,15 @@ class CameoCompressor:
         else:
             combined = np.concatenate((candidates, spec_items))
         lefts, rights = neighbours.gaps_of(combined)
-        impacts = tracker.gap_impacts(lefts, rights, metric)
+        impacts = run.tracker.gap_impacts(lefts, rights, run.metric)
         refreshed = int(candidates.size)
         if refreshed:
             heap.update_many(candidates, impacts[:refreshed])
-            if self._spec_enabled:
-                self._key_version[candidates] = self._state_version
+            if run.speculate:
+                run.key_version[candidates] = run.state_version
         if spec_items is not None:
-            self._spec_deviation[spec_items] = impacts[refreshed:]
-            self._spec_version[spec_items] = self._state_version
+            run.spec_deviation[spec_items] = impacts[refreshed:]
+            run.spec_version[spec_items] = run.state_version
         return refreshed
 
     # ------------------------------------------------------------------ #

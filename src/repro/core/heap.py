@@ -476,10 +476,16 @@ class NativeIndexedMinHeap:
     def storage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The live ``(keys, items, slot_of)`` arrays and the logical size.
 
-        For compiled callers that re-key in place without changing the
-        size (``native.reheap``); everything else goes through the methods.
+        For compiled callers that work on the arrays in place
+        (``native.reheap`` re-keys, ``native.run_loop`` also pops — see
+        :meth:`resize`); everything else goes through the methods.
         """
         return self._hkeys, self._hitems, self._slot_of, self._size
+
+    def resize(self, size: int) -> None:
+        """Adopt the logical size a compiled caller that popped in place
+        (``native.run_loop``) left the storage arrays at."""
+        self._size = int(size)
 
     def peek_many(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` cheapest ``(items, keys)`` in pop order, without removal."""

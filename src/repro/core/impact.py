@@ -22,6 +22,8 @@ Entry points:
 * :func:`native_reheap` — the compiled tier's whole ReHeap *step*: the
   neighbourhood gather, the speculative peek, that evaluation and the heap
   re-key as one call — removed index in, heap updated out.
+* :func:`native_run_loop` — the compiled tier's greedy *loop*: pop, decide,
+  apply, remove and ReHeap, iteration after iteration, in one GIL-free call.
 
 The deviation measure ``D`` is vectorised for the common metrics (MAE,
 Chebyshev, RMSE/MSE); any other callable falls back to a row-wise loop.
@@ -55,6 +57,7 @@ __all__ = [
     "initial_interpolation_deltas",
     "native_gap_impacts",
     "native_reheap",
+    "native_run_loop",
     "native_serves",
 ]
 
@@ -588,9 +591,13 @@ class StackedStateLayout:
         group = len(self.states)
         self.n_of_state = np.fromiter((state.n for state in self.states),
                                       dtype=np.int64, count=group)
-        self.value_base = np.concatenate(
-            ([0], np.cumsum(self.n_of_state)[:-1])).astype(np.int64)
-        self.current_all = np.empty(int(self.n_of_state.sum()), dtype=np.float64)
+        # Each state keeps its zero margins (ACFAggregateState.adopt_storage):
+        # a slot is ``L`` zeros, the values, ``L`` zeros, and ``value_base``
+        # points at the values.
+        stride = self.n_of_state + 2 * num_lags
+        self.value_base = (np.concatenate(([0], np.cumsum(stride)[:-1]))
+                           + num_lags).astype(np.int64)
+        self.current_all = np.zeros(int(stride.sum()), dtype=np.float64)
         self.counts = np.empty((group, num_lags), dtype=np.float64)
         self.sx = np.empty((group, num_lags), dtype=np.float64)
         self.sxl = np.empty((group, num_lags), dtype=np.float64)
@@ -601,9 +608,9 @@ class StackedStateLayout:
             if state.lags.size != num_lags:
                 raise ValueError("all stacked states must track the same max_lag")
             base = int(self.value_base[slot])
-            view = self.current_all[base:base + state.n]
-            view[:] = state.current
-            state._current = view
+            state.adopt_storage(
+                self.current_all[base - num_lags:base + state.n + num_lags],
+                state.current)
             sums = state.sums
             self.counts[slot] = sums.counts
             for matrix, name in ((self.sx, "sx"), (self.sxl, "sxl"),
@@ -980,3 +987,49 @@ def native_reheap(state: ACFAggregateState, reference: np.ndarray,
         *neighbours.pointer_arrays(), *heap.storage(),
         removed, hops, peek, state_version,
         key_version, spec_version, spec_deviation)
+
+
+def native_run_loop(state: ACFAggregateState, reference: np.ndarray,
+                    metric: ResolvedMetric, neighbours: NeighborList,
+                    heap: NativeIndexedMinHeap, hops: int, peek: int,
+                    state_version: int, key_version: np.ndarray | None,
+                    spec_version: np.ndarray | None,
+                    spec_deviation: np.ndarray | None,
+                    epsilon: float | None, kept: int, removed_points: int,
+                    max_removable: int, target_kept: int | None,
+                    achieved_deviation: float) -> tuple:
+    """The greedy loop through the compiled tier, until it stops or yields.
+
+    For a configuration :func:`native_serves` admits, on the native heap,
+    with ``on_violation="stop"`` semantics (one pop per iteration, the first
+    violation of ``epsilon`` ends the run).  Iteration by iteration the call
+    does what ``CameoCompressor._step`` does — and reproduces it bit for
+    bit: the state update goes through the same left-to-right lag sums
+    (:mod:`repro._kernels.lagdot`), the ReHeap through the code behind
+    :func:`native_reheap` — directly on the tracker's, the neighbour list's
+    and the heap's arrays, with the GIL released throughout.
+
+    Returns ``(reason, heap_size, accepted, pops, reheap_updates,
+    fresh_key_hits, speculative_hits, scalar_previews,
+    achieved_deviation)``, the counters being those of this call.
+    ``reason`` is the run's ``stopped_by`` string, or ``None`` when the call
+    yields: the top candidate's ReHeap request may exceed one
+    ``_MAX_BLOCK_CELLS`` block (judged before the pop from an upper bound
+    on its size), nothing of that iteration has happened, and the caller
+    runs it — through :func:`native_reheap` or the NumPy chain, whichever
+    the exact request admits — before calling again.  A request that is
+    malformed (arrays of the wrong shape, a heap or neighbour list that is
+    not consistent) raises with nothing written.
+    """
+    sums = state.sums
+    result = _get_native().run_loop(
+        state.current, sums.counts, sums.sx, sums.sxl, sums.sx2, sums.sx2l,
+        sums.sxxl, reference, metric.kind,
+        _MAX_BLOCK_CELLS // state.lags.size,
+        *neighbours.pointer_arrays(), *heap.storage(), hops, peek,
+        state_version, key_version, spec_version, spec_deviation, epsilon,
+        kept, removed_points, max_removable,
+        -1 if target_kept is None else target_kept, achieved_deviation)
+    heap.resize(result[1])
+    neighbours.note_removed(result[2])
+    return result

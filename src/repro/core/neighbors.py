@@ -71,8 +71,14 @@ class NeighborList:
 
     def pointer_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live ``(left, right, alive)`` arrays, for compiled callers
-        that chase the pointers themselves (``native.reheap``); read-only."""
+        that chase the pointers themselves: ``native.reheap`` only reads
+        them, ``native.run_loop`` also unlinks the points it removes and
+        reports how many through :meth:`note_removed`."""
         return self._left, self._right, self._alive
+
+    def note_removed(self, count: int) -> None:
+        """Account for ``count`` points a compiled caller unlinked in place."""
+        self._alive_count -= int(count)
 
     # ------------------------------------------------------------------ #
     # mutation

@@ -33,7 +33,7 @@ from ..data.timeseries import IrregularSeries, TimeSeries
 from ..exceptions import InvalidParameterError
 from ..stats.windowed import tumbling_window_aggregate
 from .compressor import CameoCompressor
-from .impact import metric_rowwise, resolve_rowwise_metric
+from .impact import metric_rowwise
 from .tracker import StatisticTracker
 
 __all__ = ["ParallelReport", "FineGrainedCameo", "CoarseGrainedCameo"]
@@ -91,14 +91,11 @@ class FineGrainedCameo(CameoCompressor):
         result.metadata["fine_grained_threads"] = self.threads
         return result
 
-    def _reheap_neighbours(self, tracker, neighbours, heap, removed: int, hops: int,
-                           metric=None) -> int:
-        if metric is None:
-            metric = resolve_rowwise_metric(self.metric)
+    def _reheap_neighbours(self, run, removed: int) -> int:
         if self._pool is None:
-            return super()._reheap_neighbours(tracker, neighbours, heap, removed,
-                                              hops, metric)
-        candidates = neighbours.hops_array(removed, hops)
+            return super()._reheap_neighbours(run, removed)
+        neighbours, heap = run.neighbours, run.heap
+        candidates = neighbours.hops_array(removed, run.hops)
         if candidates.size:
             candidates = candidates[heap.contains_mask(candidates)]
         if candidates.size == 0:
@@ -113,12 +110,12 @@ class FineGrainedCameo(CameoCompressor):
 
         def evaluate(chunk: np.ndarray) -> np.ndarray:
             lefts, rights = neighbours.gaps_of(chunk)
-            return tracker.gap_impacts(lefts, rights, metric)
+            return run.tracker.gap_impacts(lefts, rights, run.metric)
 
         impacts = np.concatenate(list(self._pool.map(evaluate, chunks)))
         heap.update_many(candidates, impacts)
-        if self._spec_enabled:
-            self._key_version[candidates] = self._state_version
+        if run.speculate:
+            run.key_version[candidates] = run.state_version
         return int(candidates.size)
 
 

@@ -140,6 +140,11 @@ class StatisticTracker:
     # ------------------------------------------------------------------ #
     # batched hypothetical impacts (used by the ReHeap step)
     # ------------------------------------------------------------------ #
+    def native_serves(self, metric) -> bool:
+        """Does the compiled tier evaluate this tracker's ReHeap (and with
+        it run its greedy loop) under ``metric``?"""
+        return native_serves(self._statistic, self._agg_window, metric)
+
     def gap_impacts(self, lefts, rights, metric) -> np.ndarray:
         """Impacts of re-interpolating each surviving gap, in isolation.
 
@@ -152,7 +157,7 @@ class StatisticTracker:
         metric = resolve_rowwise_metric(metric)
         lefts = np.ascontiguousarray(lefts, dtype=np.int64)
         rights = np.ascontiguousarray(rights, dtype=np.int64)
-        if native_serves(self._statistic, self._agg_window, metric):
+        if self.native_serves(metric):
             impacts = native_gap_impacts(self._state, self._reference,
                                          lefts, rights, metric)
             if impacts is not None:
@@ -173,7 +178,7 @@ class StatisticTracker:
         returns the number of re-keyed neighbours.  Returns ``None``, with
         nothing touched, when the caller has to run the steps itself.
         """
-        if not native_serves(self._statistic, self._agg_window, metric):
+        if not self.native_serves(metric):
             return None
         return native_reheap(self._state, self._reference, metric,
                              neighbours, heap, removed, hops, peek,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._kernels.lagdot import lagged_dot_deltas
 from .._validation import as_float_array, check_lag
 from .acf import acf_from_sums
 from .pacf import pacf_from_acf
@@ -77,13 +78,30 @@ class ACFAggregateState:
     """
 
     def __init__(self, values, max_lag: int):
-        current = as_float_array(values).copy()
-        self._n = current.size
+        values = as_float_array(values)
+        self._n = values.size
         self._max_lag = check_lag(max_lag, self._n)
-        self._current = current
+        self.adopt_storage(np.zeros(self._n + 2 * self._max_lag), values)
         self._lags = np.arange(1, self._max_lag + 1, dtype=np.int64)
-        self._sums = self._build_sums(current, self._lags)
+        self._sums = self._build_sums(self._current, self._lags)
         self._preview_scratch = threading.local()
+
+    def adopt_storage(self, padded: np.ndarray, values: np.ndarray) -> None:
+        """Keep the current series in ``padded``: ``L`` zeros, the ``n``
+        values, ``L`` zeros (C-contiguous float64, zeros already in place).
+
+        The zero margins are what lets the ``sxxl`` update
+        (:mod:`repro._kernels.lagdot`) read every lag window of a changed
+        range as one strided view: a lag partner
+        beyond either end of the series is a ``0.0`` factor.  A caller that
+        stacks several states in one buffer (the lock-step engine) hands
+        each state its slice here.
+        """
+        if padded.shape != (self._n + 2 * self._max_lag,):
+            raise ValueError("padded storage must hold n + 2 * max_lag values")
+        self._padded = padded
+        self._current = padded[self._max_lag:self._max_lag + self._n]
+        self._current[:] = values
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -146,7 +164,7 @@ class ACFAggregateState:
         clone = object.__new__(ACFAggregateState)
         clone._n = self._n
         clone._max_lag = self._max_lag
-        clone._current = self._current.copy()
+        clone.adopt_storage(np.zeros_like(self._padded), self._current)
         clone._lags = self._lags
         clone._sums = self._sums.copy()
         clone._preview_scratch = threading.local()
@@ -300,10 +318,11 @@ class ACFAggregateState:
         """Aggregate deltas for changing the contiguous range
         ``[start, start + len(deltas))`` by ``deltas``.
 
-        The closed form uses prefix sums for the head/tail sums and three dot
-        products per lag for the lagged dot product, including the exact
-        ``delta_k * delta_{k+l}`` cross terms of Equation 9.  All deltas are
-        with respect to the *current* values; nothing is mutated.
+        The closed form uses prefix sums for the head/tail sums and
+        :func:`repro._kernels.lagdot.lagged_dot_deltas` for the lagged dot
+        product, including the exact ``delta_k * delta_{k+l}`` cross terms of
+        Equation 9.  All deltas are with respect to the *current* values;
+        nothing is mutated.
         """
         m = deltas.size
         n = self._n
@@ -319,6 +338,7 @@ class ACFAggregateState:
             scratch.tail_starts = np.empty_like(lags)
             scratch.prefix_d = np.empty(n + 1, dtype=np.float64)
             scratch.prefix_e = np.empty(n + 1, dtype=np.float64)
+            scratch.padded_deltas = np.zeros(n + self._max_lag)
         tail_starts = scratch.tail_starts
         prefix_d = scratch.prefix_d[:m + 1]
         prefix_e = scratch.prefix_e[:m + 1]
@@ -348,59 +368,12 @@ class ACFAggregateState:
         d_sxl = prefix_d[m] - prefix_d[tail_starts]
         d_sx2l = prefix_e[m] - prefix_e[tail_starts]
 
-        d_sxxl = self._lagged_dot_deltas(start, deltas, head_counts, tail_starts)
+        # The lagged dot product: head, tail and cross lag sums, each
+        # accumulated left to right — one expression for interior and
+        # boundary ranges, held bit-identical across the kernel tiers.
+        d_sxxl = lagged_dot_deltas(self._padded, self._max_lag, start, deltas,
+                                   scratch.padded_deltas)
         return d_sx, d_sxl, d_sx2, d_sx2l, d_sxxl
-
-    def _lagged_dot_deltas(self, start: int, deltas: np.ndarray,
-                           head_counts: np.ndarray, tail_starts: np.ndarray) -> np.ndarray:
-        """Delta of ``sxxl`` for a contiguous change, for every lag.
-
-        Away from the series boundaries the head and tail contributions are
-        plain cross-correlations between the delta vector and the current
-        values, and the cross term is the autocorrelation of the deltas —
-        three ``np.correlate`` calls replace the per-lag Python loop.  Within
-        ``L`` points of either boundary the per-lag loop handles the clipped
-        ranges exactly.
-        """
-        m = deltas.size
-        n = self._n
-        lags = self._lags
-        max_lag = self._max_lag
-        current = self._current
-
-        if start >= max_lag and start + m + max_lag <= n:
-            # Head: sum_k d_k * current[start + k + l]  for l = 1..L.
-            head_segment = current[start:start + m + max_lag]
-            head_corr = np.correlate(head_segment, deltas, mode="valid")  # length L+1
-            head = head_corr[1:max_lag + 1]
-            # Tail: sum_k d_k * current[start + k - l]  for l = 1..L.
-            tail_segment = current[start - max_lag:start + m]
-            tail_corr = np.correlate(tail_segment, deltas, mode="valid")  # length L+1
-            tail = tail_corr[:max_lag][::-1]
-            # Cross term: sum_k d_k * d_{k+l}.
-            cross = np.zeros(max_lag)
-            if m > 1:
-                auto = np.correlate(deltas, deltas, mode="full")[m:]  # lags 1..m-1
-                upto = min(max_lag, m - 1)
-                cross[:upto] = auto[:upto]
-            return head + tail + cross
-
-        d_sxxl = np.zeros(lags.size)
-        for j, lag in enumerate(lags):
-            lag = int(lag)
-            total = 0.0
-            head_count = int(head_counts[j])
-            if head_count > 0:
-                total += float(np.dot(deltas[:head_count],
-                                      current[start + lag:start + lag + head_count]))
-            tail_start = int(tail_starts[j])
-            if tail_start < m:
-                total += float(np.dot(deltas[tail_start:],
-                                      current[start + tail_start - lag:start + m - lag]))
-            if lag < m:
-                total += float(np.dot(deltas[:m - lag], deltas[lag:]))
-            d_sxxl[j] = total
-        return d_sxxl
 
     def preview_acf_contiguous(self, start: int, deltas) -> np.ndarray:
         """ACF after changing the contiguous range starting at ``start``.

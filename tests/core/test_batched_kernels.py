@@ -274,11 +274,10 @@ class TestNeighborBatchOps:
 class _ReferenceReheapCameo(CameoCompressor):
     """CAMEO with the original per-candidate ReHeap (oracle for equivalence)."""
 
-    def _reheap_neighbours(self, tracker, neighbours, heap, removed, hops,
-                           metric=None):
-        if metric is None:
-            metric = self.metric
-        candidates = [idx for idx in neighbours.hops(removed, hops) if idx in heap]
+    def _reheap_neighbours(self, run, removed):
+        tracker, neighbours, heap = run.tracker, run.neighbours, run.heap
+        candidates = [idx for idx in neighbours.hops(removed, run.hops)
+                      if idx in heap]
         if not candidates:
             return 0
         current = tracker.current_values
@@ -286,7 +285,7 @@ class _ReferenceReheapCameo(CameoCompressor):
         for neighbour in candidates:
             left, right = neighbours.left_of(neighbour), neighbours.right_of(neighbour)
             changes.append(segment_interpolation_deltas(current, left, right))
-        impacts = tracker.batch_impacts(changes, metric)
+        impacts = tracker.batch_impacts(changes, run.metric)
         for neighbour, impact in zip(candidates, impacts):
             heap.update(neighbour, float(impact))
         return len(candidates)

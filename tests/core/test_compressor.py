@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.codecs import get_codec
 from repro.core import CameoCompressor, cameo_compress, compress_multivariate
 from repro.data import IrregularSeries, TimeSeries
 from repro.exceptions import InvalidParameterError
@@ -188,3 +192,45 @@ class TestMultivariate:
         assert len(results) == 2
         for column, result in zip(columns, results):
             assert acf_dev(column, result, 25) <= 0.02 + 1e-9
+
+
+class TestSharedCompressor:
+    @pytest.mark.usefixtures("kernel_tier")
+    def test_threads_sharing_one_codec_return_the_serial_kept_sets(self):
+        """One codec holds one compressor, and the thread backend hands it
+        to every worker: nothing of a run may live on the compressor.  More
+        threads than cores and a short switch interval make the runs
+        interleave at every opportunity."""
+        rng = np.random.default_rng(12)
+        fleet = [_seasonal(int(rng.integers(150, 320)), seed=seed,
+                           noise=float(rng.choice([0.1, 0.3, 1.0])))
+                 for seed in range(8)]
+        codec = get_codec("cameo", max_lag=12, epsilon=0.03)
+        serial = [codec.compress(values) for values in fleet]
+        results = [None] * len(fleet)
+        errors = []
+
+        def work(index):
+            try:
+                for _repeat in range(3):
+                    results[index] = codec.compress(fleet[index])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(index,))
+                       for index in range(len(fleet))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert got.indices.tolist() == want.indices.tolist()
+            for key in ("iterations", "removed_points", "achieved_deviation",
+                        "reheap_updates", "stopped_by", "preview_reuse"):
+                assert got.metadata[key] == want.metadata[key], key

@@ -20,6 +20,7 @@ import pytest
 
 from repro import _kernels
 from repro.codecs import get_codec
+from repro.core.compressor import CameoCompressor
 from repro.core.tracker import StatisticTracker
 from repro.data.datasets import dataset_names, load_dataset
 from repro.ingest import load_corpus_series
@@ -62,8 +63,10 @@ class TestCorpusKeptSets:
         """The end-to-end benchmark's shapes (eight paper datasets, L=24,
         eps=0.01): short enough that most ReHeaps touch a series boundary,
         which the real-data digests above (eps=0.05) barely exercise.  On
-        the native tier every ReHeap is one ``native.reheap`` call, and the
-        Python chain it replaces must land on the same digest."""
+        the native tier every series is one ``native.run_loop`` call; the
+        Python loop it replaces — one ``native.reheap`` per ReHeap — and
+        the Python ReHeap chain that replaces must land on the same
+        digest."""
         def fleet_digest():
             total, sha = 0, hashlib.sha256()
             codec = get_codec("cameo", max_lag=24, epsilon=0.01)
@@ -75,19 +78,31 @@ class TestCorpusKeptSets:
                 sha.update(result.indices.tobytes())
             return total, sha.hexdigest()[:16]
 
-        fused_steps = []
+        calls = {"run_loop": [], "reheap": []}
         if kernel_tier == "native":
             native = _kernels.get_native()
-            fused = native.reheap
 
-            def recorded(*request):
-                fused_steps.append(fused(*request))
-                return fused_steps[-1]
+            def recording(name):
+                compiled = getattr(native, name)
 
-            monkeypatch.setattr(native, "reheap", recorded)
+                def recorded(*request):
+                    calls[name].append(compiled(*request))
+                    return calls[name][-1]
+                return recorded
+
+            monkeypatch.setattr(native, "run_loop", recording("run_loop"))
+            monkeypatch.setattr(native, "reheap", recording("reheap"))
         assert fleet_digest() == (kept, digest)
         if kernel_tier == "native":
-            assert fused_steps and None not in fused_steps
+            # one call per series, none of them a yield, no ReHeap outside it
+            assert len(calls["run_loop"]) == len(dataset_names())
+            assert all(outcome[0] is not None
+                       for outcome in calls["run_loop"])
+            assert not calls["reheap"]
+            monkeypatch.setattr(CameoCompressor, "_native_loop_serves",
+                                lambda self, run: False)
+            assert fleet_digest() == (kept, digest)
+            assert calls["reheap"] and None not in calls["reheap"]
             monkeypatch.setattr(StatisticTracker, "reheap",
                                 lambda self, *request: None)
             assert fleet_digest() == (kept, digest)

@@ -223,11 +223,11 @@ class TestSegmentImpactsBitIdentity:
         output = subprocess.run(
             [sys.executable, "-c", _THREADS_SCRIPT], env=env, check=True,
             capture_output=True, text=True, timeout=120).stdout.split()
-        max_threads, native_digest, numpy_digest, reheap_calls = output
+        max_threads, native_digest, numpy_digest, loop_calls = output
         if _kernels.native_build_info()["openmp"]:
             assert int(max_threads) == threads
         assert native_digest == numpy_digest
-        assert int(reheap_calls) > 0
+        assert int(loop_calls) > 0
 
 
 _THREADS_SCRIPT = """
@@ -242,16 +242,16 @@ tracker = StatisticTracker(rng.normal(0, 1, n), max_lag)
 lefts = rng.integers(0, n - 41, 300)
 rights = lefts + 1 + rng.integers(0, 40, 300)
 lefts[:3], rights[:3] = (0, 0, n - 9), (12, n - 1, n - 1)
-# a whole run through native.reheap whose requests (no blocking: every
-# survivor is a neighbour) are large enough to enter the parallel region
+# a whole run through native.run_loop whose ReHeap requests (no blocking:
+# every survivor is a neighbour) are large enough to enter the parallel region
 from repro.core import cameo_compress
 series = 2.0 * np.sin(np.arange(900) * 2 * np.pi / 24) + rng.normal(0, 0.3, 900)
 native = _kernels.get_native()
-fused, calls = native.reheap, [0]
+compiled, calls = native.run_loop, [0]
 def counting(*args):
     calls[0] += 1
-    return fused(*args)
-native.reheap = counting
+    return compiled(*args)
+native.run_loop = counting
 digests = []
 for tier in (True, False):
     _kernels.set_native_enabled(tier)
@@ -539,9 +539,9 @@ class TestTierDispatch:
     def test_enabled_tier_reports_native(self):
         _kernels.set_native_enabled(True)
         tiers = _kernels.active_tier()
-        assert set(tiers) == {"reheap", "segment_impacts", "heap",
-                              "gap_deltas"}
-        assert "reheap" in _kernels.describe_tiers()
+        assert set(tiers) == {"run_loop", "reheap", "segment_impacts",
+                              "heap", "gap_deltas"}
+        assert "run_loop, reheap" in _kernels.describe_tiers()
         assert all(tier == "native" for tier in tiers.values())
         assert isinstance(make_heap(10), NativeIndexedMinHeap)
         assert "native" in _kernels.describe_tiers()
@@ -608,6 +608,30 @@ class TestTierDispatch:
                 return np.concatenate((order[nan], order[~nan]))
 
         assert "argsort" in _native._self_check(NanFirst())
+
+    @needs_native
+    def test_self_check_refuses_a_reordering_axis0_reduce(self, monkeypatch):
+        """The lag sums' left-to-right order is what this NumPy's axis-0
+        ``add.reduce`` happens to do.  Seen from a NumPy that summed each
+        column like a 1-D array (pairwise, from eight rows up), the
+        extension is refused and the loader records why."""
+        from repro._kernels import _native, lagdot
+
+        assert _native._check_lagdot_model(_native.MODULE)
+
+        def columns_pairwise(products, axis):
+            assert axis == 0
+            return np.array([np.add.reduce(np.ascontiguousarray(column))
+                             for column in products.T])
+
+        monkeypatch.setattr(lagdot, "_sum_rows", columns_pairwise)
+        assert "lag sums" in _native._self_check(_native.MODULE)
+        monkeypatch.setitem(_native.BUILD_INFO, "status", "active")
+        monkeypatch.setattr(_native, "MODULE", None)
+        _native._load()
+        assert _native.MODULE is None
+        assert _native.BUILD_INFO["status"] == (
+            "rejected: axis-0 np.add.reduce lag sums not reproduced")
 
     @needs_native
     def test_native_heap_requires_active_tier(self):

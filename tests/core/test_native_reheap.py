@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _kernels
-from repro.core.compressor import CameoCompressor
+from repro.core.compressor import CameoCompressor, GreedyRun
 from repro.core.heap import make_heap
 from repro.core.impact import (
     resolve_rowwise_metric,
@@ -48,7 +48,9 @@ def _stamp(array):
 
 
 class _Twin(CameoCompressor):
-    """Records the observable state after every ReHeap step."""
+    """Records the observable state after every ReHeap step.  (Supplying
+    its own ReHeap step also keeps it on the Python loop: see
+    ``test_native_run_loop.py`` for the compiled one.)"""
 
     fused = True
     may_decline = False
@@ -62,30 +64,26 @@ class _Twin(CameoCompressor):
             raise AssertionError("native.reheap declined a request it serves")
         return super()._reheap_chain(*args)
 
-    def _reheap_neighbours(self, tracker, neighbours, heap, removed, hops,
-                           metric=None):
+    def _reheap_neighbours(self, run, removed):
         if self.fused:
-            refreshed = super()._reheap_neighbours(tracker, neighbours, heap,
-                                                   removed, hops, metric)
+            refreshed = super()._reheap_neighbours(run, removed)
         else:
-            refreshed = self._reheap_chain(
-                tracker, neighbours, heap, removed, hops,
-                resolve_rowwise_metric(self.metric))
-        self.trace.append(_observe(self, heap, refreshed))
+            refreshed = self._reheap_chain(run, removed)
+        self.trace.append(_observe(run, refreshed))
         return refreshed
 
 
-def _observe(compressor, heap, refreshed):
+def _observe(run, refreshed):
     """Everything a ReHeap step may write, as comparable bytes."""
-    speculate = compressor._spec_enabled
+    heap = run.heap
+    speculate = run.speculate
     return (refreshed, len(heap), heap.keys().tobytes(),
             heap.items().tobytes(), heap._slot_of.tobytes(),
-            _stamp(compressor._key_version if speculate else None),
-            _stamp(compressor._spec_version if speculate else None),
+            _stamp(run.key_version),
+            _stamp(run.spec_version),
             # only the stamped entries of the deviation cache are defined
-            _stamp(np.where(compressor._spec_version
-                            == compressor._state_version,
-                            compressor._spec_deviation, 0.0)
+            _stamp(np.where(run.spec_version == run.state_version,
+                            run.spec_deviation, 0.0)
                    if speculate else None))
 
 
@@ -228,9 +226,10 @@ class TestTwinRuns:
 def _mid_run(seed: int, *, n: int = 80, max_lag: int = 12, removals: int = 25,
              batch_size: int = 8, metric: str = "mae", heap_keys=None,
              reference=None, endpoints_in_heap: bool = False):
-    """A compressor, tracker, neighbour list and heap ``removals`` accepted
-    pops into a run, built the way ``CameoCompressor._run`` builds them.
-    Deterministic in its arguments: two calls give twin states."""
+    """A compressor and its run (tracker, neighbour list, heap, stamps)
+    ``removals`` accepted pops in, built the way ``CameoCompressor._run``
+    builds them.  Deterministic in its arguments: two calls give twin
+    states."""
     rng = np.random.default_rng(seed)
     values = _series(rng, n, "seasonal")
     tracker = StatisticTracker(values, max_lag)
@@ -246,14 +245,10 @@ def _mid_run(seed: int, *, n: int = 80, max_lag: int = 12, removals: int = 25,
         heap.push(n - 1, np.inf)
     compressor = CameoCompressor(max_lag, 0.05, metric=metric,
                                  batch_size=batch_size)
-    compressor._spec_enabled = batch_size > 1
-    compressor._spec_peek = batch_size - 1
-    compressor._state_version = 0
-    if batch_size > 1:
-        compressor._key_version = np.zeros(n, dtype=np.int64)
-        compressor._spec_version = np.full(n, -1, dtype=np.int64)
-        compressor._spec_deviation = np.zeros(n, dtype=np.float64)
-        compressor._member_scratch = np.zeros(n, dtype=bool)
+    run = GreedyRun(tracker, neighbours, heap, resolve_rowwise_metric(metric),
+                    0, batch_size)
+    if run.speculate:
+        run.spec_deviation[:] = 0.0
     removed = None
     for removed in rng.permutation(np.arange(1, n - 1))[:removals].tolist():
         heap.remove(removed)
@@ -262,8 +257,8 @@ def _mid_run(seed: int, *, n: int = 80, max_lag: int = 12, removals: int = 25,
             neighbours.right_of(removed))
         tracker.apply(start, deltas)
         neighbours.remove(removed)
-        compressor._state_version += 1
-    return compressor, tracker, neighbours, heap, removed
+        run.state_version += 1
+    return compressor, run, removed
 
 
 def _step_twins(hops: int, *, around=None, **state):
@@ -274,15 +269,15 @@ def _step_twins(hops: int, *, around=None, **state):
     observations = []
     for fused in (True, False):
         _kernels.set_native_enabled(True)
-        compressor, tracker, neighbours, heap, removed = _mid_run(**state)
+        compressor, run, removed = _mid_run(**state)
+        run.hops = hops
         if around is not None:
-            removed = around(neighbours)
+            removed = around(run.neighbours)
         step = (compressor._reheap_neighbours if fused
                 else compressor._reheap_chain)
-        refreshed = step(tracker, neighbours, heap, removed, hops,
-                         resolve_rowwise_metric(compressor.metric))
-        assert heap.check_invariants()
-        observations.append((_observe(compressor, heap, refreshed), heap))
+        refreshed = step(run, removed)
+        assert run.heap.check_invariants()
+        observations.append((_observe(run, refreshed), run.heap))
     assert observations[0][0] == observations[1][0]
     return observations[0]
 

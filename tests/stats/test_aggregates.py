@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _kernels
+from repro._kernels.reference import reference_lagged_dot_deltas
+from repro.core.compressor import CameoCompressor
 from repro.stats import ACFAggregateState, acf
 
 
@@ -196,6 +199,102 @@ class TestContiguousFastPath:
         state = ACFAggregateState(_random_series(14), 5)
         with pytest.raises(IndexError):
             state.preview_acf_contiguous(298, np.ones(10))
+
+
+class TestLagSums:
+    """The ``sxxl`` update is one left-to-right expression on every tier:
+    the NumPy one the state runs, the scalar twin, the compiled one."""
+
+    N, MAX_LAG = 150, 24
+
+    @staticmethod
+    def _ranges(n: int, max_lag: int, m: int) -> dict[str, int]:
+        """Where a length-``m`` range meets the lag windows' clipping."""
+        return {"left-edge": 0, "near-left": min(3, n - m),
+                "interior": (n - m) // 2, "near-right": max(n - m - 3, 0),
+                "right-edge": n - m}
+
+    # m crosses the regime edges of what the expression replaced
+    # (small_correlate below 12 taps, BLAS ddot kernels at 8/16/32) and of
+    # NumPy's own pairwise summation (8)
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_numpy_expression_equals_the_scalar_twin_and_the_extension(self, m):
+        n, max_lag = self.N, self.MAX_LAG
+        rng = np.random.default_rng(m)
+        values = rng.normal(0, 1, n) * 10.0 ** rng.integers(-3, 4, n)
+        state = ACFAggregateState(values, max_lag)
+        native = _kernels._native.MODULE
+        for where, start in self._ranges(n, max_lag, m).items():
+            deltas = rng.normal(0, 1, m) * 10.0 ** rng.integers(-3, 4, m)
+            got = state._contiguous_delta_sums(start, deltas)[4]
+            twin = reference_lagged_dot_deltas(state.current, max_lag, start,
+                                               deltas)
+            assert got.tobytes() == twin.tobytes(), where
+            if native is not None:
+                compiled = native.lagdot_check(state.current, max_lag, start,
+                                               deltas)
+                assert got.tobytes() == compiled.tobytes(), where
+
+    @pytest.mark.parametrize("n,max_lag", [(30, 24), (25, 24), (12, 11),
+                                           (40, 1), (9, 3)])
+    def test_ranges_that_span_both_edges(self, n, max_lag):
+        """Short series: one range is clipped on the left for some lags and
+        on the right for others — up to the whole series at once."""
+        rng = np.random.default_rng(n)
+        state = ACFAggregateState(rng.normal(0, 1, n), max_lag)
+        native = _kernels._native.MODULE
+        for start, m in ((0, n), (1, n - 2), (0, n - 1), (2, n - 3)):
+            deltas = rng.normal(0, 1, m)
+            got = state._contiguous_delta_sums(start, deltas)[4]
+            assert got.tobytes() == reference_lagged_dot_deltas(
+                state.current, max_lag, start, deltas).tobytes()
+            if native is not None:
+                assert got.tobytes() == native.lagdot_check(
+                    state.current, max_lag, start, deltas).tobytes()
+            state.apply_contiguous(start, deltas)
+            assert np.allclose(state.acf(), state.recompute_acf(), atol=1e-9)
+
+    def test_clipped_partners_are_zero_factors(self):
+        """Past either end there is nothing to pair with: the update must
+        read the margins as zeros, never a neighbouring buffer's values."""
+        state = ACFAggregateState(np.arange(1.0, 21.0), 6)
+        d_sxxl = state._contiguous_delta_sums(17, np.array([1.0, 1.0, 1.0]))[4]
+        # head partners of 18,19,20 at lag l are beyond the end from l=3 on;
+        # tail partners are x[17-l..19-l]; cross pairs exist for l=1,2
+        expected = [(19.0 + 20.0) + (17 + 18 + 19) + 2,
+                    20.0 + (16 + 17 + 18) + 1,
+                    15 + 16 + 17, 14 + 15 + 16, 13 + 14 + 15, 12 + 13 + 14]
+        assert d_sxxl.tolist() == expected
+
+    def test_a_copy_keeps_its_own_margins(self):
+        state = ACFAggregateState(_random_series(31, 60), 8)
+        clone = state.copy()
+        clone.apply_contiguous(50, np.full(10, 2.0))
+        assert not np.shares_memory(clone.current, state.current)
+        assert np.array_equal(state.current, _random_series(31, 60))
+        fresh = ACFAggregateState(clone.current, 8)
+        deltas = np.linspace(-1, 1, 7)
+        assert np.array_equal(clone._contiguous_delta_sums(53, deltas)[4],
+                              fresh._contiguous_delta_sums(53, deltas)[4])
+
+    @pytest.mark.usefixtures("kernel_tier")
+    @pytest.mark.parametrize("config", [
+        dict(epsilon=0.01), dict(epsilon=None, target_ratio=25.0),
+        dict(epsilon=0.02, batch_size=1)])
+    def test_drift_after_a_full_run_stays_below_1e9(self, config):
+        """Thousands of incremental updates later the maintained ACF is
+        still the recomputed one."""
+
+        class KeepsRun(CameoCompressor):
+            def _run(self, values, tracker, hops):
+                self.run = super()._run(values, tracker, hops)
+                return self.run
+
+        compressor = KeepsRun(max_lag=24, **config)
+        result = compressor.compress(_random_series(32, 1500))
+        assert result.metadata["removed_points"] > 1000
+        state = compressor.run.tracker.state
+        assert np.abs(state.acf() - state.recompute_acf()).max() <= 1e-9
 
 
 class TestPropertyBased:

@@ -17,11 +17,14 @@ The second is the short-series profile: the end-to-end benchmark's shape
 (``fleet_cameo``: 500 points, L=24, eps=0.01), where most ReHeaps touch a
 series boundary — n=10k hides that path entirely.
 
-On the native tier the whole ReHeap step shows up as one row,
-``_nativecore.reheap`` (neighbourhood gather, speculative peek, impacts,
-heap re-key and version stamps are inside it); ``--no-native``, PACF,
-``--agg-window`` > 1 and callable metrics show the Python chain it
-replaces instead (``_reheap_chain``: ``hops_array``, ``peek_many``,
+On the native tier the whole greedy loop shows up as one row,
+``_nativecore.run_loop`` (pop, preview, state update, unlink and the ReHeap
+step — neighbourhood gather, speculative peek, impacts, heap re-key and
+version stamps — are all inside it; what is left beside it is set-up:
+``initial_impacts`` and ``heapify``).  ``--no-native``, PACF,
+``--agg-window`` > 1 and callable metrics show the Python loop it replaces
+instead: ``_step`` per iteration, and under it ``apply_contiguous`` and the
+ReHeap chain (``_reheap_chain``: ``hops_array``, ``peek_many``,
 ``gap_impacts``, ``update_many``).
 
 The synthetic signal matches the perf harness

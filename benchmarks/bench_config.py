@@ -173,6 +173,19 @@ PERF_FLEET_EPSILON = 0.01
 #: container; the floor is deliberately conservative for slow CI runners.
 PERF_MIN_NATIVE_E2E_SPEEDUP = 1.15
 
+#: The storage kernels (PR 18): one 1,024-point storage segment through the
+#: compiled Gorilla/Chimp bit streams vs the NumPy-tier loops
+#: (``<scheme>.{encode,decode}_{native,numpy}``), and CRC32C of a 64 KiB
+#: buffer, compiled vs the Python slicing-by-8 walk
+#: (``checksum.crc32c_64k_{native,python}``).  Measured ~85x (decode) /
+#: ~42x (encode) / ~180x (CRC) on the dev container; the floors only say
+#: "the byte loop left Python".
+PERF_NATIVE_XOR_LENGTH = 1_024
+PERF_NATIVE_CRC_BYTES = 1 << 16
+PERF_MIN_NATIVE_XOR_DECODE_SPEEDUP = 10.0
+PERF_MIN_NATIVE_XOR_ENCODE_SPEEDUP = 10.0
+PERF_MIN_NATIVE_CRC_SPEEDUP = 10.0
+
 #: The native pop-loop (heapify + full drain) ratio vs the hybrid heap is
 #: recorded without a hard floor: single pops are already cheap in the
 #: hybrid heap and the win is capacity-dependent.

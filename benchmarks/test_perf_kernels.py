@@ -54,17 +54,22 @@ from bench_config import (
     PERF_FLEET_EPSILON,
     PERF_FLEET_LENGTH,
     PERF_FLEET_MAX_LAG,
+    PERF_MIN_NATIVE_CRC_SPEEDUP,
     PERF_MIN_NATIVE_E2E_SPEEDUP,
     PERF_MIN_NATIVE_REHEAP_SPEEDUP,
     PERF_MIN_NATIVE_RUN_LOOP_SPEEDUP,
     PERF_MIN_NATIVE_SEGMENT_SPEEDUP,
+    PERF_MIN_NATIVE_XOR_DECODE_SPEEDUP,
+    PERF_MIN_NATIVE_XOR_ENCODE_SPEEDUP,
     PERF_MIN_PACF_SPEEDUP,
     PERF_NATIVE_ACF_SEGMENT_LEN,
     PERF_NATIVE_ACF_SEGMENTS,
     PERF_NATIVE_EDGE_GAPS,
     PERF_NATIVE_EDGE_LENGTH,
     PERF_NATIVE_EDGE_MAX_LAG,
+    PERF_NATIVE_CRC_BYTES,
     PERF_NATIVE_HEAP_DRAINS,
+    PERF_NATIVE_XOR_LENGTH,
     PERF_PACF_MAX_LAG,
     PERF_PACF_ROWS,
     PERF_REHEAP_REMOVALS,
@@ -211,7 +216,11 @@ class TestBitstreamKernels:
         assert read_speedup >= PERF_MIN_BITSTREAM_SPEEDUP
 
 
+@pytest.mark.usefixtures("numpy_tier")
 class TestCodecKernels:
+    """The NumPy-tier codecs against the per-bit originals (the native
+    tier's are ``TestNativeTier.test_xor_codec_speedup``)."""
+
     @pytest.mark.parametrize("codec_cls,reference_encode,reference_decode", [
         (GorillaCodec, reference_gorilla_encode, reference_gorilla_decode),
         (ChimpCodec, reference_chimp_encode, reference_chimp_decode),
@@ -764,6 +773,62 @@ class TestNativeTier:
                        "cameo.compress_fleet_500x32_native",
                        "cameo.compress_fleet_500x32_numpy")
 
+    @pytest.mark.parametrize("codec_cls", [GorillaCodec, ChimpCodec],
+                             ids=["gorilla", "chimp"])
+    def test_xor_codec_speedup(self, report, codec_cls):
+        """``<scheme>.{encode,decode}_native``: one storage segment through
+        the compiled bit streams vs the NumPy-tier loops, payloads equal."""
+        codec = codec_cls()
+        label = codec.name.lower()
+        rng = np.random.default_rng(42)
+        signal = np.round(rng.normal(100, 5, PERF_NATIVE_XOR_LENGTH), 2)
+        n = signal.size
+        encoded = {}
+        for tier, enabled in (("native", True), ("numpy", False)):
+            _kernels.set_native_enabled(enabled)
+            encoded[tier] = payload, bit_length, count = codec.encode(signal)
+            assert np.array_equal(codec.decode(payload, bit_length, count),
+                                  signal)
+            report.add(bench(f"{label}.encode_{tier}",
+                             lambda: codec.encode(signal), ops=n))
+            report.add(bench(
+                f"{label}.decode_{tier}",
+                lambda: codec.decode(payload, bit_length, count), ops=n))
+        assert encoded["native"] == encoded["numpy"]
+        encode = report.speedup(f"{label}_encode_native",
+                                f"{label}.encode_native",
+                                f"{label}.encode_numpy")
+        decode = report.speedup(f"{label}_decode_native",
+                                f"{label}.decode_native",
+                                f"{label}.decode_numpy")
+        assert encode >= PERF_MIN_NATIVE_XOR_ENCODE_SPEEDUP
+        assert decode >= PERF_MIN_NATIVE_XOR_DECODE_SPEEDUP
+
+    def test_crc32c_speedup(self, report):
+        """``checksum.crc32c_64k_*``: the compiled table walk vs the Python
+        one on a segment-document-sized buffer."""
+        from repro.storage.checksum import crc32c
+
+        data = np.random.default_rng(5).integers(
+            0, 256, PERF_NATIVE_CRC_BYTES, dtype=np.uint8).tobytes()
+        values = {}
+        for tier, enabled in (("native", True), ("python", False)):
+            _kernels.set_native_enabled(enabled)
+            values[tier] = crc32c(data)
+            report.add(bench(f"checksum.crc32c_64k_{tier}",
+                             lambda: crc32c(data), ops=len(data)))
+        assert values["native"] == values["python"]
+        speedup = report.speedup("crc32c_native", "checksum.crc32c_64k_native",
+                                 "checksum.crc32c_64k_python")
+        assert speedup >= PERF_MIN_NATIVE_CRC_SPEEDUP
+
+    def test_xor_stacked_vs_native_perseries(self, report):
+        """``engine_xor_stacked_native``: what the stacked XOR fast path is
+        worth where ``encode_batch`` is a compiled call per row (ROADMAP
+        item 6(j)); recorded, not gated."""
+        _kernels.set_native_enabled(True)
+        _bench_xor_stacked(report, "_native")
+
     def test_cameo_lockstep_vs_native_perseries(self, report):
         """``engine_cameo_lockstep_native``: the lock-step fast path against
         per-series runs *on the native tier*.
@@ -781,6 +846,35 @@ class TestNativeTier:
         assert ratio >= 0.95, (
             f"fastpath=True at {ratio:.2f}x per-series runs on the native "
             "tier: the lock-step gate let a native-served series in")
+
+
+def _bench_xor_stacked(report, suffix: str) -> float:
+    """Time the stacked XOR encode vs per-series execution on the active
+    tier (payloads asserted byte-identical) as
+    ``engine.xor_{stack,perseries}_512x64<suffix>``; returns their ratio,
+    recorded as ``engine_xor_stacked<suffix>``."""
+    from repro.codecs import get_codec
+    from repro.engine import BatchEngine
+
+    rng = np.random.default_rng(11)
+    fleet = [np.round(rng.normal(100.0, 5.0, PERF_ENGINE_XOR_LENGTH), 2)
+             for _ in range(PERF_ENGINE_XOR_SERIES)]
+    ops = PERF_ENGINE_XOR_SERIES * PERF_ENGINE_XOR_LENGTH
+    stacked_engine = BatchEngine("gorilla", backend="serial", fastpath=True)
+    scalar_engine = BatchEngine("gorilla", backend="serial", fastpath=False)
+    stacked = stacked_engine.compress(fleet)
+    assert stacked.report.fastpath_series == PERF_ENGINE_XOR_SERIES
+    codec = get_codec("gorilla")
+    for outcome, series in zip(stacked, fleet):
+        assert outcome.unwrap().payload == codec.encode(series).payload
+    report.add(bench(f"engine.xor_stack_512x64{suffix}",
+                     lambda: stacked_engine.compress(fleet), ops=ops))
+    report.add(bench(f"engine.xor_perseries_512x64{suffix}",
+                     lambda: scalar_engine.compress(fleet), ops=ops,
+                     repeats=2))
+    return report.speedup(f"engine_xor_stacked{suffix}",
+                          f"engine.xor_stack_512x64{suffix}",
+                          f"engine.xor_perseries_512x64{suffix}")
 
 
 def _bench_cameo_lockstep(report, suffix: str, *, repeats: int,
@@ -889,29 +983,7 @@ class TestBatchEngine:
 
     def test_xor_stacked_fastpath(self, report):
         """``engine.xor_stack``: stacked encode vs per-series, byte-identical."""
-        from repro.codecs import get_codec
-        from repro.engine import BatchEngine
-
-        rng = np.random.default_rng(11)
-        fleet = [np.round(rng.normal(100.0, 5.0, PERF_ENGINE_XOR_LENGTH), 2)
-                 for _ in range(PERF_ENGINE_XOR_SERIES)]
-        ops = PERF_ENGINE_XOR_SERIES * PERF_ENGINE_XOR_LENGTH
-        stacked_engine = BatchEngine("gorilla", backend="serial",
-                                     fastpath=True)
-        scalar_engine = BatchEngine("gorilla", backend="serial",
-                                    fastpath=False)
-        stacked = stacked_engine.compress(fleet)
-        assert stacked.report.fastpath_series == PERF_ENGINE_XOR_SERIES
-        codec = get_codec("gorilla")
-        for outcome, series in zip(stacked, fleet):
-            assert outcome.unwrap().payload == codec.encode(series).payload
-        report.add(bench("engine.xor_stack_512x64",
-                         lambda: stacked_engine.compress(fleet), ops=ops))
-        report.add(bench("engine.xor_perseries_512x64",
-                         lambda: scalar_engine.compress(fleet), ops=ops,
-                         repeats=2))
-        report.speedup("engine_xor_stacked", "engine.xor_stack_512x64",
-                       "engine.xor_perseries_512x64")
+        _bench_xor_stacked(report, "")
 
     def test_cameo_lockstep_fastpath(self, report):
         """``engine.cameo_lockstep``: lock-step vs per-series, kept sets equal."""

@@ -19,7 +19,9 @@ of the library routes through:
   whole ReHeap step (removed index in, heap updated out), its evaluation
   kernel on its own (gaps in, impacts out), the indexed-min-heap
   primitives, and the greedy-pop gap deltas as C loops (OpenMP when
-  available), verified bit-identical to the NumPy kernels at import time,
+  available), plus the storage layer's byte loops (the Gorilla/Chimp bit
+  streams and CRC32C), verified bit-identical to the NumPy kernels at
+  import time,
 * :mod:`repro._kernels.reference` — the original per-bit / per-row
   implementations, kept as the ground truth for bit-exact cross-checks and
   as the baseline the perf harness measures speedups against.
@@ -66,7 +68,7 @@ NATIVE_ENV = "REPRO_NATIVE"
 
 #: The kernels with a native implementation (reported by active_tier).
 _NATIVE_KERNELS = ("run_loop", "reheap", "segment_impacts", "heap",
-                   "gap_deltas")
+                   "gap_deltas", "xor_codec", "crc32c")
 
 
 def _env_allows_native() -> bool:

@@ -32,6 +32,19 @@ admitting the extension:
 * ``fma_probe`` — ``a*b - a*b`` must be exactly ``0.0``; a non-zero
   result means the compiler contracted a product into a fused
   multiply-add, which rounds differently from NumPy's separate ops.
+* CRC32C known answers — ``crc32c`` must give the check value of
+  ``b"123456789"``, the four 32-byte iSCSI vectors of RFC 3720 B.4, and
+  the same value for a buffer hashed whole or in two running pieces.
+* ``xor_check`` — ``xor_encode`` must turn a fixed battery of bit patterns
+  (every control code of both schemes, NaN/inf/denormal patterns, fields
+  across 64-bit word boundaries) into the payloads the NumPy-tier
+  encoders produce, and ``xor_decode`` must return the battery — and
+  refuse it when the stream is one bit or one byte short.  The
+  expected payloads are pinned by length and checksum rather than
+  recomputed: :mod:`repro.lossless` imports this package, and they are
+  integer code whose answer no NumPy build can move
+  (``tests/lossless/test_native_xor.py`` holds the pins to the NumPy tier
+  and to :mod:`repro._kernels.reference`).
 
 The outcome (and the reason for a refusal) is recorded in
 :data:`BUILD_INFO` so ``repro._kernels.active_tier()`` stays diagnosable.
@@ -46,6 +59,7 @@ import os
 
 import numpy as np
 
+from ...exceptions import CodecError
 from ..lagdot import lagged_dot_deltas
 
 __all__ = ["MODULE", "BUILD_INFO"]
@@ -148,6 +162,85 @@ def _check_lagdot_model(mod) -> bool:
     return True
 
 
+#: CRC32C known answers: the check value and RFC 3720 B.4's iSCSI vectors.
+_CRC_ANSWERS = (
+    (b"", 0x00000000),
+    (b"123456789", 0xE3069283),
+    (bytes(32), 0x8A9136AA),
+    (b"\xff" * 32, 0x62A8AB43),
+    (bytes(range(32)), 0x46DD794E),
+    (bytes(range(31, -1, -1)), 0x113FDB5C),
+)
+
+
+def _check_crc32c(mod) -> bool:
+    """Does the extension's CRC32C give the published answers?"""
+    if any(mod.crc32c(data) != answer for data, answer in _CRC_ANSWERS):
+        return False
+    data = bytes(range(256)) * 3 + b"tail!"     # 8-byte strides + a tail
+    return all(mod.crc32c(data[cut:], mod.crc32c(data[:cut]))
+               == mod.crc32c(data) for cut in (0, 1, 7, 8, 9, 300, len(data)))
+
+
+def xor_battery() -> np.ndarray:
+    """The float64 bit patterns the XOR codec self-check encodes.
+
+    Built from exactly rounded arithmetic and an integer generator, so it
+    is the same array on every machine.  Narrow XORs come first — a Gorilla
+    window only ever widens until a value falls outside it, and arbitrary
+    patterns open it all the way: neighbouring bit patterns (more than 31
+    leading zeros, Chimp flags ``01``/``10``), the same with every value
+    repeated (flag ``00`` between two equal leading codes), steps of 64
+    (exactly six trailing zeros, Chimp's flag ``11`` threshold), integers
+    (long trailing-zero runs), two-decimal values (full mantissas), ±0.0,
+    denormals, ±inf, a NaN and arbitrary 64-bit patterns — the codecs move
+    bits, whatever float they spell.
+    """
+    base = int(np.float64(1234.5).view(np.uint64))
+    state, noise = 0x9E3779B97F4A7C15, []
+    for _ in range(24):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        noise.append(state)
+    patterns = ([base + 3 * step * step for step in range(40)]
+                + [base + 5 * (step // 2) for step in range(24)]
+                + [base + 64 * step for step in range(12)])
+    specials = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308]
+    return np.concatenate((
+        np.array(patterns, dtype=np.uint64).view(np.float64),
+        np.arange(40.0), np.round(np.arange(40) * 0.37, 2), specials,
+        np.array(noise, dtype=np.uint64).view(np.float64)))
+
+
+#: ``scheme -> (bit_length, crc32c(payload))`` of :func:`xor_battery` under
+#: the NumPy-tier encoders.
+XOR_ANSWERS = {"gorilla": (9326, 0x5618EEBD), "chimp": (7508, 0x68DBEC69)}
+
+
+def _decoded_bytes(mod, scheme, payload, bit_length, count) -> bytes | None:
+    """The decoded values' bytes, or ``None`` when the decoder refuses."""
+    try:
+        return mod.xor_decode(scheme, payload, bit_length, count).tobytes()
+    except CodecError:
+        return None
+
+
+def _check_xor_codecs(mod) -> bool:
+    """Do both schemes encode the battery to the pinned payloads, and back?"""
+    battery = xor_battery()
+    for scheme, answer in XOR_ANSWERS.items():
+        payload, bit_length = mod.xor_encode(scheme, battery)
+        if (bit_length, mod.crc32c(payload)) != answer:
+            return False
+        if _decoded_bytes(mod, scheme, payload, bit_length,
+                          battery.size) != battery.tobytes():
+            return False
+        # one bit or one byte short, the last value must be refused
+        for short in ((payload, bit_length - 1), (payload[:-1], bit_length)):
+            if _decoded_bytes(mod, scheme, *short, battery.size) is not None:
+                return False
+    return True
+
+
 def _self_check(mod) -> str | None:
     """Return a rejection reason, or ``None`` when the module is usable."""
     try:
@@ -161,6 +254,10 @@ def _self_check(mod) -> str | None:
             return "np.argsort(kind='stable') order not reproduced"
         if not _check_lagdot_model(mod):
             return "axis-0 np.add.reduce lag sums not reproduced"
+        if not _check_crc32c(mod):
+            return "crc32c known answers not reproduced"
+        if not _check_xor_codecs(mod):
+            return "XOR codec payloads not reproduced"
     except Exception as exc:  # pragma: no cover - defensive
         return f"self-check crashed: {exc!r}"
     return None

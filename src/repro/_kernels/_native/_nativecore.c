@@ -25,7 +25,10 @@
  *     bulk push/update, destructive multi-pop, non-destructive frontier
  *     peek) operating on flat float64/int64 arrays owned by the caller;
  *   - ``gap_deltas``: the per-gap linear re-interpolation deltas of the
- *     greedy pop step.
+ *     greedy pop step;
+ *   - the storage layer's byte loops: ``crc32c`` (table-driven, any
+ *     buffer) and ``xor_encode`` / ``xor_decode``, the Gorilla and Chimp
+ *     bit streams over one MSB-first bit reader/writer.
  *
  * Bit-identity contract: every function reproduces the NumPy formulation
  * of the same computation *bit for bit*.  Three ingredients make that
@@ -2391,6 +2394,581 @@ py_fma_probe(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
+/* storage kernels: CRC32C and the XOR codecs' bit streams             */
+/* ------------------------------------------------------------------ */
+
+/* Nothing here is floating-point arithmetic: the XOR codecs move IEEE-754
+ * bit patterns and the CRC is integer table walking, so identity with the
+ * Python tier is a matter of transcription, not of rounding.  The loader
+ * still checks both against known answers before admitting the build. */
+
+static npy_uint32 crc32c_tables[8][256];
+
+/* Slicing-by-8 tables of the reflected Castagnoli polynomial; the same
+ * construction as repro/storage/checksum.py::_make_tables. */
+static void
+crc32c_init(void)
+{
+    npy_uint32 index, crc;
+    int bit, slab;
+
+    for (index = 0; index < 256; index++) {
+        crc = index;
+        for (bit = 0; bit < 8; bit++) {
+            crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+        }
+        crc32c_tables[0][index] = crc;
+    }
+    for (index = 0; index < 256; index++) {
+        crc = crc32c_tables[0][index];
+        for (slab = 1; slab < 8; slab++) {
+            crc = (crc >> 8) ^ crc32c_tables[0][crc & 0xFFu];
+            crc32c_tables[slab][index] = crc;
+        }
+    }
+}
+
+/* Bytes are composed one at a time, so the walk is independent of the
+ * host's endianness and of the buffer's alignment. */
+static npy_uint32
+crc32c_update(npy_uint32 crc, const unsigned char *data, Py_ssize_t length)
+{
+    const npy_uint32 (*t)[256] = crc32c_tables;
+
+    crc ^= 0xFFFFFFFFu;
+    while (length >= 8) {
+        crc ^= (npy_uint32)data[0] | ((npy_uint32)data[1] << 8)
+            | ((npy_uint32)data[2] << 16) | ((npy_uint32)data[3] << 24);
+        crc = t[7][crc & 0xFFu] ^ t[6][(crc >> 8) & 0xFFu]
+            ^ t[5][(crc >> 16) & 0xFFu] ^ t[4][crc >> 24]
+            ^ t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
+        data += 8;
+        length -= 8;
+    }
+    while (length > 0) {
+        crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
+        data++;
+        length--;
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+static PyObject *
+py_crc32c(PyObject *self, PyObject *args)
+{
+    Py_buffer view;
+    unsigned long long value = 0;
+    npy_uint32 crc;
+
+    /* "K" takes the low bits of any int, as `value & 0xFFFFFFFF` does */
+    if (!PyArg_ParseTuple(args, "y*|K", &view, &value)) {
+        return NULL;
+    }
+    crc = crc32c_update((npy_uint32)(value & 0xFFFFFFFFu),
+                        (const unsigned char *)view.buf, view.len);
+    PyBuffer_Release(&view);
+    return PyLong_FromUnsignedLong((unsigned long)crc);
+}
+
+/* Raise repro.exceptions.CodecError, what the Python decoders raise. */
+static PyObject *
+raise_codec_error(const char *message)
+{
+    PyObject *module = PyImport_ImportModule("repro.exceptions");
+    PyObject *error = NULL;
+
+    if (module != NULL) {
+        error = PyObject_GetAttrString(module, "CodecError");
+        Py_DECREF(module);
+    }
+    if (error != NULL) {
+        PyErr_SetString(error, message);
+        Py_DECREF(error);
+    }
+    return NULL;
+}
+
+#define XOR_GORILLA 0
+#define XOR_CHIMP 1
+
+static int
+xor_scheme(const char *name)
+{
+    if (strcmp(name, "gorilla") == 0) {
+        return XOR_GORILLA;
+    }
+    if (strcmp(name, "chimp") == 0) {
+        return XOR_CHIMP;
+    }
+    PyErr_Format(PyExc_ValueError,
+                 "scheme must be 'gorilla' or 'chimp', got '%s'", name);
+    return -1;
+}
+
+/* Chimp's quantised leading-zero counts (3-bit codes). */
+static const int chimp_leading_round[8] = {0, 8, 12, 16, 18, 20, 22, 24};
+
+static int
+clz64(npy_uint64 value)         /* value != 0 */
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_clzll(value);
+#else
+    int count = 0;
+    while (!(value >> 63)) {
+        value <<= 1;
+        count++;
+    }
+    return count;
+#endif
+}
+
+static int
+ctz64(npy_uint64 value)         /* value != 0 */
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_ctzll(value);
+#else
+    int count = 0;
+    while (!(value & 1u)) {
+        value >>= 1;
+        count++;
+    }
+    return count;
+#endif
+}
+
+/* A double's bit pattern, moved with memcpy: no aliasing or alignment
+ * assumption about the caller's array. */
+static npy_uint64
+load_bits(const double *values, npy_intp index)
+{
+    npy_uint64 bits;
+
+    memcpy(&bits, values + index, sizeof bits);
+    return bits;
+}
+
+static void
+store_bits(double *values, npy_intp index, npy_uint64 bits)
+{
+    memcpy(values + index, &bits, sizeof bits);
+}
+
+/* MSB-first bit stream over bytes, shared by both schemes.  The reader
+ * takes its input from outside the program: it refuses a field that would
+ * end past `limit` *before* touching memory, `limit` never exceeds eight
+ * times the buffer length, so no byte at or past the end is ever read, and
+ * fields are gathered byte by byte, so no shift reaches the width of its
+ * operand.  The writer fills a buffer sized for the worst case beforehand
+ * and can afford whole words. */
+typedef struct {
+    const unsigned char *data;
+    npy_int64 limit;            /* readable bits */
+    npy_int64 position;
+} bit_reader;
+
+/* 1 and the next `width` bits (1..64) in *out, or 0 past the limit. */
+static int
+bits_read(bit_reader *reader, int width, npy_uint64 *out)
+{
+    const unsigned char *byte;
+    npy_uint64 value;
+    int offset, take;
+
+    if (reader->position + width > reader->limit) {
+        return 0;
+    }
+    byte = reader->data + (reader->position >> 3);
+    offset = (int)(reader->position & 7);
+    reader->position += width;
+    take = 8 - offset;
+    if (take > width) {
+        take = width;
+    }
+    value = ((npy_uint64)*byte >> (8 - offset - take)) & ((1u << take) - 1u);
+    width -= take;
+    byte++;
+    while (width >= 8) {
+        value = (value << 8) | *byte++;
+        width -= 8;
+    }
+    if (width > 0) {
+        value = (value << width) | ((npy_uint64)*byte >> (8 - width));
+    }
+    *out = value;
+    return 1;
+}
+
+typedef struct {
+    unsigned char *out;         /* next byte to write */
+    npy_uint64 pending;         /* bits not yet written, right-aligned */
+    int pending_bits;           /* how many, 0..63 */
+    npy_int64 bit_length;
+} bit_writer;
+
+static void
+bits_flush_word(bit_writer *writer, npy_uint64 word)
+{
+    int shift;
+
+    for (shift = 56; shift >= 0; shift -= 8) {
+        *writer->out++ = (unsigned char)(word >> shift);
+    }
+}
+
+/* Append the `width` (1..64) low bits of `value`, which has none above. */
+static void
+bits_write(bit_writer *writer, npy_uint64 value, int width)
+{
+    const int space = 64 - writer->pending_bits;    /* 1..64 */
+
+    writer->bit_length += width;
+    if (width < space) {
+        writer->pending = (writer->pending << width) | value;
+        writer->pending_bits += width;
+    } else {
+        const int rest = width - space;             /* 0..63 */
+
+        /* pending is 0 when no bit is pending: a shift by 64 never runs */
+        bits_flush_word(writer, (space < 64 ? writer->pending << space : 0)
+                        | (value >> rest));
+        writer->pending = rest ? value & (((npy_uint64)1 << rest) - 1) : 0;
+        writer->pending_bits = rest;
+    }
+}
+
+/* Write out the pending bits, the last byte zero-padded on the right. */
+static void
+bits_finish(bit_writer *writer)
+{
+    int remaining = writer->pending_bits;
+
+    if (remaining > 0) {
+        const npy_uint64 word = writer->pending << (64 - remaining);
+        int shift;
+
+        for (shift = 56; remaining > 0; shift -= 8, remaining -= 8) {
+            *writer->out++ = (unsigned char)(word >> shift);
+        }
+    }
+}
+
+/* Longest field sequence of one value: gorilla `11` + 5 + 6 + 64 bits,
+ * chimp `10` + 3 + 64 bits. */
+#define XOR_MAX_BITS_PER_VALUE 77
+
+static void
+gorilla_encode(bit_writer *writer, const double *values, npy_intp count)
+{
+    npy_uint64 previous = load_bits(values, 0);
+    int previous_leading = 65;  /* force a new window on the first XOR */
+    int previous_trailing = 65;
+    npy_intp index;
+
+    bits_write(writer, previous, 64);
+    for (index = 1; index < count; index++) {
+        const npy_uint64 current = load_bits(values, index);
+        const npy_uint64 xor = current ^ previous;
+        int leading, trailing;
+
+        previous = current;
+        if (xor == 0) {
+            bits_write(writer, 0, 1);
+            continue;
+        }
+        leading = clz64(xor);
+        if (leading > 31) {
+            leading = 31;
+        }
+        trailing = ctz64(xor);
+        if (leading >= previous_leading && trailing >= previous_trailing) {
+            bits_write(writer, 2, 2);
+            bits_write(writer, xor >> previous_trailing,
+                       64 - previous_leading - previous_trailing);
+        } else {
+            const int meaningful = 64 - leading - trailing;
+
+            bits_write(writer, 3, 2);
+            bits_write(writer, (npy_uint64)leading, 5);
+            bits_write(writer, (npy_uint64)(meaningful - 1), 6);
+            bits_write(writer, xor >> trailing, meaningful);
+            previous_leading = leading;
+            previous_trailing = trailing;
+        }
+    }
+}
+
+static void
+chimp_encode(bit_writer *writer, const double *values, npy_intp count)
+{
+    npy_uint64 previous = load_bits(values, 0);
+    int previous_leading_code = -1;
+    npy_intp index;
+
+    bits_write(writer, previous, 64);
+    for (index = 1; index < count; index++) {
+        const npy_uint64 current = load_bits(values, index);
+        const npy_uint64 xor = current ^ previous;
+        int leading, trailing, code, rounded;
+
+        previous = current;
+        if (xor == 0) {
+            bits_write(writer, 0, 2);
+            previous_leading_code = -1;
+            continue;
+        }
+        leading = clz64(xor);
+        trailing = ctz64(xor);
+        code = 0;
+        while (code < 7 && leading >= chimp_leading_round[code + 1]) {
+            code++;
+        }
+        rounded = chimp_leading_round[code];
+        if (trailing > 6) {
+            const int centre = 64 - rounded - trailing;
+
+            bits_write(writer, 3, 2);
+            bits_write(writer, (npy_uint64)code, 3);
+            bits_write(writer, (npy_uint64)centre, 6);
+            bits_write(writer, xor >> trailing, centre);
+            previous_leading_code = -1;
+        } else if (code == previous_leading_code) {
+            bits_write(writer, 1, 2);
+            bits_write(writer, xor, 64 - rounded);
+        } else {
+            bits_write(writer, 2, 2);
+            bits_write(writer, (npy_uint64)code, 3);
+            bits_write(writer, xor, 64 - rounded);
+            previous_leading_code = code;
+        }
+    }
+}
+
+static PyObject *
+py_xor_encode(PyObject *self, PyObject *args)
+{
+    const char *scheme_name;
+    PyArrayObject *values;
+    PyObject *payload;
+    bit_writer writer;
+    npy_intp count;
+    int scheme;
+
+    if (!PyArg_ParseTuple(args, "sO!", &scheme_name,
+                          &PyArray_Type, &values)) {
+        return NULL;
+    }
+    scheme = xor_scheme(scheme_name);
+    if (scheme < 0 || !CHECK_F64(values, "values")) {
+        return NULL;
+    }
+    count = PyArray_DIM(values, 0);
+    if (count < 1) {
+        PyErr_SetString(PyExc_ValueError, "values must not be empty");
+        return NULL;
+    }
+    if (count > NPY_MAX_INTP / 128) {
+        return PyErr_NoMemory();
+    }
+    payload = PyBytes_FromStringAndSize(
+        NULL, (8 * 8 + (count - 1) * XOR_MAX_BITS_PER_VALUE + 7) / 8);
+    if (payload == NULL) {
+        return NULL;
+    }
+    writer.out = (unsigned char *)PyBytes_AS_STRING(payload);
+    writer.pending = 0;
+    writer.pending_bits = 0;
+    writer.bit_length = 0;
+    (scheme == XOR_GORILLA ? gorilla_encode : chimp_encode)(
+        &writer, (const double *)PyArray_DATA(values), count);
+    bits_finish(&writer);
+    if (_PyBytes_Resize(&payload, (Py_ssize_t)(
+            writer.out - (unsigned char *)PyBytes_AS_STRING(payload))) < 0) {
+        return NULL;
+    }
+    return Py_BuildValue("(NL)", payload, (long long)writer.bit_length);
+}
+
+static const char *const XOR_PAST_END =
+    "attempt to read past the end of the bit stream";
+static const char *const XOR_BAD_WINDOW =
+    "XOR window does not fit in 64 bits";
+
+/* NULL when `count` values decoded, else the refusal's message. */
+static const char *
+gorilla_decode(bit_reader *reader, double *out, npy_intp count)
+{
+    npy_uint64 previous, field;
+    int leading = 0, trailing = 0, width;
+    npy_intp index;
+
+    if (!bits_read(reader, 64, &previous)) {
+        return XOR_PAST_END;
+    }
+    store_bits(out, 0, previous);
+    for (index = 1; index < count; index++) {
+        if (!bits_read(reader, 1, &field)) {
+            return XOR_PAST_END;
+        }
+        if (field == 0) {
+            store_bits(out, index, previous);
+            continue;
+        }
+        if (!bits_read(reader, 1, &field)) {
+            return XOR_PAST_END;
+        }
+        if (field == 0) {
+            width = 64 - leading - trailing;
+        } else {
+            if (!bits_read(reader, 11, &field)) {
+                return XOR_PAST_END;
+            }
+            leading = (int)(field >> 6);
+            width = (int)(field & 0x3F) + 1;
+            trailing = 64 - leading - width;
+            if (trailing < 0) {
+                return XOR_BAD_WINDOW;
+            }
+        }
+        if (!bits_read(reader, width, &field)) {
+            return XOR_PAST_END;
+        }
+        previous ^= field << trailing;
+        store_bits(out, index, previous);
+    }
+    return NULL;
+}
+
+static const char *
+chimp_decode(bit_reader *reader, double *out, npy_intp count)
+{
+    npy_uint64 previous, field;
+    int previous_leading_rounded = 0, width, shift;
+    npy_intp index;
+
+    if (!bits_read(reader, 64, &previous)) {
+        return XOR_PAST_END;
+    }
+    store_bits(out, 0, previous);
+    for (index = 1; index < count; index++) {
+        if (!bits_read(reader, 2, &field)) {
+            return XOR_PAST_END;
+        }
+        if (field == 0) {
+            store_bits(out, index, previous);
+            continue;
+        }
+        shift = 0;
+        if (field == 3) {
+            if (!bits_read(reader, 9, &field)) {
+                return XOR_PAST_END;
+            }
+            width = (int)(field & 0x3F);
+            shift = 64 - chimp_leading_round[field >> 6] - width;
+            if (shift < 0) {
+                return XOR_BAD_WINDOW;
+            }
+            if (width == 0) {   /* no encoder writes it; an empty centre */
+                store_bits(out, index, previous);
+                continue;
+            }
+        } else {
+            if (field == 2) {
+                if (!bits_read(reader, 3, &field)) {
+                    return XOR_PAST_END;
+                }
+                previous_leading_rounded = chimp_leading_round[field];
+            }
+            width = 64 - previous_leading_rounded;
+        }
+        if (!bits_read(reader, width, &field)) {
+            return XOR_PAST_END;
+        }
+        previous ^= field << shift;
+        store_bits(out, index, previous);
+    }
+    return NULL;
+}
+
+/* A Python int as a C long long, saturating instead of overflowing. */
+static int
+saturating_int64(PyObject *object, npy_int64 *out)
+{
+    int overflow = 0;
+    const long long value = PyLong_AsLongLongAndOverflow(object, &overflow);
+
+    if (value == -1 && overflow == 0 && PyErr_Occurred()) {
+        return 0;
+    }
+    *out = overflow > 0 ? NPY_MAX_INT64
+         : overflow < 0 ? NPY_MIN_INT64 : (npy_int64)value;
+    return 1;
+}
+
+/* `count` values out of `view`, whose release is the caller's. */
+static PyObject *
+xor_decode_buffer(int scheme, const Py_buffer *view, npy_int64 bit_length,
+                  npy_int64 count)
+{
+    const char *refusal;
+    PyArrayObject *decoded;
+    bit_reader reader;
+    npy_intp dims[1];
+
+    reader.data = (const unsigned char *)view->buf;
+    reader.limit = (npy_int64)view->len * 8;
+    if (bit_length < reader.limit) {
+        reader.limit = bit_length;
+    }
+    reader.position = 0;
+    if (count <= 0) {
+        return raise_codec_error("count must be positive");
+    }
+    /* every value after the first costs at least one bit (gorilla) or two
+     * (chimp): refuse a count the stream cannot hold before sizing the
+     * output by it */
+    if (reader.limit < 64 || (count - 1) > (reader.limit - 64)
+            / (scheme == XOR_GORILLA ? 1 : 2)) {
+        return raise_codec_error(XOR_PAST_END);
+    }
+    dims[0] = (npy_intp)count;
+    decoded = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_FLOAT64);
+    if (decoded == NULL) {
+        return NULL;
+    }
+    refusal = (scheme == XOR_GORILLA ? gorilla_decode : chimp_decode)(
+        &reader, (double *)PyArray_DATA(decoded), dims[0]);
+    if (refusal != NULL) {
+        Py_DECREF(decoded);
+        return raise_codec_error(refusal);
+    }
+    return (PyObject *)decoded;
+}
+
+static PyObject *
+py_xor_decode(PyObject *self, PyObject *args)
+{
+    const char *scheme_name;
+    PyObject *bit_length_object, *count_object, *decoded = NULL;
+    Py_buffer view;
+    npy_int64 bit_length, count;
+    int scheme;
+
+    if (!PyArg_ParseTuple(args, "sy*OO", &scheme_name, &view,
+                          &bit_length_object, &count_object)) {
+        return NULL;
+    }
+    scheme = xor_scheme(scheme_name);
+    if (scheme >= 0 && saturating_int64(bit_length_object, &bit_length)
+            && saturating_int64(count_object, &count)) {
+        decoded = xor_decode_buffer(scheme, &view, bit_length, count);
+    }
+    PyBuffer_Release(&view);
+    return decoded;
+}
+
+/* ------------------------------------------------------------------ */
 /* build / threading introspection                                     */
 /* ------------------------------------------------------------------ */
 
@@ -2487,6 +3065,12 @@ static PyMethodDef nativecore_methods[] = {
      "Slot order under the module's np.argsort(kind='stable') model."},
     {"lagdot_check", py_lagdot_check, METH_VARARGS,
      "Lag sums of one contiguous change under the module's model."},
+    {"crc32c", py_crc32c, METH_VARARGS,
+     "CRC32C of a buffer, continuing from an optional running value."},
+    {"xor_encode", py_xor_encode, METH_VARARGS,
+     "Gorilla/Chimp bit stream of a float64 series: (payload, bit_length)."},
+    {"xor_decode", py_xor_decode, METH_VARARGS,
+     "The float64 series of a Gorilla/Chimp payload; CodecError past its end."},
     {"fma_probe", py_fma_probe, METH_VARARGS,
      "a*b - a*b; non-zero iff the build contracted to FMA."},
     {"build_info", py_build_info, METH_NOARGS,
@@ -2512,6 +3096,7 @@ PyInit__nativecore(void)
     PyObject *module;
 
     import_array();
+    crc32c_init();
     module = PyModule_Create(&nativecore_module);
     if (module != NULL && PyModule_AddIntConstant(
             module, "HEAP_REBUILD_FRACTION", HEAP_REBUILD_FRACTION) < 0) {

@@ -147,7 +147,7 @@ def pack_field_streams(field_stream_fn, bits: np.ndarray, *row_args
     return results
 
 
-def payload_words(payload: bytes) -> list[int]:
+def payload_words(payload) -> list[int]:
     """View a byte payload as MSB-first 64-bit words (zero-padded ints).
 
     Inverse of :func:`words_to_bytes`; used by the sequential codec decode
@@ -155,7 +155,7 @@ def payload_words(payload: bytes) -> list[int]:
     """
     pad = (-len(payload)) % 8
     if pad:
-        payload = payload + b"\x00" * pad
+        payload = bytes(payload) + b"\x00" * pad
     return np.frombuffer(payload, dtype=">u8").tolist()
 
 

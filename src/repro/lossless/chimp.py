@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._kernels import get_native
 from .._kernels.bitops import clz64, ctz64, xor_stream
 from .._kernels.bitpack import pack_bits, pack_field_streams, payload_words, words_to_bytes
+from .._validation import as_float_array
 from ..exceptions import CodecError
 
 __all__ = ["ChimpCodec"]
@@ -111,6 +113,11 @@ class ChimpCodec:
 
     def encode(self, values) -> tuple[bytes, int, int]:
         """Encode ``values``; returns ``(payload, bit_length, count)``."""
+        values = as_float_array(values)
+        native = get_native()
+        if native is not None:
+            payload, bit_length = native.xor_encode("chimp", values)
+            return payload, bit_length, values.size
         bits, xor_array = xor_stream(values)
         leading_all = clz64(xor_array)
         fields, widths = _chimp_field_stream(
@@ -132,6 +139,11 @@ class ChimpCodec:
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] == 0:
             raise CodecError("encode_batch expects a (num_series, length) matrix")
+        native = get_native()
+        if native is not None:
+            # The stacked pass amortises NumPy dispatch; a C call per row
+            # has none to amortise.
+            return [(*native.xor_encode("chimp", row), row.size) for row in matrix]
         bits = matrix.view(np.uint64)
         xors = bits[:, 1:] ^ bits[:, :-1]
         leading = clz64(xors)
@@ -141,11 +153,16 @@ class ChimpCodec:
 
     def decode(self, payload: bytes, bit_length: int, count: int) -> np.ndarray:
         """Decode ``count`` values from an encoded payload."""
+        native = get_native()
+        if native is not None:
+            return native.xor_decode("chimp", payload, bit_length, count)
         if count <= 0:
             raise CodecError("count must be positive")
         words = payload_words(payload)
         limit = min(bit_length, len(payload) * 8)
-        if 64 > limit:
+        # Every value after the first costs at least two bits: refuse a count
+        # the stream cannot hold before sizing the output by it.
+        if 64 > limit or count - 1 > (limit - 64) // 2:
             raise CodecError("attempt to read past the end of the bit stream")
         decoded = [0] * count
         previous = words[0]
@@ -184,6 +201,11 @@ class ChimpCodec:
                 leading_rounded = leading_table[header >> 6]
                 width = header & 0x3F
                 shift = 64 - leading_rounded - width
+                if shift < 0:
+                    raise CodecError("XOR window does not fit in 64 bits")
+                if width == 0:  # no encoder writes it; an empty centre
+                    decoded[index] = previous
+                    continue
             elif flag == 0b10:
                 if position + 3 > limit:
                     raise CodecError("attempt to read past the end of the bit stream")

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._kernels import get_native
 from .._kernels.bitops import clz64, ctz64, xor_stream
 from .._kernels.bitpack import pack_bits, pack_field_streams, payload_words, words_to_bytes
+from .._validation import as_float_array
 from ..exceptions import CodecError
 
 __all__ = ["GorillaCodec"]
@@ -82,6 +84,11 @@ class GorillaCodec:
 
     def encode(self, values) -> tuple[bytes, int, int]:
         """Encode ``values``; returns ``(payload, bit_length, count)``."""
+        values = as_float_array(values)
+        native = get_native()
+        if native is not None:
+            payload, bit_length = native.xor_encode("gorilla", values)
+            return payload, bit_length, values.size
         bits, xor_array = xor_stream(values)
         fields, widths = _gorilla_field_stream(
             int(bits[0]), xor_array.tolist(),
@@ -105,6 +112,11 @@ class GorillaCodec:
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] == 0:
             raise CodecError("encode_batch expects a (num_series, length) matrix")
+        native = get_native()
+        if native is not None:
+            # The stacked pass amortises NumPy dispatch; a C call per row
+            # has none to amortise.
+            return [(*native.xor_encode("gorilla", row), row.size) for row in matrix]
         bits = matrix.view(np.uint64)
         xors = bits[:, 1:] ^ bits[:, :-1]
         leading_rows = np.minimum(clz64(xors), 31).tolist()
@@ -115,17 +127,21 @@ class GorillaCodec:
 
     def decode(self, payload: bytes, bit_length: int, count: int) -> np.ndarray:
         """Decode ``count`` values from an encoded payload."""
+        native = get_native()
+        if native is not None:
+            return native.xor_decode("gorilla", payload, bit_length, count)
         if count <= 0:
             raise CodecError("count must be positive")
         words = payload_words(payload)
         limit = min(bit_length, len(payload) * 8)
+        # Every value after the first costs at least one bit: refuse a count
+        # the stream cannot hold before sizing the output by it.
+        if 64 > limit or count - 1 > limit - 64:
+            raise CodecError("attempt to read past the end of the bit stream")
         decoded = [0] * count
-        position = 0
         # The decoder is inherently sequential (each field's width depends on
         # the flags before it), so the chunk reads are inlined: every field
         # costs a couple of shifts instead of a per-bit loop.
-        if 64 > limit:
-            raise CodecError("attempt to read past the end of the bit stream")
         previous = words[0]
         position = 64
         decoded[0] = previous
@@ -163,6 +179,8 @@ class GorillaCodec:
                 leading = header >> 6
                 width = (header & 0x3F) + 1
                 trailing = 64 - leading - width
+                if trailing < 0:
+                    raise CodecError("XOR window does not fit in 64 bits")
             if position + width > limit:
                 raise CodecError("attempt to read past the end of the bit stream")
             word_index = position >> 6

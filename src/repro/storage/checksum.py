@@ -3,16 +3,23 @@
 Every durable artifact — WAL records, sealed segment files, the manifest's
 per-segment references — carries a CRC32C so a flipped bit or a torn write
 is *detected* instead of decoding into silently wrong values.  CRC32C is
-the polynomial used by iSCSI, ext4 metadata, and LevelDB's log format; the
-implementation here is a pure-Python slicing-by-8 table walk (stdlib only,
-no compiled dependency), fast enough for segment-sized payloads and
-byte-for-byte compatible with hardware CRC32C implementations.
+the polynomial used by iSCSI, ext4 metadata, and LevelDB's log format.
+
+:func:`crc32c` runs on the kernel tier :func:`repro._kernels.get_native`
+resolves: the compiled extension's table-driven C loop (~2 GB/s) when it is
+built and admitted, otherwise the pure-Python slicing-by-8 walk below
+(stdlib only).  The Python walk manages about 13 MB/s: a 20 KB segment
+document costs 1.5 ms, which made it the largest line of a sealing append
+and of recovery until the native tier took it over.  Both produce the same
+value for every input, byte-for-byte compatible with hardware CRC32C.
 
 >>> hex(crc32c(b"123456789"))
 '0xe3069283'
 """
 
 from __future__ import annotations
+
+from .._kernels import get_native
 
 __all__ = ["crc32c", "crc32c_hex"]
 
@@ -39,14 +46,19 @@ def _make_tables() -> list[list[int]]:
 _TABLES = _make_tables()
 
 
-def crc32c(data: bytes, value: int = 0) -> int:
+def crc32c(data, value: int = 0) -> int:
     """CRC32C of ``data``, optionally continuing from a previous ``value``.
 
-    ``crc32c(b + c, crc32c(a)) == crc32c(a + b + c)[-incremental-]`` — the
-    running form lets callers checksum streamed writes without buffering.
+    ``data`` is any C-contiguous buffer (``bytes``, ``bytearray``,
+    ``memoryview``, a NumPy array), read in place.
+    ``crc32c(b, crc32c(a)) == crc32c(a + b)`` — the running form lets
+    callers checksum streamed writes without buffering.
     """
+    native = get_native()
+    if native is not None:
+        return native.crc32c(data, value)
     crc = (int(value) & 0xFFFFFFFF) ^ 0xFFFFFFFF
-    data = memoryview(bytes(data))
+    data = memoryview(data).cast("B")
     t0, t1, t2, t3, t4, t5, t6, t7 = _TABLES
     length = len(data)
     position = 0
@@ -62,6 +74,6 @@ def crc32c(data: bytes, value: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-def crc32c_hex(data: bytes, value: int = 0) -> str:
+def crc32c_hex(data, value: int = 0) -> str:
     """Zero-padded lowercase hex form of :func:`crc32c` (manifest fields)."""
     return f"{crc32c(data, value):08x}"

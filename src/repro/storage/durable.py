@@ -128,32 +128,33 @@ FOOTER_PREFIX = b"\n#crc32c="
 # --------------------------------------------------------------------- #
 # checksummed file helpers
 # --------------------------------------------------------------------- #
-def attach_footer(payload: bytes) -> bytes:
-    """Append the CRC32C footer line to ``payload``."""
-    return payload + FOOTER_PREFIX + crc32c_hex(payload).encode("ascii") + b"\n"
+def attach_footer(payload: bytes) -> tuple[bytes, str]:
+    """``payload`` with its CRC32C footer line, and that CRC in hex."""
+    crc = crc32c_hex(payload)
+    return payload + FOOTER_PREFIX + crc.encode("ascii") + b"\n", crc
 
 
-def split_footer(data: bytes) -> tuple[bytes | None, str, str]:
+def split_footer(data: bytes) -> tuple[bytes | None, str, str, str]:
     """Verify a checksummed file's bytes.
 
-    Returns ``(payload, reason, detail)`` — ``payload`` is ``None`` when
-    verification fails, with a machine-readable ``reason`` code
-    (``truncated-footer`` / ``checksum-mismatch``).
+    Returns ``(payload, payload_crc_hex, reason, detail)`` — ``payload`` is
+    ``None`` when verification fails, with a machine-readable ``reason``
+    code (``truncated-footer`` / ``checksum-mismatch``).
     """
     position = data.rfind(FOOTER_PREFIX)
     if position < 0:
-        return None, "truncated-footer", "no checksum footer found"
+        return None, "", "truncated-footer", "no checksum footer found"
     payload = bytes(data[:position])
     tail = data[position + len(FOOTER_PREFIX):].strip()
     try:
         stored = int(tail.decode("ascii"), 16)
     except (UnicodeDecodeError, ValueError):
-        return None, "truncated-footer", "unparseable checksum footer"
+        return None, "", "truncated-footer", "unparseable checksum footer"
     actual = crc32c(payload)
     if stored != actual:
-        return (None, "checksum-mismatch",
+        return (None, "", "checksum-mismatch",
                 f"stored {stored:08x}, computed {actual:08x}")
-    return payload, "", ""
+    return payload, f"{actual:08x}", "", ""
 
 
 def _read_checksummed_json(path: Path) -> tuple[dict | None, str, str, str]:
@@ -168,7 +169,7 @@ def _read_checksummed_json(path: Path) -> tuple[dict | None, str, str, str]:
         return None, "", "missing-file", f"{path.name} does not exist"
     except OSError as exc:  # pragma: no cover - environment-specific
         return None, "", "missing-file", str(exc)
-    payload, reason, detail = split_footer(data)
+    payload, payload_crc, reason, detail = split_footer(data)
     if payload is None:
         return None, "", reason, detail
     try:
@@ -177,7 +178,7 @@ def _read_checksummed_json(path: Path) -> tuple[dict | None, str, str, str]:
         return None, "", "parse-error", str(exc)
     if not isinstance(document, dict):
         return None, "", "parse-error", "document is not a JSON object"
-    return document, crc32c_hex(payload), "", ""
+    return document, payload_crc, "", ""
 
 
 def _series_slug(name: str) -> str:
@@ -644,12 +645,12 @@ class DurableStore:
         payload = json.dumps(document, sort_keys=True,
                              default=float).encode("utf-8")
         relpath = f"{self._series_dir(name)}/seg-{index:06d}.json"
-        self._atomic_write(relpath, attach_footer(payload),
-                           site="segment_write")
+        data, payload_crc = attach_footer(payload)
+        self._atomic_write(relpath, data, site="segment_write")
         summary = segment.summary
         return {
             "file": relpath,
-            "crc32c": crc32c_hex(payload),
+            "crc32c": payload_crc,
             "start": int(segment.start),
             "length": int(segment.length),
             "summary": {"count": summary.count, "minimum": summary.minimum,
@@ -700,7 +701,7 @@ class DurableStore:
                     handle.write(final.read_bytes())
                     handle.flush()
                     os.fsync(handle.fileno())
-        self._atomic_write(MANIFEST_NAME, attach_footer(payload),
+        self._atomic_write(MANIFEST_NAME, attach_footer(payload)[0],
                            site="manifest_write")
         # Files the published manifest no longer references.
         while self._garbage:
@@ -859,7 +860,7 @@ class DurableStore:
             return None, "missing"
         except OSError as exc:  # pragma: no cover - environment-specific
             return None, str(exc)
-        payload, reason, detail = split_footer(data)
+        payload, _crc, reason, detail = split_footer(data)
         if payload is None:
             # No footer: accept plain version-1 JSON (the legacy format).
             try:

@@ -20,7 +20,9 @@ Main operations
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -90,6 +92,16 @@ class _SeriesState:
     @property
     def total_points(self) -> int:
         return self.sealed_points + len(self.buffer)
+
+    def first_segment_reaching(self, position: int) -> int:
+        """Index of the segment holding ``position``, or the next one after.
+
+        Segments are in position order (holes leave gaps between them), so
+        the segment whose start is the last one ``<= position`` is the only
+        one that can hold it; a range read starts its walk there.
+        """
+        return max(bisect_right(self.segments, position,
+                                key=attrgetter("start")) - 1, 0)
 
     def hole_overlapping(self, start: int, stop: int) -> dict | None:
         """The first quarantine hole intersecting ``[start, stop)``, if any."""
@@ -217,8 +229,9 @@ class TimeSeriesStore:
         buffered (not yet sealed) values are returned verbatim.
         """
         state = self._state(name)
-        total = state.total_points
-        start, stop = self._resolve_range(start, stop, total)
+        sealed_points = state.sealed_points
+        start, stop = self._resolve_range(start, stop,
+                                          sealed_points + len(state.buffer))
         if start >= stop:
             return np.empty(0, dtype=np.float64)
         hole = state.hole_overlapping(start, stop)
@@ -230,13 +243,13 @@ class TimeSeriesStore:
                 "is preserved in the store's quarantine/ directory")
 
         pieces: list[np.ndarray] = []
-        for segment in state.segments:
+        segments = state.segments
+        for index in range(state.first_segment_reaching(start), len(segments)):
+            segment = segments[index]
             if segment.start >= stop:
                 break
-            if not segment.overlaps(start, stop):
-                continue
-            pieces.append(segment.slice(start, stop))
-        sealed_points = state.sealed_points
+            if segment.overlaps(start, stop):
+                pieces.append(segment.slice(start, stop))
         if stop > sealed_points and state.buffer:
             buffer_start = max(start, sealed_points) - sealed_points
             buffer_stop = stop - sealed_points
@@ -249,10 +262,10 @@ class TimeSeriesStore:
     def value_at(self, name: str, position: int) -> float:
         """Reconstructed value at a single global position."""
         state = self._state(name)
-        total = state.total_points
+        sealed_points = state.sealed_points
+        total = sealed_points + len(state.buffer)
         if not 0 <= position < total:
             raise StorageError(f"position {position} out of range [0, {total})")
-        sealed_points = state.sealed_points
         if position >= sealed_points:
             return float(state.buffer[position - sealed_points])
         hole = state.hole_overlapping(position, position + 1)
@@ -261,10 +274,8 @@ class TimeSeriesStore:
                 f"position {position} of series {name!r} falls inside the "
                 f"quarantined segment {hole.get('file', '?')} "
                 f"[{hole.get('reason', 'corrupt')}]")
-        for segment in state.segments:
-            if segment.contains(position):
-                return segment.value_at(position)
-        raise StorageError(f"no segment covers position {position}")  # pragma: no cover
+        segment = state.segments[state.first_segment_reaching(position)]
+        return segment.value_at(position)
 
     # ------------------------------------------------------------------ #
     # maintenance and reporting

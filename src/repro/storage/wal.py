@@ -175,7 +175,7 @@ def decode_record(buffer: bytes, offset: int = 0) -> tuple[WalRecord, int]:
     if body_end + _CRC.size > len(view):
         raise StorageError("truncated WAL record body")
     (stored_crc,) = _CRC.unpack_from(view, body_end)
-    actual_crc = crc32c(bytes(view[offset:body_end]))
+    actual_crc = crc32c(view[offset:body_end])
     if stored_crc != actual_crc:
         raise StorageError(
             f"WAL record CRC mismatch (stored {stored_crc:#010x}, "

@@ -540,8 +540,9 @@ class TestTierDispatch:
         _kernels.set_native_enabled(True)
         tiers = _kernels.active_tier()
         assert set(tiers) == {"run_loop", "reheap", "segment_impacts",
-                              "heap", "gap_deltas"}
+                              "heap", "gap_deltas", "xor_codec", "crc32c"}
         assert "run_loop, reheap" in _kernels.describe_tiers()
+        assert "xor_codec, crc32c" in _kernels.describe_tiers()
         assert all(tier == "native" for tier in tiers.values())
         assert isinstance(make_heap(10), NativeIndexedMinHeap)
         assert "native" in _kernels.describe_tiers()
@@ -632,6 +633,62 @@ class TestTierDispatch:
         assert _native.MODULE is None
         assert _native.BUILD_INFO["status"] == (
             "rejected: axis-0 np.add.reduce lag sums not reproduced")
+
+    @needs_native
+    def test_self_check_refuses_wrong_storage_kernels(self, monkeypatch):
+        """A build whose CRC or XOR bit streams differ from the Python
+        tier's would write stores the other tier quarantines: refused,
+        with the reason recorded."""
+        from repro._kernels import _native
+
+        module = _native.MODULE
+
+        class Wrapped:
+            def __getattr__(self, name):
+                return getattr(module, name)
+
+        class TailSkipped(Wrapped):
+            """Hashes whole 8-byte strides only."""
+
+            def crc32c(self, data, value=0):
+                data = bytes(data)
+                return module.crc32c(data[:len(data) - len(data) % 8], value)
+
+        assert _native._self_check(TailSkipped()) \
+            == "crc32c known answers not reproduced"
+
+        class RunningValueIgnored(Wrapped):
+            def crc32c(self, data, value=0):
+                return module.crc32c(data)
+
+        assert "crc32c" in _native._self_check(RunningValueIgnored())
+
+        class PaddingBitSet(Wrapped):
+            """Pads the last payload byte with ones."""
+
+            def xor_encode(self, scheme, values):
+                payload, bit_length = module.xor_encode(scheme, values)
+                spare = -bit_length % 8
+                return (payload[:-1] + bytes([payload[-1] | (1 << spare) - 1]),
+                        bit_length)
+
+        assert _native._self_check(PaddingBitSet()) \
+            == "XOR codec payloads not reproduced"
+
+        class SignLost(Wrapped):
+            def xor_decode(self, scheme, payload, bit_length, count):
+                return np.abs(module.xor_decode(scheme, payload, bit_length,
+                                                count))
+
+        assert "XOR codec" in _native._self_check(SignLost())
+
+        monkeypatch.setitem(_native.XOR_ANSWERS, "chimp", (7508, 0))
+        monkeypatch.setitem(_native.BUILD_INFO, "status", "active")
+        monkeypatch.setattr(_native, "MODULE", None)
+        _native._load()
+        assert _native.MODULE is None
+        assert _native.BUILD_INFO["status"] == (
+            "rejected: XOR codec payloads not reproduced")
 
     @needs_native
     def test_native_heap_requires_active_tier(self):

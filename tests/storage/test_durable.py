@@ -21,6 +21,7 @@ from repro.storage import (
     recover,
     save_store,
 )
+from repro.storage.checksum import crc32c_hex
 from repro.storage.durable import attach_footer, split_footer
 from repro.storage.wal import encode_record, scan_wal
 
@@ -37,18 +38,20 @@ def _values(n, seed=0):
 class TestFooter:
     def test_roundtrip(self):
         payload = b'{"k": 1}'
-        verified, reason, _ = split_footer(attach_footer(payload))
+        data, written_crc = attach_footer(payload)
+        verified, verified_crc, reason, _ = split_footer(data)
         assert verified == payload and reason == ""
+        assert written_crc == verified_crc == crc32c_hex(payload)
 
     def test_missing_footer(self):
-        payload, reason, _ = split_footer(b"just bytes")
+        payload, _, reason, _ = split_footer(b"just bytes")
         assert payload is None and reason == "truncated-footer"
 
     def test_corrupt_payload(self):
-        data = bytearray(attach_footer(b'{"k": 1}'))
+        data = bytearray(attach_footer(b'{"k": 1}')[0])
         data[2] ^= 0x01
-        payload, reason, _ = split_footer(bytes(data))
-        assert payload is None and reason == "checksum-mismatch"
+        payload, crc, reason, _ = split_footer(bytes(data))
+        assert payload is None and crc == "" and reason == "checksum-mismatch"
 
 
 class TestRoundTrip:
@@ -197,6 +200,11 @@ class TestQuarantine:
             # Ranges outside the hole still read, bit-identical.
             assert np.array_equal(store.read("x", 0, 16), values[:16])
             assert np.array_equal(store.read("x", 32, 64), values[32:64])
+            for position in (0, 15, 32, 47, 48):
+                assert store.value_at("x", position) == values[position]
+            for position in (16, 31):
+                with pytest.raises(StorageError, match="quarantined"):
+                    store.value_at("x", position)
 
     def test_quarantine_dir_holds_file_and_reason(self, root):
         self._seeded(root)

@@ -178,6 +178,24 @@ class TestStoreReads:
         for position in (0, 63, 64, 255, 299):
             assert store.value_at("s", position) == pytest.approx(values[position])
 
+    def test_every_range_over_uneven_segments(self):
+        """The segment lookup is a bisect on segment starts: every range
+        and position, over segments of different lengths and a buffer."""
+        store = TimeSeriesStore()
+        store.create_series("s", codec="raw", segment_size=16)
+        values = _seasonal(150)
+        store.append("s", values[:40])
+        store.flush("s")                    # an 8-value segment mid-series
+        store.append("s", values[40:])
+        assert [segment.length for segment in store.segments("s")] \
+            == [16, 16, 8] + [16] * 6
+        for start in range(151):
+            for stop in range(start, 152):
+                np.testing.assert_array_equal(store.read("s", start, stop),
+                                              values[start:stop])
+        for position in range(150):
+            assert store.value_at("s", position) == values[position]
+
     def test_value_at_out_of_range(self):
         store, _ = self._loaded_store(n=10)
         with pytest.raises(StorageError):

@@ -66,6 +66,23 @@ class TestRecordRoundTrip:
         assert decoded.series == series
         assert np.array_equal(decoded.values, record.values)
 
+    @pytest.mark.usefixtures("kernel_tier")
+    def test_decodes_in_place_from_any_buffer_at_any_offset(self):
+        """The body is checksummed where it lies: no copy, on either tier."""
+        first, second = _record(3, "a", [1.5, -2.25]), _record(4, "b", [7.0])
+        data = b"\x00" * 5 + encode_record(first) + encode_record(second)
+        for buffer in (data, bytearray(data), memoryview(data)):
+            decoded, offset = decode_record(buffer, 5)
+            assert (decoded.sequence, decoded.series) == (3, "a")
+            assert decoded.values.tolist() == [1.5, -2.25]
+            decoded, offset = decode_record(buffer, offset)
+            assert (decoded.sequence, decoded.series) == (4, "b")
+            assert offset == len(data)
+        damaged = bytearray(data)
+        damaged[30] ^= 0x10
+        with pytest.raises(StorageError, match="CRC"):
+            decode_record(damaged, 5)
+
     def test_negative_zero_and_extremes_survive(self):
         values = [-0.0, 0.0, np.finfo(np.float64).max, 5e-324]
         decoded, _ = decode_record(encode_record(_record(values=values)))

@@ -117,15 +117,12 @@ PERF_ENGINE_TARGET_RATIO = 1.15
 PERF_ENGINE_WORKERS = 4
 PERF_MIN_ENGINE_PROCESS_SPEEDUP = 3.0
 
-#: Cross-series fast-path benchmarks: many small series, where per-call
-#: NumPy dispatch dominates.  Ratios are recorded (stacked vs per-series
-#: execution, identical results asserted); no hard floor — the win is
+#: Stacked XOR encode benchmark: many small series, where per-call
+#: NumPy dispatch dominates.  The ratio is recorded (stacked vs per-series
+#: execution, identical payloads asserted); no hard floor — the win is
 #: size-dependent and modest by design.
 PERF_ENGINE_XOR_SERIES = 512
 PERF_ENGINE_XOR_LENGTH = 64
-PERF_ENGINE_LOCKSTEP_SERIES = 64
-PERF_ENGINE_LOCKSTEP_LENGTH = 192
-PERF_ENGINE_LOCKSTEP_MAX_LAG = 16
 
 # --------------------------------------------------------------------- #
 # native kernel tier (PR 7)

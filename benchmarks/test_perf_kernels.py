@@ -28,9 +28,6 @@ from bench_config import (
     PERF_CAMEO_PACF_MAX_LAG,
     PERF_CODEC_LENGTH,
     PERF_ENGINE_LENGTH,
-    PERF_ENGINE_LOCKSTEP_LENGTH,
-    PERF_ENGINE_LOCKSTEP_MAX_LAG,
-    PERF_ENGINE_LOCKSTEP_SERIES,
     PERF_ENGINE_MAX_LAG,
     PERF_ENGINE_SERIES,
     PERF_ENGINE_TARGET_RATIO,
@@ -829,24 +826,6 @@ class TestNativeTier:
         _kernels.set_native_enabled(True)
         _bench_xor_stacked(report, "_native")
 
-    def test_cameo_lockstep_vs_native_perseries(self, report):
-        """``engine_cameo_lockstep_native``: the lock-step fast path against
-        per-series runs *on the native tier*.
-
-        ``engine_cameo_lockstep`` (below, NumPy tier) is the ratio the fast
-        path was built on; its stacked kernel is NumPy on either tier and
-        measured 0.39x against one compiled call per ReHeap, so
-        ``lockstep_eligible`` no longer admits a series the native tier
-        serves: ``fastpath=True`` takes the per-series path here and the
-        ratio has to read parity.
-        """
-        _kernels.set_native_enabled(True)
-        ratio = _bench_cameo_lockstep(report, "_native", repeats=2,
-                                      stacked_series=0)
-        assert ratio >= 0.95, (
-            f"fastpath=True at {ratio:.2f}x per-series runs on the native "
-            "tier: the lock-step gate let a native-served series in")
-
 
 def _bench_xor_stacked(report, suffix: str) -> float:
     """Time the stacked XOR encode vs per-series execution on the active
@@ -877,44 +856,9 @@ def _bench_xor_stacked(report, suffix: str) -> float:
                           f"engine.xor_perseries_512x64{suffix}")
 
 
-def _bench_cameo_lockstep(report, suffix: str, *, repeats: int,
-                          stacked_series: int = PERF_ENGINE_LOCKSTEP_SERIES
-                          ) -> float:
-    """Time ``fastpath=True`` vs per-series CAMEO on the active tier (kept
-    sets asserted equal; ``stacked_series`` of them expected to take the
-    lock-step path) as ``engine.cameo_{lockstep,perseries}_64x192<suffix>``;
-    returns their ratio, recorded as ``engine_cameo_lockstep<suffix>``."""
-    from repro.engine import BatchEngine
-
-    fleet = TestBatchEngine._fleet(PERF_ENGINE_LOCKSTEP_SERIES,
-                                   PERF_ENGINE_LOCKSTEP_LENGTH, seed=31)
-    options = dict(max_lag=PERF_ENGINE_LOCKSTEP_MAX_LAG,
-                   epsilon=PERF_CAMEO_EPSILON)
-    ops = PERF_ENGINE_LOCKSTEP_SERIES * PERF_ENGINE_LOCKSTEP_LENGTH
-    stacked_engine = BatchEngine("cameo", codec_options=options,
-                                 backend="serial", fastpath=True)
-    scalar_engine = BatchEngine("cameo", codec_options=options,
-                                backend="serial", fastpath=False)
-    stacked = stacked_engine.compress(fleet)
-    scalar = scalar_engine.compress(fleet)
-    assert stacked.report.fastpath_series == stacked_series
-    for left, right in zip(stacked, scalar):
-        assert (left.unwrap().payload.indices.tolist()
-                == right.unwrap().payload.indices.tolist())
-    report.add(bench(f"engine.cameo_lockstep_64x192{suffix}",
-                     lambda: stacked_engine.compress(fleet), ops=ops,
-                     repeats=repeats, warmup=False))
-    report.add(bench(f"engine.cameo_perseries_64x192{suffix}",
-                     lambda: scalar_engine.compress(fleet), ops=ops,
-                     repeats=repeats, warmup=False))
-    return report.speedup(f"engine_cameo_lockstep{suffix}",
-                          f"engine.cameo_lockstep_64x192{suffix}",
-                          f"engine.cameo_perseries_64x192{suffix}")
-
-
 @pytest.mark.usefixtures("numpy_tier")
 class TestBatchEngine:
-    """Fleet throughput: the batch engine's backends and fast paths."""
+    """Fleet throughput: the batch engine's backends and its fast path."""
 
     @staticmethod
     def _fleet(count: int, length: int, seed: int = 2026) -> list[np.ndarray]:
@@ -927,10 +871,9 @@ class TestBatchEngine:
     def test_process_vs_serial_throughput(self, report):
         """``engine.batch_64x4k``: process backend vs serial, results identical.
 
-        The serial backend *is* the per-series sequential run (the 4k series
-        are far above the lock-step eligibility ceiling), so the identity
-        assertion compares every process-backend block against it.  The ≥3x
-        ratio is asserted only on machines with at least
+        The serial backend *is* the per-series sequential run, so the
+        identity assertion compares every process-backend block against
+        it.  The ≥3x ratio is asserted only on machines with at least
         ``PERF_ENGINE_WORKERS`` CPUs — with fewer cores the parallel
         speedup is physically unreachable and the ratio is recorded
         without gating.
@@ -984,10 +927,6 @@ class TestBatchEngine:
     def test_xor_stacked_fastpath(self, report):
         """``engine.xor_stack``: stacked encode vs per-series, byte-identical."""
         _bench_xor_stacked(report, "")
-
-    def test_cameo_lockstep_fastpath(self, report):
-        """``engine.cameo_lockstep``: lock-step vs per-series, kept sets equal."""
-        _bench_cameo_lockstep(report, "", repeats=1)
 
 
 # Keep a module-level reference so static analysers see the marker is used.

@@ -6,10 +6,9 @@ This example drives :func:`repro.engine.compress_batch` through the typical
 workflow:
 
 1. compress a fleet of sensor series with a lossless codec on every backend,
-2. compress the same fleet with CAMEO (on the NumPy kernel tier short
-   series ride the lock-step cross-series fast path; on the native tier
-   per-series runs are faster and the engine takes those) and verify the
-   results match per-series runs,
+2. compress the same fleet with CAMEO (one route on every backend and
+   kernel tier: ``codec.encode`` per series) and verify the results match
+   per-series runs,
 3. show per-series error isolation (a poisoned series never kills a batch),
 4. feed several live streams through the engine-backed
    :class:`repro.streaming.MultiStreamCompressor`.
@@ -52,12 +51,9 @@ def main() -> None:
               f"{report.fastpath_series} via stacked fast path")
 
     # ------------------------------------------------------------------ #
-    # 2. CAMEO fleet: lock-step fast path, identical to per-series runs
+    # 2. CAMEO fleet: identical to per-series runs
     # ------------------------------------------------------------------ #
     print("\n=== CAMEO fleet (max_lag=12, epsilon=0.05) ===")
-    # Short series (n*max_lag below the lock-step ceiling) stack their
-    # ReHeap evaluations into shared kernel calls — unless the native
-    # kernel tier serves the run, where one compiled call per ReHeap wins.
     short_fleet = build_fleet(count=8, length=256, seed=7)
     options = dict(max_lag=12, epsilon=0.05)
     result = compress_batch(short_fleet, codec="cameo", codec_options=options)
@@ -67,7 +63,7 @@ def main() -> None:
             == reference.payload.indices.tolist()), "batch must equal per-series"
     report = result.report
     print(f"  {report.series} series, ratio {report.compression_ratio:.2f}x, "
-          f"{report.fastpath_series} via lock-step fast path "
+          f"{report.points_per_sec:,.0f} points/s "
           f"(kept sets identical to per-series runs)")
 
     # ------------------------------------------------------------------ #

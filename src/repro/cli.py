@@ -333,7 +333,7 @@ def _cmd_compress_batch(args: argparse.Namespace) -> int:
           f"(ratio {report.compression_ratio:.2f}x)")
     print(f"  wall {report.wall_seconds:.2f} s, cpu {report.cpu_seconds:.2f} s, "
           f"{report.points_per_sec:.0f} points/s, "
-          f"{report.fastpath_series} series via cross-series fast paths")
+          f"{report.fastpath_series} series via the stacked XOR fast path")
     recovery = (report.retries or report.timeouts or report.pool_rebuilds
                 or report.quarantined_chunks or report.degraded_chunks
                 or report.sanitized_series)
@@ -620,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=None,
                        help="parallel workers (default: CPU count)")
     batch.add_argument("--no-fastpath", action="store_true",
-                       help="disable the cross-series batched fast paths")
+                       help="disable the stacked XOR encode (lossless "
+                            "codecs; the only cross-series fast path)")
     batch.add_argument("--timeout", type=float, default=None,
                        help="per-chunk timeout in seconds (default: none)")
     batch.add_argument("--retries", type=int, default=1,

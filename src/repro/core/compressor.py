@@ -18,7 +18,10 @@ The implementation follows the paper's structure:
 * the greedy loop itself              →  :meth:`CameoCompressor._step`, one
   iteration per call — or, where the native tier serves the configuration
   and ``on_violation="stop"``, the whole loop as one GIL-free compiled call
-  (``native.run_loop``) that hands back single iterations it cannot take
+  (``native.run_loop``) that hands back single iterations it cannot take.
+  These are the loop's only two bodies: ``_step`` is the reference the
+  compiled one is tested against, and every caller — the batch engine
+  included — reaches them through :meth:`CameoCompressor.compress`
 
 Speculative multi-pop previews (``batch_size`` > 1, the default)
 ----------------------------------------------------------------
@@ -68,9 +71,6 @@ from .neighbors import NeighborList
 from .tracker import StatisticTracker
 
 __all__ = ["CameoCompressor", "CompressionStats", "cameo_compress"]
-
-#: Heap key assigned to the (non-removable) boundary points.
-_INFINITE_IMPACT = float("inf")
 
 #: Speculative batch size used for ``batch_size="auto"``: the accepted
 #: candidate plus 7 peeked pops per batched statistic pass.

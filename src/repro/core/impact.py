@@ -51,7 +51,6 @@ __all__ = [
     "metric_rowwise",
     "batched_single_change_impacts",
     "batched_contiguous_acf",
-    "multi_state_contiguous_acf",
     "segment_interpolation_deltas",
     "segment_interpolation_deltas_batched",
     "initial_interpolation_deltas",
@@ -563,292 +562,6 @@ def _edge_acf_block(state: ACFAggregateState, lens: np.ndarray,
     denom = np.sqrt(np.where(valid, var_head * var_tail, 1.0))
     np.divide(numerator, denom, out=acf_new, where=valid)
     return acf_new
-
-
-class StackedStateLayout:
-    """Shared-buffer layout over several :class:`ACFAggregateState` objects.
-
-    :func:`multi_state_contiguous_acf` must gather every segment's aggregate
-    vectors and current values from the owning state.  Concatenating those
-    per call costs O(total group data) — far more than the requests
-    themselves for a lock-step group that runs thousands of rounds.  This
-    layout pays the concatenation **once**: every state's ``current`` array
-    and per-lag sum vectors are re-homed as views into shared buffers, so
-    each kernel call reduces to cheap row gathers.
-
-    Re-homing changes array *identity* only: all state updates are in-place
-    (``+=`` / slice assignment), so the views stay coherent and every state
-    operation computes bit-identical values on the shared storage.
-    """
-
-    __slots__ = ("states", "num_lags", "n_of_state", "value_base",
-                 "current_all", "counts", "sx", "sxl", "sx2", "sx2l", "sxxl")
-
-    def __init__(self, states):
-        self.states = list(states)
-        lags = self.states[0].lags
-        num_lags = self.num_lags = lags.size
-        group = len(self.states)
-        self.n_of_state = np.fromiter((state.n for state in self.states),
-                                      dtype=np.int64, count=group)
-        # Each state keeps its zero margins (ACFAggregateState.adopt_storage):
-        # a slot is ``L`` zeros, the values, ``L`` zeros, and ``value_base``
-        # points at the values.
-        stride = self.n_of_state + 2 * num_lags
-        self.value_base = (np.concatenate(([0], np.cumsum(stride)[:-1]))
-                           + num_lags).astype(np.int64)
-        self.current_all = np.zeros(int(stride.sum()), dtype=np.float64)
-        self.counts = np.empty((group, num_lags), dtype=np.float64)
-        self.sx = np.empty((group, num_lags), dtype=np.float64)
-        self.sxl = np.empty((group, num_lags), dtype=np.float64)
-        self.sx2 = np.empty((group, num_lags), dtype=np.float64)
-        self.sx2l = np.empty((group, num_lags), dtype=np.float64)
-        self.sxxl = np.empty((group, num_lags), dtype=np.float64)
-        for slot, state in enumerate(self.states):
-            if state.lags.size != num_lags:
-                raise ValueError("all stacked states must track the same max_lag")
-            base = int(self.value_base[slot])
-            state.adopt_storage(
-                self.current_all[base - num_lags:base + state.n + num_lags],
-                state.current)
-            sums = state.sums
-            self.counts[slot] = sums.counts
-            for matrix, name in ((self.sx, "sx"), (self.sxl, "sxl"),
-                                 (self.sx2, "sx2"), (self.sx2l, "sx2l"),
-                                 (self.sxxl, "sxxl")):
-                matrix[slot] = getattr(sums, name)
-                setattr(sums, name, matrix[slot])
-            sums.counts = self.counts[slot]
-
-
-def multi_state_contiguous_acf(states, lengths_list, positions_list, deltas_list,
-                               *, layout: StackedStateLayout | None = None,
-                               slots=None) -> np.ndarray:
-    """:func:`batched_contiguous_acf` for several states in one stacked pass.
-
-    The batch engine's lock-step CAMEO driver runs many short series
-    simultaneously; each round, every series contributes one ReHeap's worth
-    of contiguous-range changes against *its own*
-    :class:`~repro.stats.aggregates.ACFAggregateState`.  Evaluating the
-    requests state-by-state pays the full NumPy dispatch chain per series —
-    which dominates at small ``T·L`` — so this kernel stacks them: one
-    ``(ΣT, L)`` masked pass over the concatenated positions, with the
-    per-segment aggregate vectors gathered from the owning state.
-
-    Bit-exactness contract: every per-row quantity is elementwise in the row
-    (or a per-segment ``reduceat`` over that segment's own positions, in the
-    same element order), the per-state cross terms run through the *same*
-    :func:`_segment_cross_terms` call — same arguments, including that
-    state's own ``max_len`` path selector — the per-state call would make,
-    and the masked formulation is the one the per-state kernel's fast path
-    is proven bit-identical to.  Row ``s`` therefore equals the matching row
-    of ``batched_contiguous_acf(states[i], ...)`` to the last bit, which is
-    what keeps lock-step kept-point sets identical to per-series runs.
-
-    Parameters
-    ----------
-    states:
-        One ``ACFAggregateState`` per series; all must track the same number
-        of lags (their series lengths may differ).
-    lengths_list, positions_list, deltas_list:
-        Per-state concatenated segment descriptions, exactly as
-        :func:`batched_contiguous_acf` takes them.
-    layout, slots:
-        Optional :class:`StackedStateLayout` over a superset of ``states``
-        plus the layout slot of each entry of ``states``; when given, the
-        per-call concatenation of current values and aggregate vectors is
-        replaced by row gathers from the shared buffers.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(sum(len(lengths_i)), L)`` matrix: the per-state result rows
-        stacked in input order.
-    """
-    lags = states[0].lags
-    num_lags = lags.size
-    for state in states:
-        if state.lags.size != num_lags:
-            raise ValueError("all stacked states must track the same max_lag")
-
-    lengths_per_state = [np.asarray(lengths, dtype=np.int64)
-                         for lengths in lengths_list]
-    seg_counts = np.fromiter((lengths.size for lengths in lengths_per_state),
-                             dtype=np.int64, count=len(states))
-    total_segments = int(seg_counts.sum())
-    out = np.empty((total_segments, num_lags), dtype=np.float64)
-    if total_segments == 0:
-        return out
-
-    seg_base = np.concatenate(([0], np.cumsum(seg_counts)))
-    # Zero-length segments take the state's current ACF, as in the
-    # per-state kernel.
-    for index, lengths in enumerate(lengths_per_state):
-        if lengths.size and not bool((lengths > 0).all()):
-            rows = np.flatnonzero(lengths == 0) + seg_base[index]
-            out[rows] = states[index].acf()
-
-    lens = np.concatenate(lengths_per_state)
-    nonzero = lens > 0
-    row_index = np.flatnonzero(nonzero)
-    if row_index.size == 0:
-        return out
-    lens_nz = lens[nonzero]
-    state_of_seg = np.repeat(np.arange(len(states), dtype=np.int64),
-                             seg_counts)[nonzero]
-    positions = np.concatenate([np.asarray(p, dtype=np.int64)
-                                for p in positions_list])
-    deltas = np.concatenate([np.asarray(d, dtype=np.float64)
-                             for d in deltas_list])
-    offsets = np.concatenate(([0], np.cumsum(lens_nz[:-1])))
-    state_of_pos = np.repeat(state_of_seg, lens_nz)
-
-    if layout is not None:
-        slots = np.asarray(slots, dtype=np.int64)
-        current_all = layout.current_all
-        value_base = layout.value_base[slots]
-        n_of_state = layout.n_of_state[slots]
-    else:
-        current_all = np.concatenate([state.current for state in states])
-        value_base = np.concatenate(
-            ([0], np.cumsum([state.n for state in states])[:-1])).astype(np.int64)
-        n_of_state = np.fromiter((state.n for state in states), dtype=np.int64,
-                                 count=len(states))
-    n_pos = n_of_state[state_of_pos]
-    base_pos = value_base[state_of_pos]
-
-    if layout is not None:
-        slot_of_seg = slots[state_of_seg]
-        counts_rows = layout.counts[slot_of_seg]
-        sx_rows = layout.sx[slot_of_seg]
-        sxl_rows = layout.sxl[slot_of_seg]
-        sx2_rows = layout.sx2[slot_of_seg]
-        sx2l_rows = layout.sx2l[slot_of_seg]
-        sxxl_rows = layout.sxxl[slot_of_seg]
-    else:
-        counts_rows = np.stack([state.sums.counts for state in states])[state_of_seg]
-        sx_rows = np.stack([state.sums.sx for state in states])[state_of_seg]
-        sxl_rows = np.stack([state.sums.sxl for state in states])[state_of_seg]
-        sx2_rows = np.stack([state.sums.sx2 for state in states])[state_of_seg]
-        sx2l_rows = np.stack([state.sums.sx2l for state in states])[state_of_seg]
-        sxxl_rows = np.stack([state.sums.sxxl for state in states])[state_of_seg]
-
-    # Interior/edge partition per segment (against the owning series' own
-    # boundaries), mirroring the per-state kernel: interior segments take the
-    # cheap unmasked path, edge segments the masked one — bit-identical
-    # either way, so the split is purely a cost decision.
-    num_segments = lens_nz.size
-    seg_n = n_of_state[state_of_seg]
-    seg_start_pos = positions[offsets]
-    seg_end_pos = positions[offsets + lens_nz - 1]
-    interior = (seg_start_pos >= num_lags) & (seg_end_pos + num_lags <= seg_n - 1)
-
-    new_sx = np.empty((num_segments, num_lags), dtype=np.float64)
-    new_sxl = np.empty_like(new_sx)
-    new_sx2 = np.empty_like(new_sx)
-    new_sx2l = np.empty_like(new_sx)
-    new_sxxl = np.empty_like(new_sx)
-
-    if bool(interior.any()):
-        member = np.repeat(interior, lens_nz)
-        sub_lens = lens_nz[interior]
-        sub_offsets = np.concatenate(([0], np.cumsum(sub_lens[:-1])))
-        sub_deltas = deltas[member]
-        gpos = base_pos[member] + positions[member]
-        old = current_all[gpos]
-        energy = sub_deltas * (2.0 * old + sub_deltas)
-        d_seg = np.add.reduceat(sub_deltas, sub_offsets)[:, np.newaxis]
-        e_seg = np.add.reduceat(energy, sub_offsets)[:, np.newaxis]
-        # Fused head+tail gather, as in the per-state interior path.
-        iw = np.empty((gpos.size, 2 * num_lags), dtype=np.int64)
-        np.add(gpos[:, np.newaxis], lags[np.newaxis, :], out=iw[:, :num_lags])
-        np.subtract(gpos[:, np.newaxis], lags[np.newaxis, :], out=iw[:, num_lags:])
-        # Indices are in range by construction; mode="clip" keeps np.take on
-        # its fast unchecked path (same trick as the per-state kernel).
-        fw = np.take(current_all, iw, mode="clip")
-        np.multiply(sub_deltas[:, np.newaxis], fw, out=fw)
-        d_both = np.add.reduceat(fw, sub_offsets, axis=0)
-        new_sx[interior] = sx_rows[interior] + d_seg
-        new_sxl[interior] = sxl_rows[interior] + d_seg
-        new_sx2[interior] = sx2_rows[interior] + e_seg
-        new_sx2l[interior] = sx2l_rows[interior] + e_seg
-        # Same association order as the per-state kernel.
-        new_sxxl[interior] = ((sxxl_rows[interior] + d_both[:, :num_lags])
-                              + d_both[:, num_lags:])
-
-    if not bool(interior.all()):
-        edge = ~interior
-        member = np.repeat(edge, lens_nz)
-        sub_lens = lens_nz[edge]
-        sub_offsets = np.concatenate(([0], np.cumsum(sub_lens[:-1])))
-        sub_pos = positions[member]
-        sub_base = base_pos[member]
-        sub_n = n_pos[member]
-        delta_col = deltas[member][:, np.newaxis]
-        pos_col = sub_pos[:, np.newaxis]
-        i1 = pos_col + lags[np.newaxis, :]                  # pos + lag
-        i2 = pos_col - lags[np.newaxis, :]                  # pos - lag
-        head = i1 <= (sub_n - 1)[:, np.newaxis]
-        tail = i2 >= 0
-
-        own = current_all[sub_base + sub_pos][:, np.newaxis]
-        square_term = delta_col * (2.0 * own + delta_col)
-
-        scratch = np.empty((sub_pos.size, num_lags), dtype=np.float64)
-        new_sx[edge] = sx_rows[edge] + _masked_segment_sums(
-            delta_col, head, scratch, sub_offsets)
-        new_sxl[edge] = sxl_rows[edge] + _masked_segment_sums(
-            delta_col, tail, scratch, sub_offsets)
-        new_sx2[edge] = sx2_rows[edge] + _masked_segment_sums(
-            square_term, head, scratch, sub_offsets)
-        new_sx2l[edge] = sx2l_rows[edge] + _masked_segment_sums(
-            square_term, tail, scratch, sub_offsets)
-
-        # Clip into the owning series' range, then shift into the
-        # concatenated value array; values match the per-state clipped
-        # ``np.take`` exactly.
-        right_idx = np.minimum(i1, (sub_n - 1)[:, np.newaxis])
-        np.add(right_idx, sub_base[:, np.newaxis], out=right_idx)
-        left_idx = np.maximum(i2, 0)
-        np.add(left_idx, sub_base[:, np.newaxis], out=left_idx)
-        gathered = np.take(current_all, right_idx, mode="clip")
-        np.multiply(delta_col, gathered, out=gathered)
-        d_head = _masked_segment_sums(gathered, head, scratch, sub_offsets)
-        gathered = np.take(current_all, left_idx, mode="clip")
-        np.multiply(delta_col, gathered, out=gathered)
-        d_tail = _masked_segment_sums(gathered, tail, scratch, sub_offsets)
-        # Same association order as the per-state kernel.
-        new_sxxl[edge] = (sxxl_rows[edge] + d_head) + d_tail
-
-    # Cross terms go through the exact per-state call (same ``max_len`` path
-    # selector the state's own single-block invocation would use).
-    seg_lo = np.concatenate(([0], np.cumsum(np.bincount(
-        state_of_seg, minlength=len(states)))))
-    pos_lo = np.concatenate(([0], np.cumsum(np.bincount(
-        state_of_pos, minlength=len(states)))))
-    for index in range(len(states)):
-        lo, hi = int(seg_lo[index]), int(seg_lo[index + 1])
-        if hi == lo:
-            continue
-        state_lens = lens_nz[lo:hi]
-        max_len = int(state_lens.max())
-        if max_len <= 1:
-            continue
-        plo, phi = int(pos_lo[index]), int(pos_lo[index + 1])
-        cross = _segment_cross_terms(deltas[plo:phi], state_lens, lags,
-                                     phi - plo, max_len)
-        if cross is not None:
-            new_sxxl[lo:hi] = new_sxxl[lo:hi] + cross
-
-    numerator = counts_rows * new_sxxl - new_sx * new_sxl
-    var_head = counts_rows * new_sx2 - new_sx * new_sx
-    var_tail = counts_rows * new_sx2l - new_sxl * new_sxl
-    acf_new = np.zeros_like(numerator)
-    valid = (var_head > 0.0) & (var_tail > 0.0)
-    denom = np.sqrt(np.where(valid, var_head * var_tail, 1.0))
-    np.divide(numerator, denom, out=acf_new, where=valid)
-    out[row_index] = acf_new
-    return out
 
 
 def initial_interpolation_deltas(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,10 @@ provides that layer:
   codec on a ``serial`` / ``thread`` / ``process`` backend, with size-aware
   chunking, shared-memory input transport, per-series error isolation, and
   an aggregate :class:`~repro.engine.report.BatchReport`;
-* cross-series batched fast paths — stacked XOR encode
-  (:meth:`GorillaCodec.encode_batch`) and lock-step CAMEO
-  (:mod:`repro.engine.cameo_batch`) — whose results are byte-/kept-set-
-  identical to per-series runs;
+* one cross-series fast path — the stacked XOR encode
+  (:meth:`GorillaCodec.encode_batch`) — whose payloads are byte-identical
+  to per-series runs; every other codec, CAMEO included, has exactly one
+  route: ``codec.encode`` per series;
 * fault-tolerant supervision (:mod:`repro.engine.supervisor`) — per-chunk
   timeouts, bounded retry, ``BrokenProcessPool`` recovery, and a
   ``process → thread → serial`` degradation ladder, so a batch always
@@ -24,7 +24,6 @@ See ``docs/architecture.md`` ("The batch engine") for the data flow and
 ``docs/robustness.md`` for the failure semantics.
 """
 
-from .cameo_batch import lockstep_compress, lockstep_eligible
 from .chunking import plan_chunks
 from .engine import BatchEngine, compress_batch
 from .report import BatchReport, BatchResult, SeriesOutcome
@@ -39,6 +38,4 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorStats",
     "plan_chunks",
-    "lockstep_compress",
-    "lockstep_eligible",
 ]

@@ -20,12 +20,12 @@ __all__ = ["plan_chunks"]
 #: perfect predictor of compression time).
 DEFAULT_OVERSUBSCRIBE = 4
 
-#: Soft floor on series per chunk: the cross-series fast paths stack series
+#: Soft floor on series per chunk: the stacked XOR encode stacks series
 #: *within* a chunk, so oversubscription must not shatter a batch into
 #: single-series chunks.  Parallelism still wins the tie — the floor only
 #: binds once the batch exceeds ``workers * MIN_SERIES_PER_CHUNK`` series;
-#: below that, worker utilisation (up to ``workers``x) beats the fast
-#: paths' ~1.5-3x stacking gain, so small batches may still get chunks too
+#: below that, worker utilisation (up to ``workers``x) beats the
+#: ~1.5-3x stacking gain, so small batches may still get chunks too
 #: small to stack.
 MIN_SERIES_PER_CHUNK = 8
 
@@ -41,7 +41,7 @@ def plan_chunks(sizes, workers: int, *,
     workers:
         Parallel workers the chunks will be distributed over; ``workers <= 1``
         returns a single chunk (one sequential pass maximizes the
-        cross-series fast path's stacking opportunities).
+        stacked XOR encode's stacking opportunities).
     oversubscribe:
         Target chunks per worker.
 
@@ -52,7 +52,7 @@ def plan_chunks(sizes, workers: int, *,
         are ordered by descending estimated load (so the heaviest work is
         dispatched first), and indices within a chunk stay in input order
         (deterministic, and keeps same-length runs together for the
-        cross-series fast paths).
+        stacked XOR encode).
     """
     sizes = np.asarray(list(sizes), dtype=np.int64)
     count = int(sizes.size)

@@ -9,9 +9,8 @@ registered codec name, and runs them to completion on the chosen backend:
   from straggling behind a pile of tiny ones;
 * the ``process`` backend ships inputs through shared memory and returns
   serialized codec-block documents (no float pickling);
-* eligible sub-batches take the cross-series fast paths (stacked XOR
-  encode, lock-step CAMEO) — results stay byte-/kept-set-identical to
-  per-series runs;
+* same-length lossless series take the one cross-series fast path (the
+  stacked XOR encode) — payloads stay byte-identical to per-series runs;
 * every series is error-isolated: one poisoned input yields an error
   outcome, the rest of the batch completes;
 * the :class:`~repro.engine.report.BatchReport` aggregates points/sec,
@@ -97,9 +96,10 @@ class BatchEngine:
         Parallel workers for the thread/process backends (defaults to the
         CPU count; ignored by ``serial``).
     fastpath:
-        Enable the cross-series batched fast paths (stacked XOR encode,
-        lock-step CAMEO).  Results are identical either way; the switch
-        exists for benchmarking and bisection.
+        Enable the stacked XOR encode for same-length lossless series
+        (the only cross-series fast path; no other codec family is
+        affected).  Results are identical either way; the switch exists
+        for benchmarking and bisection.
     oversubscribe:
         Chunks planned per worker (see :func:`repro.engine.chunking.plan_chunks`).
     timeout:

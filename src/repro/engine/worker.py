@@ -1,8 +1,8 @@
 """Chunk encoding shared by every engine backend.
 
 :func:`encode_chunk` compresses one work chunk of series with per-series
-error isolation and routes eligible subsets through the cross-series fast
-paths (stacked XOR encode, lock-step CAMEO).  :func:`process_chunk_task` is
+error isolation and routes same-length lossless series through the one
+cross-series fast path (the stacked XOR encode).  :func:`process_chunk_task` is
 the module-level process-pool entry: it attaches the parent's shared-memory
 block, builds zero-copy array views, encodes, and returns *serialized*
 codec-block documents — so float payloads never travel through pickle in
@@ -17,7 +17,6 @@ from .. import faultinject
 from ..codecs import codec_spec, get_codec
 from ..codecs.base import SOURCE_DTYPE_KEY, Codec, ingest_values
 from ..codecs.serialize import block_to_document
-from .cameo_batch import LOCKSTEP_GROUP_SIZE, lockstep_compress, lockstep_eligible
 from .report import SeriesOutcome
 
 __all__ = ["encode_chunk", "process_chunk_task", "XOR_STACK_MAX_LENGTH"]
@@ -61,13 +60,9 @@ def encode_chunk(series_list, names, indices, codec_name: str,
     outcomes: dict[int, SeriesOutcome] = {}
     pending = list(range(count))
 
-    if use_fastpath and count > 1:
-        if spec.family == "lossless":
-            pending = _xor_fastpath(series_list, names, indices, codec,
-                                    outcomes, pending)
-        elif spec.name == "cameo":
-            pending = _cameo_fastpath(series_list, names, indices, codec,
-                                      outcomes, pending)
+    if use_fastpath and count > 1 and spec.family == "lossless":
+        pending = _xor_fastpath(series_list, names, indices, codec,
+                                outcomes, pending)
 
     for position in pending:
         index, name = indices[position], names[position]
@@ -127,51 +122,6 @@ def _xor_fastpath(series_list, names, indices, codec, outcomes, pending):
             outcomes[position] = SeriesOutcome(
                 index=indices[position], name=names[position],
                 length=int(block.length), block=block, fastpath="xor-stacked")
-    remaining.sort()
-    return remaining
-
-
-def _cameo_fastpath(series_list, names, indices, codec, outcomes, pending):
-    """Run short eligible series through the lock-step CAMEO driver.
-
-    Series are grouped by their *effective* lag (``min(max_lag, n - 1)``):
-    all states of a lock-step group must track the same lag count, so one
-    undersized series must never drag a whole group back to the per-series
-    path.
-    """
-    compressor = codec.compressor
-    good = _validated(series_list, names, indices, outcomes, pending)
-    by_lag: dict[int, list[tuple[int, np.ndarray, str | None]]] = {}
-    remaining: list[int] = []
-    for position, values, source_dtype in good:
-        if lockstep_eligible(compressor, values.size):
-            effective_lag = min(compressor.max_lag, values.size - 1)
-            by_lag.setdefault(effective_lag, []).append(
-                (position, values, source_dtype))
-        else:
-            remaining.append(position)
-    for _lag, eligible in sorted(by_lag.items()):
-        for lo in range(0, len(eligible), LOCKSTEP_GROUP_SIZE):
-            group = eligible[lo:lo + LOCKSTEP_GROUP_SIZE]
-            if len(group) < 2:
-                remaining.extend(position for position, _v, _d in group)
-                continue
-            try:
-                results = lockstep_compress(
-                    compressor, [values for _p, values, _d in group],
-                    validated=True)
-            except Exception:
-                # Unexpected lock-step failure: fall back to per-series runs.
-                remaining.extend(position for position, _v, _d in group)
-                continue
-            for (position, _values, source_dtype), result in zip(group, results):
-                block = codec._block_from_irregular(result)
-                if source_dtype:
-                    block.metadata[SOURCE_DTYPE_KEY] = source_dtype
-                outcomes[position] = SeriesOutcome(
-                    index=indices[position], name=names[position],
-                    length=int(block.length), block=block,
-                    fastpath="cameo-lockstep")
     remaining.sort()
     return remaining
 

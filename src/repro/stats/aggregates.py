@@ -81,21 +81,19 @@ class ACFAggregateState:
         values = as_float_array(values)
         self._n = values.size
         self._max_lag = check_lag(max_lag, self._n)
-        self.adopt_storage(np.zeros(self._n + 2 * self._max_lag), values)
+        self._adopt_storage(np.zeros(self._n + 2 * self._max_lag), values)
         self._lags = np.arange(1, self._max_lag + 1, dtype=np.int64)
         self._sums = self._build_sums(self._current, self._lags)
         self._preview_scratch = threading.local()
 
-    def adopt_storage(self, padded: np.ndarray, values: np.ndarray) -> None:
+    def _adopt_storage(self, padded: np.ndarray, values: np.ndarray) -> None:
         """Keep the current series in ``padded``: ``L`` zeros, the ``n``
         values, ``L`` zeros (C-contiguous float64, zeros already in place).
 
         The zero margins are what lets the ``sxxl`` update
         (:mod:`repro._kernels.lagdot`) read every lag window of a changed
         range as one strided view: a lag partner
-        beyond either end of the series is a ``0.0`` factor.  A caller that
-        stacks several states in one buffer (the lock-step engine) hands
-        each state its slice here.
+        beyond either end of the series is a ``0.0`` factor.
         """
         if padded.shape != (self._n + 2 * self._max_lag,):
             raise ValueError("padded storage must hold n + 2 * max_lag values")
@@ -164,7 +162,7 @@ class ACFAggregateState:
         clone = object.__new__(ACFAggregateState)
         clone._n = self._n
         clone._max_lag = self._max_lag
-        clone.adopt_storage(np.zeros_like(self._padded), self._current)
+        clone._adopt_storage(np.zeros_like(self._padded), self._current)
         clone._lags = self._lags
         clone._sums = self._sums.copy()
         clone._preview_scratch = threading.local()

@@ -13,22 +13,7 @@ and opening a store is a recovery scan that replays the WAL and
 quarantines corruption instead of returning it (``docs/storage.md``).
 """
 
-from .codecs import (
-    CameoSegmentCodec,
-    ChimpSegmentCodec,
-    EncodedChunk,
-    FftSegmentCodec,
-    GorillaSegmentCodec,
-    PmcSegmentCodec,
-    RawCodec,
-    SegmentCodec,
-    SimPieceSegmentCodec,
-    SimplifierSegmentCodec,
-    SwingSegmentCodec,
-    available_codecs,
-    make_codec,
-    register_codec,
-)
+from ..codecs import RawCodec, available_codecs, register_codec
 from .checksum import crc32c, crc32c_hex
 from .durable import DurableStore
 from .persistence import load_store, save_store
@@ -39,18 +24,7 @@ from .store import DEFAULT_SEGMENT_SIZE, SeriesInfo, TimeSeriesStore
 from .wal import WalRecord, WriteAheadLog, scan_wal
 
 __all__ = [
-    "EncodedChunk",
-    "SegmentCodec",
     "RawCodec",
-    "GorillaSegmentCodec",
-    "ChimpSegmentCodec",
-    "CameoSegmentCodec",
-    "SimplifierSegmentCodec",
-    "PmcSegmentCodec",
-    "SwingSegmentCodec",
-    "SimPieceSegmentCodec",
-    "FftSegmentCodec",
-    "make_codec",
     "register_codec",
     "available_codecs",
     "Segment",

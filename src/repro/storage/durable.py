@@ -68,10 +68,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 import numpy as np
 
 from .._validation import as_float_array
+from ..codecs import get_codec
 from ..exceptions import StorageError
 from ..faultinject import fire_storage
 from .checksum import crc32c, crc32c_hex
-from .codecs import make_codec
 from .persistence import (
     MANIFEST_NAME,
     _codec_spec,
@@ -908,7 +908,7 @@ class DurableStore:
             raise StorageError(f"manifest entry for series {name!r} "
                                "is not an object")
         spec = entry.get("codec") or {}
-        codec = make_codec(spec["name"], **spec.get("options", {}))
+        codec = get_codec(spec["name"], **spec.get("options", {}))
         self._memory.create_series(
             name, codec=codec, segment_size=int(entry["segment_size"]),
             metadata=dict(entry.get("metadata", {})))

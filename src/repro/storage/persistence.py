@@ -30,9 +30,9 @@ import json
 import os
 from pathlib import Path
 
+from ..codecs import CompressedBlock, get_codec
 from ..codecs.serialize import payload_from_document, payload_to_document
 from ..exceptions import StorageError
-from .codecs import EncodedChunk, make_codec
 from .segment import Segment, SegmentSummary
 from .store import TimeSeriesStore
 
@@ -47,7 +47,7 @@ MAX_FORMAT_VERSION = 2
 
 
 def _codec_spec(codec) -> dict:
-    """Build a ``make_codec``-compatible specification for ``codec``."""
+    """Build a ``get_codec``-compatible specification for ``codec``."""
     options: dict = {}
     for attribute in ("max_lag", "epsilon", "error_bound", "keep_fraction", "variant"):
         if hasattr(codec, attribute):
@@ -78,7 +78,7 @@ def _segment_to_document(segment: Segment) -> dict:
 
 
 def _segment_from_document(document: dict, codec) -> Segment:
-    chunk = EncodedChunk(
+    chunk = CompressedBlock(
         codec=str(document["codec"]),
         payload=payload_from_document(document["payload"]),
         length=int(document["length"]),
@@ -221,7 +221,7 @@ def _load_series_document(store: TimeSeriesStore, name: str, document) -> None:
     if not isinstance(document, dict):
         raise StorageError(f"series {name!r}: manifest entry is not an object")
     spec = document["codec"]
-    codec = make_codec(spec["name"], **spec.get("options", {}))
+    codec = get_codec(spec["name"], **spec.get("options", {}))
     segment_size = int(document["segment_size"])
     store.create_series(name, codec=codec, segment_size=segment_size,
                         metadata=dict(document.get("metadata", {})))

@@ -1,6 +1,6 @@
 """Sealed storage segments and their pruning summaries.
 
-A :class:`Segment` couples an :class:`repro.storage.codecs.EncodedChunk` with
+A :class:`Segment` couples a :class:`repro.codecs.CompressedBlock` with
 its global position inside a series and a small :class:`SegmentSummary` of
 the *reconstruction*.  The summary is computed once, when the segment is
 sealed, so aggregate queries over fully covered segments never need to decode
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codecs import Codec, CompressedBlock
 from ..exceptions import StorageError
-from .codecs import EncodedChunk, SegmentCodec
 
 __all__ = ["SegmentSummary", "Segment"]
 
@@ -48,7 +48,7 @@ class Segment:
 
     __slots__ = ("start", "chunk", "summary", "_codec")
 
-    def __init__(self, start: int, chunk: EncodedChunk, codec: SegmentCodec,
+    def __init__(self, start: int, chunk: CompressedBlock, codec: Codec,
                  summary: SegmentSummary | None = None):
         if start < 0:
             raise StorageError("segment start must be >= 0")

@@ -27,9 +27,9 @@ from operator import attrgetter
 import numpy as np
 
 from .._validation import as_float_array, check_positive_int
+from ..codecs import Codec, get_codec
 from ..data.timeseries import BITS_PER_VALUE_RAW
 from ..exceptions import InvalidParameterError, SeriesNotFoundError, StorageError
-from .codecs import SegmentCodec, make_codec
 from .segment import Segment
 
 __all__ = ["SeriesInfo", "TimeSeriesStore", "DEFAULT_SEGMENT_SIZE"]
@@ -68,7 +68,7 @@ class _SeriesState:
     """Internal catalog entry."""
 
     name: str
-    codec: SegmentCodec
+    codec: Codec
     segment_size: int
     segments: list[Segment] = field(default_factory=list)
     buffer: list[float] = field(default_factory=list)
@@ -129,19 +129,19 @@ class TimeSeriesStore:
         """Register a new series.
 
         ``codec`` is either a registered codec name (``codec_options`` are
-        forwarded to :func:`repro.storage.codecs.make_codec`) or a
-        :class:`SegmentCodec` instance.
+        forwarded to :func:`repro.codecs.get_codec`) or a
+        :class:`~repro.codecs.Codec` instance.
         """
         name = self._valid_name(name)
         if name in self._catalog:
             raise StorageError(f"series {name!r} already exists")
-        if isinstance(codec, SegmentCodec):
+        if isinstance(codec, Codec):
             codec_instance = codec
             if codec_options:
                 raise InvalidParameterError(
                     "codec_options only apply when codec is given by name")
         else:
-            codec_instance = make_codec(str(codec), **(codec_options or {}))
+            codec_instance = get_codec(str(codec), **(codec_options or {}))
         segment_size = (self.default_segment_size if segment_size is None
                         else check_positive_int(segment_size, "segment_size"))
         self._catalog[name] = _SeriesState(
@@ -310,10 +310,10 @@ class TimeSeriesStore:
             if codec_options:
                 raise InvalidParameterError(
                     "codec_options require an explicit codec name")
-        elif isinstance(codec, SegmentCodec):
+        elif isinstance(codec, Codec):
             new_codec = codec
         else:
-            new_codec = make_codec(str(codec), **(codec_options or {}))
+            new_codec = get_codec(str(codec), **(codec_options or {}))
         new_size = (state.segment_size if segment_size is None
                     else check_positive_int(segment_size, "segment_size"))
 

@@ -406,12 +406,11 @@ class MultiStreamCompressor:
 
     An ingest tier rarely serves one stream: a gateway handles hundreds of
     sensors at once, and sealing each stream's chunks independently wastes
-    both parallel hardware and the engine's cross-series fast paths.  This
+    both parallel hardware and the engine's stacked XOR encode.  This
     class keeps one buffer per stream and encodes *all* sealed chunks —
     across every stream — in batched :class:`repro.engine.BatchEngine`
-    passes: same-length chunks stack through the XOR batch encoder, short
-    CAMEO chunks run in lock step, and the thread/process backends spread
-    the work over cores.
+    passes: same-length lossless chunks stack through the XOR batch
+    encoder, and the thread/process backends spread the work over cores.
 
     Chunks are sealed exactly like :class:`StreamingCompressor` seals them
     (same values, same codec), so every chunk's block is identical to the

@@ -18,7 +18,6 @@ import pytest
 from repro.cli import main
 from repro.codecs import (
     CameoCodec,
-    Codec,
     CompressedBlock,
     available_codecs,
     block_from_document,
@@ -228,9 +227,3 @@ class TestUniformAccounting:
         assert codec.bits(values) == values.size * 64
         assert codec.bits_per_value(values) == pytest.approx(64.0)
         assert codec.compression_ratio(values) == pytest.approx(1.0)
-
-    def test_storage_aliases_are_the_unified_types(self):
-        from repro.storage import EncodedChunk, SegmentCodec
-
-        assert SegmentCodec is Codec
-        assert EncodedChunk is CompressedBlock

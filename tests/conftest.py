@@ -64,19 +64,6 @@ def kernel_tier(request):
         _kernels.set_native_enabled(None)
 
 
-@pytest.fixture()
-def numpy_tier():
-    """Pin the pure-NumPy kernel tier, for suites about paths only it takes
-    (the lock-step engine steps aside where the native tier serves a run)."""
-    from repro import _kernels
-
-    _kernels.set_native_enabled(False)
-    try:
-        yield
-    finally:
-        _kernels.set_native_enabled(None)
-
-
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """Session-wide deterministic random generator."""

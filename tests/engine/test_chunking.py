@@ -49,7 +49,7 @@ class TestPlanChunks:
 
     def test_small_batches_stay_stackable(self):
         # 12 equal series over 4 workers must not shatter into 12 singleton
-        # chunks — the cross-series fast paths stack within a chunk.
+        # chunks — the stacked XOR encode stacks within a chunk.
         chunks = plan_chunks([256] * 12, workers=4, oversubscribe=4)
         assert len(chunks) <= max(4, 12 // MIN_SERIES_PER_CHUNK + 4)
         assert max(len(chunk) for chunk in chunks) >= 2

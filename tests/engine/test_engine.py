@@ -13,6 +13,7 @@ import pytest
 
 from repro.codecs import get_codec
 from repro.engine import BatchEngine, compress_batch
+from repro.metrics import chebyshev
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -24,25 +25,76 @@ def _fleet(count: int, length: int, seed: int) -> list[np.ndarray]:
     return [base + rng.normal(0.0, 0.3, length) for _ in range(count)]
 
 
+def _mixed_length_fleet() -> list[np.ndarray]:
+    """Five 120-point series and one 10-point series: at ``max_lag=16`` the
+    effective lags are 16 and 9."""
+    rng = np.random.default_rng(13)
+    fleet = [2 * np.sin(2 * np.pi * np.arange(120) / 24)
+             + rng.normal(0, 0.3, 120) for _ in range(5)]
+    fleet.append(2 * np.sin(2 * np.pi * np.arange(10) / 5)
+                 + rng.normal(0, 0.1, 10))
+    return fleet
+
+
+def _two_lag_bucket_fleet() -> list[np.ndarray]:
+    """Three 150-point and three 12-point series: effective lags 16 and 11."""
+    rng = np.random.default_rng(14)
+    return ([rng.normal(0, 1, 150) for _ in range(3)]
+            + [rng.normal(0, 1, 12) for _ in range(3)])
+
+
+CAMEO_INPUTS = {
+    "uniform": (lambda: _fleet(9, 150, seed=17), dict(max_lag=12, epsilon=0.04)),
+    "mixed-length": (_mixed_length_fleet, dict(max_lag=16, epsilon=0.05)),
+    "two-lag-buckets": (_two_lag_bucket_fleet, dict(max_lag=16, epsilon=0.05)),
+}
+
+# ``chebyshev`` passed as a function object takes the row-wise callable
+# path (no closed form, not served by the native loop) and, unlike a
+# lambda, pickles for the process backend.
+CAMEO_CONFIGS = {
+    "acf": dict(statistic="acf"),
+    "pacf": dict(statistic="pacf"),
+    "callable-metric": dict(metric=chebyshev),
+}
+
+# Every input under every configuration, except the one pairing that would
+# add ~16 s to tier-1 for no new route: the row-wise callable path costs
+# ~0.1 s per 150-point series, and the two short fleets already take it
+# through every backend and tier.
+CAMEO_CASES = [pytest.param(inputs, config, id=f"{inputs}-{config}")
+               for inputs in CAMEO_INPUTS for config in CAMEO_CONFIGS
+               if (inputs, config) != ("uniform", "callable-metric")]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("statistic", ["acf", "pacf"])
-    def test_cameo_identical_to_sequential(self, backend, statistic):
-        """Fixed-seed batch == per-series sequential run, both statistics."""
-        fleet = _fleet(9, 150, seed=17)
-        options = dict(max_lag=12, epsilon=0.04, statistic=statistic)
+    @pytest.mark.parametrize("inputs, config", CAMEO_CASES)
+    def test_cameo_identical_to_sequential(self, backend, inputs, config,
+                                           kernel_tier):
+        """Fixed-seed batch == per-series ``codec.encode``, block for block:
+        a CAMEO series has one route on every backend and tier."""
+        make_fleet, options = CAMEO_INPUTS[inputs]
+        fleet = make_fleet()
+        options = {**options, **CAMEO_CONFIGS[config]}
         result = compress_batch(fleet, codec="cameo", codec_options=options,
                                 backend=backend, workers=2)
         codec = get_codec("cameo", **options)
         assert result.report.failed == 0
+        assert result.report.fastpath_series == 0
         for outcome, series in zip(result, fleet):
-            reference = codec.encode(series)
-            assert (outcome.unwrap().payload.indices.tolist()
+            block, reference = outcome.unwrap(), codec.encode(series)
+            assert outcome.fastpath is None
+            assert (block.payload.indices.tolist()
                     == reference.payload.indices.tolist())
-            assert np.array_equal(outcome.unwrap().payload.values,
+            assert np.array_equal(block.payload.values,
                                   reference.payload.values)
-            assert (outcome.unwrap().metadata["kept_points"]
-                    == reference.metadata["kept_points"])
+            assert ((block.codec, block.length, block.bits, block.lossless)
+                    == (reference.codec, reference.length, reference.bits,
+                        reference.lossless))
+            for metadata in (block.metadata, reference.metadata):
+                metadata.pop("elapsed_seconds")
+            assert block.metadata == reference.metadata
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("codec_name", ["gorilla", "chimp"])
@@ -56,19 +108,15 @@ class TestDeterminism:
         for outcome, series in zip(result, fleet):
             assert outcome.unwrap().payload == codec.encode(series).payload
 
-    @pytest.mark.usefixtures("numpy_tier")
     def test_fastpath_off_matches_fastpath_on(self):
-        fleet = _fleet(6, 120, seed=9)
-        options = dict(max_lag=10, epsilon=0.05)
-        on = compress_batch(fleet, codec="cameo", codec_options=options,
-                            fastpath=True)
-        off = compress_batch(fleet, codec="cameo", codec_options=options,
-                             fastpath=False)
-        assert on.report.fastpath_series > 0
+        """``fastpath=`` only switches the stacked XOR encode."""
+        fleet = [np.round(series, 2) for series in _fleet(6, 120, seed=9)]
+        on = compress_batch(fleet, codec="gorilla", fastpath=True)
+        off = compress_batch(fleet, codec="gorilla", fastpath=False)
+        assert on.report.fastpath_series == 6
         assert off.report.fastpath_series == 0
         for left, right in zip(on, off):
-            assert (left.unwrap().payload.indices.tolist()
-                    == right.unwrap().payload.indices.tolist())
+            assert left.unwrap().payload == right.unwrap().payload
 
     def test_outcomes_in_input_order(self):
         fleet = _fleet(12, 64, seed=4)

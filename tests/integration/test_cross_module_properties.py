@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CameoCompressor, cameo_compress
+from repro.codecs import available_codecs, get_codec
 from repro.stats import acf
-from repro.storage import TimeSeriesStore, available_codecs, make_codec
+from repro.storage import TimeSeriesStore
 from repro.streaming import StreamingCameoCompressor
 
 RNG = np.random.default_rng(31)
@@ -97,7 +98,7 @@ class TestStorageConsistency:
     def test_store_read_matches_direct_codec_roundtrip(self, codec_name, segment_size):
         """Reading a one-segment store equals decoding the codec directly."""
         values = _series(segment_size, 16, 0.1, seed=segment_size)
-        codec = make_codec(codec_name, **({"max_lag": 8, "epsilon": 0.05}
+        codec = get_codec(codec_name, **({"max_lag": 8, "epsilon": 0.05}
                                           if codec_name not in ("raw", "gorilla", "chimp")
                                           else {}))
         direct = codec.decode(codec.encode(values))

@@ -1,4 +1,4 @@
-"""Tests for the storage segment codecs (repro.storage.codecs)."""
+"""Tests for the codecs as the storage layer uses them (repro.codecs)."""
 
 from __future__ import annotations
 
@@ -10,20 +10,20 @@ from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import InvalidParameterError, StorageError
 from repro.stats import acf
-from repro.storage import (
-    CameoSegmentCodec,
-    ChimpSegmentCodec,
-    EncodedChunk,
-    FftSegmentCodec,
-    GorillaSegmentCodec,
-    PmcSegmentCodec,
+from repro.codecs import (
+    CameoCodec,
+    ChimpXorCodec,
+    Codec,
+    CompressedBlock,
+    FftCodec,
+    GorillaXorCodec,
+    PmcCodec,
     RawCodec,
-    SegmentCodec,
-    SimPieceSegmentCodec,
-    SimplifierSegmentCodec,
-    SwingSegmentCodec,
+    SimPieceCodec,
+    SimplifierCodec,
+    SwingCodec,
     available_codecs,
-    make_codec,
+    get_codec,
     register_codec,
 )
 
@@ -37,14 +37,14 @@ def _seasonal(n: int = 512, period: int = 32) -> np.ndarray:
 
 ALL_CODEC_FACTORIES = [
     ("raw", RawCodec),
-    ("gorilla", GorillaSegmentCodec),
-    ("chimp", ChimpSegmentCodec),
-    ("cameo", lambda: CameoSegmentCodec(max_lag=16, epsilon=0.02)),
-    ("vw", lambda: SimplifierSegmentCodec("VW", max_lag=16, epsilon=0.02)),
-    ("pmc", lambda: PmcSegmentCodec(error_bound=0.5)),
-    ("swing", lambda: SwingSegmentCodec(error_bound=0.5)),
-    ("simpiece", lambda: SimPieceSegmentCodec(error_bound=0.5)),
-    ("fft", lambda: FftSegmentCodec(keep_fraction=0.2)),
+    ("gorilla", GorillaXorCodec),
+    ("chimp", ChimpXorCodec),
+    ("cameo", lambda: CameoCodec(max_lag=16, epsilon=0.02)),
+    ("vw", lambda: SimplifierCodec("VW", max_lag=16, epsilon=0.02)),
+    ("pmc", lambda: PmcCodec(error_bound=0.5)),
+    ("swing", lambda: SwingCodec(error_bound=0.5)),
+    ("simpiece", lambda: SimPieceCodec(error_bound=0.5)),
+    ("fft", lambda: FftCodec(keep_fraction=0.2)),
 ]
 
 
@@ -56,7 +56,7 @@ class TestRoundTrips:
         values = _seasonal()
         chunk = codec.encode(values)
         decoded = codec.decode(chunk)
-        assert isinstance(chunk, EncodedChunk)
+        assert isinstance(chunk, CompressedBlock)
         assert chunk.codec == codec.name
         assert chunk.length == values.size
         assert decoded.shape == values.shape
@@ -64,7 +64,7 @@ class TestRoundTrips:
         assert chunk.bits > 0
         assert chunk.bits_per_value() == pytest.approx(chunk.bits / values.size)
 
-    @pytest.mark.parametrize("factory", [RawCodec, GorillaSegmentCodec, ChimpSegmentCodec],
+    @pytest.mark.parametrize("factory", [RawCodec, GorillaXorCodec, ChimpXorCodec],
                              ids=["raw", "gorilla", "chimp"])
     def test_lossless_codecs_are_exact(self, factory):
         codec = factory()
@@ -75,7 +75,7 @@ class TestRoundTrips:
 
     def test_cameo_codec_honours_acf_bound(self):
         values = _seasonal()
-        codec = CameoSegmentCodec(max_lag=16, epsilon=0.02)
+        codec = CameoCodec(max_lag=16, epsilon=0.02)
         chunk = codec.encode(values)
         decoded = codec.decode(chunk)
         deviation = float(np.mean(np.abs(acf(values, 16) - acf(decoded, 16))))
@@ -85,21 +85,21 @@ class TestRoundTrips:
 
     def test_simplifier_codec_honours_acf_bound(self):
         values = _seasonal()
-        codec = SimplifierSegmentCodec("VW", max_lag=16, epsilon=0.02)
+        codec = SimplifierCodec("VW", max_lag=16, epsilon=0.02)
         decoded = codec.decode(codec.encode(values))
         deviation = float(np.mean(np.abs(acf(values, 16) - acf(decoded, 16))))
         assert deviation <= 0.02 + 1e-9
 
     def test_pmc_codec_honours_value_bound(self):
         values = _seasonal()
-        codec = PmcSegmentCodec(error_bound=0.5)
+        codec = PmcCodec(error_bound=0.5)
         decoded = codec.decode(codec.encode(values))
         assert float(np.max(np.abs(decoded - values))) <= 0.5 + 1e-9
 
     def test_short_segments_are_stored_verbatim(self):
         values = np.asarray([1.0, 2.0, 3.0])
-        for codec in (CameoSegmentCodec(max_lag=8, epsilon=0.01),
-                      SimplifierSegmentCodec("VW", max_lag=8, epsilon=0.01)):
+        for codec in (CameoCodec(max_lag=8, epsilon=0.01),
+                      SimplifierCodec("VW", max_lag=8, epsilon=0.01)):
             chunk = codec.encode(values)
             assert chunk.metadata.get("short_segment") is True
             np.testing.assert_array_equal(codec.decode(chunk), values)
@@ -109,7 +109,7 @@ class TestRoundTrips:
                                      allow_nan=False, allow_infinity=False)))
     @settings(max_examples=25, deadline=None)
     def test_lossless_roundtrip_property(self, values):
-        for codec in (GorillaSegmentCodec(), ChimpSegmentCodec(), RawCodec()):
+        for codec in (GorillaXorCodec(), ChimpXorCodec(), RawCodec()):
             np.testing.assert_array_equal(codec.decode(codec.encode(values)), values)
 
 
@@ -117,7 +117,7 @@ class TestChunkValidation:
     def test_decode_rejects_foreign_chunk(self):
         raw_chunk = RawCodec().encode(_seasonal(64))
         with pytest.raises(StorageError):
-            GorillaSegmentCodec().decode(raw_chunk)
+            GorillaXorCodec().decode(raw_chunk)
 
     def test_compression_ratio_of_chunk(self):
         chunk = RawCodec().encode(_seasonal(64))
@@ -132,16 +132,16 @@ class TestRegistry:
             assert expected in names
 
     def test_make_codec_forwards_options(self):
-        codec = make_codec("cameo", max_lag=8, epsilon=0.005)
-        assert isinstance(codec, CameoSegmentCodec)
+        codec = get_codec("cameo", max_lag=8, epsilon=0.005)
+        assert isinstance(codec, CameoCodec)
         assert codec.max_lag == 8 and codec.epsilon == 0.005
 
     def test_make_codec_case_insensitive(self):
-        assert isinstance(make_codec("GORILLA"), GorillaSegmentCodec)
+        assert isinstance(get_codec("GORILLA"), GorillaXorCodec)
 
     def test_make_codec_unknown_name(self):
         with pytest.raises(InvalidParameterError):
-            make_codec("zstd")
+            get_codec("zstd")
 
     def test_register_custom_codec(self):
         class NegatingCodec(RawCodec):
@@ -158,27 +158,27 @@ class TestRegistry:
 
         register_codec("negate", NegatingCodec)
         try:
-            codec = make_codec("negate")
+            codec = get_codec("negate")
             values = _seasonal(32)
             np.testing.assert_allclose(codec.decode(codec.encode(values)), values)
         finally:
-            from repro.storage.codecs import _CODEC_REGISTRY
-            _CODEC_REGISTRY.pop("negate", None)
+            from repro.codecs.registry import _REGISTRY
+            _REGISTRY.pop("negate", None)
 
     def test_register_non_callable_rejected(self):
         with pytest.raises(InvalidParameterError):
             register_codec("broken", 42)  # type: ignore[arg-type]
 
     def test_simplifier_registry_names_bind_correct_method(self):
-        vw = make_codec("vw", max_lag=8, epsilon=0.05)
-        pipv = make_codec("pipv", max_lag=8, epsilon=0.05)
-        assert isinstance(vw, SimplifierSegmentCodec) and vw.method == "VW"
-        assert isinstance(pipv, SimplifierSegmentCodec) and pipv.method == "PIPv"
+        vw = get_codec("vw", max_lag=8, epsilon=0.05)
+        pipv = get_codec("pipv", max_lag=8, epsilon=0.05)
+        assert isinstance(vw, SimplifierCodec) and vw.method == "VW"
+        assert isinstance(pipv, SimplifierCodec) and pipv.method == "PIPv"
 
     def test_all_registered_codecs_construct_and_roundtrip(self):
         values = _seasonal(256)
         for name in available_codecs():
-            codec = make_codec(name)
-            assert isinstance(codec, SegmentCodec)
+            codec = get_codec(name)
+            assert isinstance(codec, Codec)
             decoded = codec.decode(codec.encode(values))
             assert decoded.shape == values.shape

@@ -804,7 +804,7 @@ class TestNativeTier:
     def test_crc32c_speedup(self, report):
         """``checksum.crc32c_64k_*``: the compiled table walk vs the Python
         one on a segment-document-sized buffer."""
-        from repro.storage.checksum import crc32c
+        from repro.codecs.checksum import crc32c
 
         data = np.random.default_rng(5).integers(
             0, 256, PERF_NATIVE_CRC_BYTES, dtype=np.uint8).tobytes()

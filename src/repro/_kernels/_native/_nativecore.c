@@ -2405,7 +2405,7 @@ py_fma_probe(PyObject *self, PyObject *args)
 static npy_uint32 crc32c_tables[8][256];
 
 /* Slicing-by-8 tables of the reflected Castagnoli polynomial; the same
- * construction as repro/storage/checksum.py::_make_tables. */
+ * construction as repro/codecs/checksum.py::_make_tables. */
 static void
 crc32c_init(void)
 {

@@ -474,6 +474,22 @@ def _cmd_store_append(args: argparse.Namespace) -> int:
     return 0
 
 
+def _disk_census(directory: Path, points: int) -> str:
+    """On-disk bytes per stored point, by file class, against raw float64."""
+    sizes = {"segments": 0, "wal": 0, "manifest": 0, "other": 0}
+    for path in directory.rglob("*"):
+        if path.is_file():
+            top = path.relative_to(directory).parts[0]
+            if top.startswith("manifest.json"):
+                top = "manifest"
+            sizes[top if top in sizes else "other"] += path.stat().st_size
+    total = sum(sizes.values())
+    parts = ", ".join(f"{name} {size / points:.2f}"
+                      for name, size in sizes.items())
+    return (f"  on disk: {total / points:.2f} B/point ({parts}); "
+            f"ratio {8.0 * points / total:.2f} against 8 B/point raw")
+
+
 def _cmd_store_load(args: argparse.Namespace) -> int:
     from .storage import DurableStore
 
@@ -491,6 +507,9 @@ def _cmd_store_load(args: argparse.Namespace) -> int:
                 if holes:
                     line += f", {len(holes)} quarantined hole(s)"
                 print(line)
+            points = sum(store.info(name).points for name in names)
+            if points:
+                print(_disk_census(Path(args.directory), points))
             if not store.recovery.clean:
                 print("recovery notes:")
                 print(store.recovery.summary())

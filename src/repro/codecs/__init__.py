@@ -13,8 +13,9 @@ interface to match:
   with family/label metadata so consumers can iterate codecs generically;
 * :mod:`repro.codecs.adapters` — the built-in adapters for all four
   families;
-* :mod:`repro.codecs.serialize` — portable block documents used by the CLI
-  and the storage engine's persistence.
+* :mod:`repro.codecs.serialize` — a block's two portable forms: the JSON
+  document of the CLI and the wire, and the binary container the durable
+  store's segment files are (checksummed by :mod:`repro.codecs.checksum`).
 
 The storage engine (:mod:`repro.storage`), the streaming layer
 (:mod:`repro.streaming`), the CLI (:mod:`repro.cli`), and the benchmark

@@ -1,6 +1,7 @@
-"""CRC32C (Castagnoli) checksums for the durable storage layer.
+"""CRC32C (Castagnoli) checksums for packed blocks and the durable store.
 
-Every durable artifact — WAL records, sealed segment files, the manifest's
+Every durable artifact — WAL records, packed blocks (sealed segment files,
+:func:`repro.codecs.serialize.pack_block`), the manifest and its
 per-segment references — carries a CRC32C so a flipped bit or a torn write
 is *detected* instead of decoding into silently wrong values.  CRC32C is
 the polynomial used by iSCSI, ext4 metadata, and LevelDB's log format.

@@ -55,6 +55,17 @@ class DecompressionError(ReproError):
     """A compressed representation cannot be reconstructed."""
 
 
+class BlockFormatError(DecompressionError):
+    """Packed block bytes were refused; ``reason`` is the machine-readable
+    code (``truncated-header`` | ``truncated-footer`` |
+    ``checksum-mismatch`` | ``parse-error``), ``detail`` the human one."""
+
+    def __init__(self, reason: str, detail: str):
+        super().__init__(f"{reason}: {detail}")
+        self.reason = reason
+        self.detail = detail
+
+
 class CodecError(ReproError):
     """A lossless codec (Gorilla/Chimp) failed to encode or decode."""
 

@@ -14,7 +14,7 @@ quarantines corruption instead of returning it (``docs/storage.md``).
 """
 
 from ..codecs import RawCodec, available_codecs, register_codec
-from .checksum import crc32c, crc32c_hex
+from ..codecs.checksum import crc32c, crc32c_hex
 from .durable import DurableStore
 from .persistence import load_store, save_store
 from .query import AggregateResult, QueryEngine, SUPPORTED_AGGREGATES

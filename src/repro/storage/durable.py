@@ -9,10 +9,11 @@ paper's compressed-block model)::
       manifest.json            atomic catalog (CRC32C footer, tmp->fsync->
       manifest.json.prev       rename swap; .prev is the last-known-good
                                fallback for torn manifest publications)
-      segments/<shard>/<series>/seg-000000.json
-                               one sealed segment per file: the codec-encoded
-                               block document plus a CRC32C footer covering
-                               payload + summary + metadata
+      segments/<shard>/<series>/seg-000000.seg
+                               one sealed segment per file: the packed block
+                               (repro.codecs.serialize.pack_block) — binary
+                               header with position + summary, codec name,
+                               metadata, raw payload bytes, CRC32C over all
       wal/shard-<shard>.<generation>.wal
                                per-shard append WAL holding the unsealed
                                buffer tails, the whole content of log
@@ -49,13 +50,17 @@ so the kill-at-every-syncpoint harness in ``tests/storage/`` can prove the
 contract by crashing at each site and diffing the reopened store against
 the acknowledged state.
 
-Version-1 manifests (the monolithic :func:`repro.storage.persistence.
-save_store` format) open transparently: the store is loaded through the
-v1 reader and migrated to the v2 layout on the spot.
+Older layouts open transparently, because opening is recovery: a
+version-1 manifest (the monolithic :func:`repro.storage.persistence.
+save_store` format) is loaded through the v1 reader, a version-2 directory
+(segments as hex-in-JSON ``seg-*.json`` documents) through the JSON segment
+reader kept for that purpose, and either is re-published in the current
+layout before the constructor returns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -69,17 +74,19 @@ import numpy as np
 
 from .._validation import as_float_array
 from ..codecs import get_codec
-from ..exceptions import StorageError
+from ..codecs.checksum import crc32c, crc32c_hex
+from ..codecs.serialize import pack_block, unpack_block
+from ..exceptions import BlockFormatError, StorageError
 from ..faultinject import fire_storage
-from .checksum import crc32c, crc32c_hex
 from .persistence import (
+    DURABLE_FORMAT_VERSION,
     MANIFEST_NAME,
     _codec_spec,
     _segment_from_document,
-    _segment_to_document,
     _store_from_manifest,
 )
 from .recovery import QuarantinedSegment, RecoveryReport
+from .segment import Segment, SegmentSummary
 from .store import DEFAULT_SEGMENT_SIZE, TimeSeriesStore
 from .wal import (
     COMPACTION,
@@ -99,9 +106,6 @@ __all__ = [
     "QUARANTINE_DIR",
     "WAL_CHECKPOINT_BYTES",
 ]
-
-#: Manifest version written by :class:`DurableStore`.
-DURABLE_FORMAT_VERSION = 2
 
 #: Last-known-good manifest kept beside the live one.
 PREV_MANIFEST_NAME = "manifest.json.prev"
@@ -157,28 +161,32 @@ def split_footer(data: bytes) -> tuple[bytes | None, str, str, str]:
     return payload, f"{actual:08x}", "", ""
 
 
-def _read_checksummed_json(path: Path) -> tuple[dict | None, str, str, str]:
-    """Read + verify a footer-checksummed JSON file.
-
-    Returns ``(document, payload_crc_hex, reason, detail)``; ``document``
-    is ``None`` on any failure.
-    """
+def _read_bytes(path: Path) -> tuple[bytes | None, str]:
+    """A file's bytes, or ``None`` and why there are none."""
     try:
-        data = path.read_bytes()
+        return path.read_bytes(), ""
     except FileNotFoundError:
-        return None, "", "missing-file", f"{path.name} does not exist"
+        return None, f"{path.name} does not exist"
     except OSError as exc:  # pragma: no cover - environment-specific
-        return None, "", "missing-file", str(exc)
+        return None, str(exc)
+
+
+def _trailing_crc_hex(packed: bytes) -> str:
+    """The CRC32C a packed block ends with, as manifest refs spell it."""
+    return f"{int.from_bytes(packed[-4:], 'little'):08x}"
+
+
+def _json_segment(data: bytes, codec) -> tuple[Segment, str]:
+    """Read a version-2 segment file: a footer-checksummed JSON document.
+
+    Nothing writes this form any more; the v2 → v3 migration is the only
+    caller.  Returns the segment and its payload CRC in hex.
+    """
     payload, payload_crc, reason, detail = split_footer(data)
     if payload is None:
-        return None, "", reason, detail
-    try:
-        document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return None, "", "parse-error", str(exc)
-    if not isinstance(document, dict):
-        return None, "", "parse-error", "document is not a JSON object"
-    return document, payload_crc, "", ""
+        raise BlockFormatError(reason, detail)
+    return _segment_from_document(json.loads(payload.decode("utf-8")),
+                                  codec), payload_crc
 
 
 def _series_slug(name: str) -> str:
@@ -641,21 +649,12 @@ class DurableStore:
         """Persist one sealed segment; returns its manifest reference."""
         index = self._next_file_index[name]
         self._next_file_index[name] = index + 1
-        document = _segment_to_document(segment)
-        payload = json.dumps(document, sort_keys=True,
-                             default=float).encode("utf-8")
-        relpath = f"{self._series_dir(name)}/seg-{index:06d}.json"
-        data, payload_crc = attach_footer(payload)
+        data = pack_block(segment.chunk, start=segment.start,
+                          summary=dataclasses.astuple(segment.summary))
+        relpath = f"{self._series_dir(name)}/seg-{index:06d}.seg"
         self._atomic_write(relpath, data, site="segment_write")
-        summary = segment.summary
-        return {
-            "file": relpath,
-            "crc32c": payload_crc,
-            "start": int(segment.start),
-            "length": int(segment.length),
-            "summary": {"count": summary.count, "minimum": summary.minimum,
-                        "maximum": summary.maximum, "total": summary.total},
-        }
+        return {"file": relpath, "crc32c": _trailing_crc_hex(data),
+                "start": int(segment.start), "length": int(segment.length)}
 
     def _manifest_document(self) -> dict:
         series_documents = {}
@@ -797,7 +796,7 @@ class DurableStore:
         if version == 1:
             self._migrate_v1(document)
             return
-        if version != DURABLE_FORMAT_VERSION:
+        if version > DURABLE_FORMAT_VERSION:
             raise StorageError(
                 f"manifest version {version} is newer than supported "
                 f"({DURABLE_FORMAT_VERSION})")
@@ -816,8 +815,10 @@ class DurableStore:
             self._load_series(str(name), entry, report)
 
         touched = self._replay_wals(report)
+        if version == 2:
+            self._migrate_v2()
         dirty = (bool(report.quarantined) or used_prev
-                 or report.removed_tmp_files > 0)
+                 or report.removed_tmp_files > 0 or version == 2)
         if touched:
             self._checkpoint(touched)
         elif dirty:
@@ -854,12 +855,9 @@ class DurableStore:
         return recovered, True
 
     def _parse_manifest_file(self, path: Path) -> tuple[dict | None, str]:
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None, "missing"
-        except OSError as exc:  # pragma: no cover - environment-specific
-            return None, str(exc)
+        data, detail = _read_bytes(path)
+        if data is None:
+            return None, detail
         payload, _crc, reason, detail = split_footer(data)
         if payload is None:
             # No footer: accept plain version-1 JSON (the legacy format).
@@ -882,7 +880,7 @@ class DurableStore:
         return document, ""
 
     def _migrate_v1(self, document: dict) -> None:
-        """Load a version-1 manifest and rewrite it as the v2 layout."""
+        """Load a version-1 manifest and rewrite it as the current layout."""
         self._memory = _store_from_manifest(
             document, self.directory / MANIFEST_NAME)
         for name in self._memory.list_series():
@@ -899,9 +897,24 @@ class DurableStore:
             self._generations[shard] = 0
             self._next_sequence[shard] = 0
         self.recovery.migrated_from_v1 = True
-        # Persist everything: segments to files, buffers to WALs, manifest
-        # to v2.  Touch every shard so empty ones are recorded too.
+        # Persist everything: segments to files, buffers to WALs, the
+        # manifest.  Touch every shard so empty ones are recorded too.
         self._checkpoint(set(self._generations))
+
+    def _migrate_v2(self) -> None:
+        """Re-publish a version-2 directory's JSON segments as ``.seg``.
+
+        Runs after the segments are verified and the WALs replayed, before
+        recovery's manifest swap — that swap publishes the new references
+        as version 3 and only then unlinks the JSON files, so a crash
+        anywhere in here reopens as version 2 and migrates again.
+        """
+        for name, refs in self._refs.items():
+            segments = self._memory._state(name).segments  # noqa: SLF001
+            for position, ref in enumerate(refs):
+                self._garbage.append(str(ref.get("file", "")))
+                refs[position] = self._write_segment(name, segments[position])
+                self.recovery.migrated_segments += 1
 
     def _load_series(self, name: str, entry, report: RecoveryReport) -> None:
         if not isinstance(entry, dict):
@@ -944,19 +957,26 @@ class DurableStore:
         detail))`` when the segment must be quarantined.
         """
         relpath = str(ref.get("file", ""))
-        document, payload_crc, reason, detail = _read_checksummed_json(
-            self.directory / relpath)
-        if document is None:
-            return None, (reason, detail)
-        expected_crc = str(ref.get("crc32c", ""))
-        if payload_crc != expected_crc:
-            return None, ("manifest-mismatch",
-                          f"manifest records crc32c {expected_crc}, "
-                          f"file payload has {payload_crc}")
+        data, detail = _read_bytes(self.directory / relpath)
+        if data is None:
+            return None, ("missing-file", detail)
         try:
-            segment = _segment_from_document(document, codec)
+            if relpath.endswith(".json"):
+                segment, file_crc = _json_segment(data, codec)
+            else:
+                block, start, summary = unpack_block(data)
+                segment = Segment(start, block, codec,
+                                  summary=SegmentSummary(*summary))
+                file_crc = _trailing_crc_hex(data)
+        except BlockFormatError as exc:
+            return None, (exc.reason, exc.detail)
         except (KeyError, TypeError, ValueError, StorageError) as exc:
             return None, ("parse-error", f"cannot rebuild segment: {exc}")
+        expected_crc = str(ref.get("crc32c", ""))
+        if file_crc != expected_crc:
+            return None, ("manifest-mismatch",
+                          f"manifest records crc32c {expected_crc}, "
+                          f"file has {file_crc}")
         if (segment.start != int(ref.get("start", -1))
                 or segment.length != int(ref.get("length", -1))):
             return None, ("manifest-mismatch",

@@ -7,16 +7,16 @@ with its summary and encoded payload.  The manifest is published with a
 tmp-file → fsync → rename swap, so a crash during :func:`save_store`
 leaves either the old manifest or the new one, never a torn hybrid.
 
-The crash-consistent sharded layout (format v2, WAL + checksummed segment
-files) lives in :mod:`repro.storage.durable`; :func:`load_store` reads
-both formats, delegating v2 directories to a
+The crash-consistent sharded layout (format v2 and up: WAL + checksummed
+segment files) lives in :mod:`repro.storage.durable`; :func:`load_store`
+reads both, delegating every newer-than-v1 directory to a
 :class:`~repro.storage.durable.DurableStore` recovery scan and returning
 the recovered in-memory view.
 
 Payloads are stored in the codec's *encoded* form, so a CAMEO- or
-Gorilla-backed store keeps its compression benefit on disk: irregular
-segments persist their retained indices/values, XOR codecs persist the bit
-stream (hex-encoded), raw segments persist the values.  The
+Gorilla-backed store keeps its compression benefit: irregular segments
+persist their retained indices/values, XOR codecs persist the bit stream
+(hex-encoded in this JSON format), raw segments persist the values.  The
 functional-approximation codecs (PMC, SWING, Sim-Piece, FFT) keep closures as
 payloads and therefore do not support persistence; attempting to save such a
 store raises :class:`repro.exceptions.StorageError` with a pointer to
@@ -37,13 +37,19 @@ from .segment import Segment, SegmentSummary
 from .store import TimeSeriesStore
 
 __all__ = ["save_store", "load_store", "MANIFEST_NAME", "FORMAT_VERSION",
-           "MAX_FORMAT_VERSION"]
+           "DURABLE_FORMAT_VERSION", "MAX_FORMAT_VERSION"]
 
 MANIFEST_NAME = "manifest.json"
 #: Version written by :func:`save_store` (the monolithic format).
 FORMAT_VERSION = 1
-#: Newest version :func:`load_store` can read (v2 = the durable layout).
-MAX_FORMAT_VERSION = 2
+#: Version written by :class:`~repro.storage.durable.DurableStore`: 3 since
+#: segment files are packed blocks (``.seg``; version 2 held hex-in-JSON
+#: documents).  The bump is what makes a version-2 binary refuse such a
+#: directory instead of quarantining every segment in it.
+DURABLE_FORMAT_VERSION = 3
+#: Newest version :func:`load_store` can read: whatever the durable store
+#: writes.
+MAX_FORMAT_VERSION = DURABLE_FORMAT_VERSION
 
 
 def _codec_spec(codec) -> dict:
@@ -152,7 +158,7 @@ def save_store(store: TimeSeriesStore, directory) -> Path:
 def load_store(directory) -> TimeSeriesStore:
     """Load a store previously written by :func:`save_store`.
 
-    Version-2 (durable-layout) directories are opened through a
+    Durable-layout directories (every version past 1) are opened through a
     :class:`~repro.storage.durable.DurableStore` recovery scan and the
     recovered in-memory view is returned; mutate a durable store through
     :class:`DurableStore` itself, not through this snapshot.
@@ -164,7 +170,7 @@ def load_store(directory) -> TimeSeriesStore:
     except OSError as exc:
         raise StorageError(f"cannot read store manifest at {path}: {exc}") from exc
     if b"\n#crc32c=" in raw:
-        # A checksum footer marks the durable (v2) layout.
+        # A checksum footer marks the durable layout.
         return _load_durable(path.parent)
     try:
         manifest = json.loads(raw.decode("utf-8"))
@@ -180,7 +186,7 @@ def load_store(directory) -> TimeSeriesStore:
         raise StorageError(
             f"manifest version {version} is newer than supported "
             f"({MAX_FORMAT_VERSION})")
-    if version == MAX_FORMAT_VERSION:
+    if version > FORMAT_VERSION:
         return _load_durable(path.parent)
     return _store_from_manifest(manifest, path)
 

@@ -30,8 +30,8 @@ class QuarantinedSegment:
     #: Manifest-relative path the segment lived at.
     file: str
     #: Machine-readable reason code (``checksum-mismatch`` |
-    #: ``truncated-footer`` | ``parse-error`` | ``manifest-mismatch`` |
-    #: ``missing-file`` | ``invalid-geometry``).
+    #: ``truncated-header`` | ``truncated-footer`` | ``parse-error`` |
+    #: ``manifest-mismatch`` | ``missing-file`` | ``invalid-geometry``).
     reason: str
     #: Human-readable detail for the reason.
     detail: str
@@ -70,6 +70,8 @@ class RecoveryReport:
     prior_holes: int = 0
     #: True when the store was read from a version-1 (monolithic) manifest.
     migrated_from_v1: bool = False
+    #: Version-2 JSON segment files re-published as ``.seg`` by this open.
+    migrated_segments: int = 0
     #: True when ``manifest.json`` was corrupt and ``manifest.json.prev``
     #: was used instead (the corrupt manifest is quarantined).
     used_prev_manifest: bool = False
@@ -130,6 +132,9 @@ class RecoveryReport:
                          "generation(s) newer than the recovered manifest")
         if self.migrated_from_v1:
             lines.append("migrated from a version-1 manifest")
+        if self.migrated_segments:
+            lines.append(f"re-published {self.migrated_segments} version-2 "
+                         "JSON segment(s) as .seg")
         lines.append("store is clean" if self.clean
                      else "corruption was found and contained")
         return "\n".join(lines)

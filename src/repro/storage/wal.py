@@ -61,9 +61,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..codecs.checksum import crc32c
 from ..exceptions import StorageError
 from ..faultinject import InjectedCrash, fire_storage
-from .checksum import crc32c
 
 __all__ = [
     "COMPACTION",

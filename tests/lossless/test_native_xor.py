@@ -41,7 +41,7 @@ from repro.exceptions import CodecError, InvalidSeriesError
 from repro.lossless import ChimpCodec, GorillaCodec
 from repro.lossless.chimp import _ROUND_CODE, _ROUND_VALUE, _chimp_field_stream
 from repro.lossless.gorilla import _gorilla_field_stream
-from repro.storage.checksum import crc32c
+from repro.codecs.checksum import crc32c
 
 needs_native = pytest.mark.skipif(not _kernels.native_available(),
                                   reason="native extension not built")

@@ -1,6 +1,6 @@
 """CRC32C on both kernel tiers, and the stores they write.
 
-``repro.storage.checksum.crc32c`` is a compiled table walk on the native
+``repro.codecs.checksum.crc32c`` is a compiled table walk on the native
 tier and a pure-Python one otherwise; every CRC on disk — segment footers,
 manifest references, WAL records — comes from whichever tier the writing
 process resolved, and is verified by whichever tier the reading process
@@ -18,7 +18,7 @@ import pytest
 
 from repro import _kernels
 from repro.storage import DurableStore
-from repro.storage.checksum import crc32c, crc32c_hex
+from repro.codecs.checksum import crc32c, crc32c_hex
 
 needs_native = pytest.mark.skipif(not _kernels.native_available(),
                                   reason="native extension not built")

@@ -21,7 +21,7 @@ from repro.storage import (
     recover,
     save_store,
 )
-from repro.storage.checksum import crc32c_hex
+from repro.codecs.checksum import crc32c_hex
 from repro.storage.durable import attach_footer, split_footer
 from repro.storage.wal import encode_record, scan_wal
 
@@ -162,7 +162,7 @@ class TestQuarantine:
         return values
 
     def _segment_files(self, root):
-        return sorted(root.glob("segments/*/*/seg-*.json"))
+        return sorted(root.glob("segments/*/*/seg-*.seg"))
 
     def test_bit_flip_is_quarantined(self, root):
         self._seeded(root)
@@ -179,7 +179,7 @@ class TestQuarantine:
     def test_torn_segment_is_quarantined(self, root):
         self._seeded(root)
         target = self._segment_files(root)[0]
-        inject_torn_write(target, target.stat().st_size // 3)
+        inject_torn_write(target, target.stat().st_size * 2 // 3)
         with DurableStore.open(root) as store:
             assert store.recovery.quarantined[0].reason == "truncated-footer"
 
@@ -397,9 +397,9 @@ class TestV1Migration:
             for name in ("g", "r"):
                 assert np.array_equal(migrated.read(name),
                                       original.read(name))
-        # The rewrite is the v2 layout now: segment files exist, next
+        # The rewrite is the current layout: segment files exist, next
         # open is an ordinary clean recovery.
-        assert list(root.glob("segments/*/*/seg-*.json"))
+        assert list(root.glob("segments/*/*/seg-*.seg"))
         with DurableStore.open(root) as again:
             assert again.recovery.clean
             assert not again.recovery.migrated_from_v1
@@ -437,7 +437,7 @@ class TestFsck:
         with DurableStore.create(root, default_segment_size=8) as store:
             store.create_series("a", codec="raw")
             store.append("a", _values(20))
-        target = sorted(root.glob("segments/*/*/seg-*.json"))[0]
+        target = sorted(root.glob("segments/*/*/seg-*.seg"))[0]
         inject_bit_flip(target, 50)
         report = fsck(root)
         assert report.corruption_found
@@ -501,7 +501,7 @@ class TestLogSeries:
             assert store.append("log", values[30:]) == 0
             assert store.flush() == 0
             assert store.info("log").segments == 0
-        assert not list(root.glob("segments/*/*/seg-*.json"))
+        assert not list(root.glob("segments/*/*/seg-*.seg"))
         with DurableStore.open(root) as reopened:
             assert reopened.recovery.clean
             assert reopened.recovery.replayed_records == 2
@@ -534,9 +534,9 @@ class TestLogSeries:
         with DurableStore.create(root, default_segment_size=8) as store:
             store.create_series("a", codec="raw", metadata={"drained": 16})
             store.append("a", values)                 # two segment files
-            assert len(list(root.glob("segments/*/*/seg-*.json"))) == 2
+            assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 2
             store.reset("a", values[16:])
-            assert not list(root.glob("segments/*/*/seg-*.json"))
+            assert not list(root.glob("segments/*/*/seg-*.seg"))
             assert store.append("a", values[:12]) == 0
         with DurableStore.open(root) as reopened:
             assert reopened.recovery.clean
@@ -556,14 +556,14 @@ class TestLogSeries:
             with pytest.raises(InjectedFault):
                 store.reset("a", values[16:])
         store.close()
-        assert len(list(root.glob("segments/*/*/seg-*.json"))) == 2
+        assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 2
         with DurableStore.open(root) as reopened:
             # The manifest still listed the segments: replay dropped them
             # again and the recovery checkpoint retired their files.
             assert reopened.recovery.clean
             assert reopened.recovery.replayed_reset_records == 1
             assert np.array_equal(reopened.read("a"), values[16:])
-        assert not list(root.glob("segments/*/*/seg-*.json"))
+        assert not list(root.glob("segments/*/*/seg-*.seg"))
 
     def test_oversize_wal_generation_is_checkpointed(self, root, monkeypatch):
         monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES", 500)

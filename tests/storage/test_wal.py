@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import StorageError
 from repro.faultinject import InjectedFault, StorageFaultAction, active_plan
-from repro.storage.checksum import crc32c, crc32c_hex
+from repro.codecs.checksum import crc32c, crc32c_hex
 from repro.storage.wal import (
     COMPACTION,
     METADATA,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -73,14 +73,34 @@ class TestOnlineAcfEstimator:
     @given(arrays(np.float64, st.integers(min_value=20, max_value=150),
                   elements=st.floats(min_value=-100, max_value=100,
                                      allow_nan=False, allow_infinity=False)))
+    # Found about once in five runs: series std 2.26, yet every lag's tail
+    # window is exactly constant; lag 1 came out 1.25e-6 apart.
+    @example(np.array([-37.0] + [-51.664571261546925] * 40))
     @settings(max_examples=25, deadline=None)
     def test_streaming_equals_batch_property(self, x):
-        # Near-constant series are numerically degenerate for both the batch
-        # and the streaming estimator (0/0 correlations); skip them.
-        assume(float(np.std(x)) > 1e-6)
+        # A lag's correlation divides by its two window variances, each
+        # computed as m*sum(x^2) - sum(x)^2 (Equation 7).  When a window's
+        # std is small against the size of its values that subtraction
+        # cancels: the relative error of the variance is about
+        # eps * (max|x| / std)^2, so what the batch and the streaming
+        # estimator return (the conventional 0, or noise over noise) depends
+        # on the order they built the sums in.  Chosen: the *guard*, not the
+        # tolerance -- no tolerance is meaningful for 0/0, and a well-posed
+        # lag must keep meeting 1e-6.  The guard is relative (std against
+        # max |x|) and per lag window, because the whole-series std does not
+        # see the pinned input.  At a floor of 1e-4 the bound above is
+        # ~1e-8; 20,000 adversarial series measured 1.8e-7 at worst, and
+        # 1.6e-5 at a floor of 1e-5.
+        scale = float(np.max(np.abs(x)))
+        well_posed = np.array([
+            min(np.std(x[:-lag]), np.std(x[lag:])) > 1e-4 * scale
+            for lag in range(1, 9)])
         estimator = OnlineAcfEstimator(max_lag=8)
         estimator.update(x)
-        np.testing.assert_allclose(estimator.acf(), acf(x, 8), atol=1e-6)
+        streaming = estimator.acf()
+        assert np.all(np.isfinite(streaming))
+        np.testing.assert_allclose(streaming[well_posed],
+                                   acf(x, 8)[well_posed], atol=1e-6)
 
 
 class TestAcfDriftMonitor:

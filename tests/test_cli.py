@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -438,6 +439,34 @@ class TestStoreCommands:
         output = capsys.readouterr().out
         assert "1 series" in output and "codec gorilla" in output
 
+    def test_load_summary_prints_the_disk_census(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        rng = np.random.default_rng(5)
+        np.savetxt(path, np.repeat(rng.integers(0, 5, size=256), 16),
+                   header="value", comments="")
+        directory = tmp_path / "db"
+        main(["store", "save", str(directory), "--input", str(path),
+              "--series", "t", "--codec", "gorilla"])
+        main(["store", "append", str(directory), "--input", str(path),
+              "--series", "t"])
+        capsys.readouterr()
+        assert main(["store", "load", str(directory)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if "on disk:" in line]
+        numbers = dict(zip(
+            ("total", "segments", "wal", "manifest", "other", "ratio", "raw"),
+            map(float, re.findall(r"\d+\.\d+|\d+", line))))
+        on_disk = sum(file.stat().st_size for file in directory.rglob("*")
+                      if file.is_file())
+        assert numbers["total"] == pytest.approx(on_disk / 8192, abs=0.01)
+        assert numbers["total"] == pytest.approx(
+            sum(numbers[part] for part in ("segments", "wal", "manifest",
+                                           "other")), abs=0.03)
+        assert numbers["ratio"] == pytest.approx(8 * 8192 / on_disk, abs=0.01)
+        # Runs of repeated values through gorilla, stored as the bytes the
+        # encoder produced: a fraction of the 8 B/point they arrived as.
+        assert 0 < numbers["segments"] < 2.0 and numbers["raw"] == 8
+
     def test_fsck_exit_code_matrix(self, plain_csv, tmp_path, capsys):
         """Exit 0 on a clean store, 4 after corruption, 0 once repaired."""
         from repro.faultinject import inject_bit_flip
@@ -449,7 +478,7 @@ class TestStoreCommands:
         assert main(["store", "fsck", str(directory)]) == 0
         assert "store is clean" in capsys.readouterr().out
 
-        target = sorted(directory.glob("segments/*/*/seg-*.json"))[0]
+        target = sorted(directory.glob("segments/*/*/seg-*.seg"))[0]
         inject_bit_flip(target, 123)
         assert main(["store", "fsck", str(directory)]) == 4
         output = capsys.readouterr().out

@@ -43,7 +43,6 @@ from bench_config import (
     PERF_MIN_CAMEO_SPEEDUP,
     PERF_MIN_CAMEO_SPECULATIVE_SPEEDUP,
     PERF_MIN_CODEC_SPEEDUP,
-    PERF_MIN_ENGINE_PROCESS_SPEEDUP,
     PERF_MIN_ENGINE_THREAD_SPEEDUP,
     PERF_MIN_HEAP_BULK_SPEEDUP,
     PERF_MIN_HOPS_BATCH_SPEEDUP,
@@ -629,9 +628,8 @@ class TestNativeTier:
     def test_thread_vs_serial_throughput(self, report):
         """``engine.batch_64x4k_thread``: the thread backend vs the serial
         one, both on the native tier, where a series' whole loop runs with
-        the GIL released — results identical, ratio recorded beside
-        ``engine_process_vs_serial`` and gated only where the machine has
-        ``PERF_ENGINE_WORKERS`` CPUs."""
+        the GIL released — results identical, ratio gated only where the
+        machine has ``PERF_ENGINE_WORKERS`` CPUs."""
         from repro.engine import BatchEngine
 
         _kernels.set_native_enabled(True)
@@ -858,7 +856,7 @@ def _bench_xor_stacked(report, suffix: str) -> float:
 
 @pytest.mark.usefixtures("numpy_tier")
 class TestBatchEngine:
-    """Fleet throughput: the batch engine's backends and its fast path."""
+    """Fleet throughput: the batch engine's stacked XOR fast path."""
 
     @staticmethod
     def _fleet(count: int, length: int, seed: int = 2026) -> list[np.ndarray]:
@@ -867,62 +865,6 @@ class TestBatchEngine:
         base = (5.0 + 2.0 * np.sin(2 * np.pi * t / 24)
                 + 0.5 * np.sin(2 * np.pi * t / 168))
         return [base + rng.normal(0.0, 0.3, length) for _ in range(count)]
-
-    def test_process_vs_serial_throughput(self, report):
-        """``engine.batch_64x4k``: process backend vs serial, results identical.
-
-        The serial backend *is* the per-series sequential run, so the
-        identity assertion compares every process-backend block against
-        it.  The ≥3x ratio is asserted only on machines with at least
-        ``PERF_ENGINE_WORKERS`` CPUs — with fewer cores the parallel
-        speedup is physically unreachable and the ratio is recorded
-        without gating.
-        """
-        from repro.engine import BatchEngine
-
-        fleet = self._fleet(PERF_ENGINE_SERIES, PERF_ENGINE_LENGTH)
-        options = dict(max_lag=PERF_ENGINE_MAX_LAG, epsilon=None,
-                       target_ratio=PERF_ENGINE_TARGET_RATIO)
-        ops = PERF_ENGINE_SERIES * PERF_ENGINE_LENGTH
-
-        serial_engine = BatchEngine("cameo", codec_options=options,
-                                    backend="serial")
-        serial_result = serial_engine.compress(fleet)
-        assert serial_result.report.failed == 0
-        timed_serial = report.add(bench(
-            "engine.batch_64x4k_serial",
-            lambda: serial_engine.compress(fleet), ops=ops, repeats=1,
-            warmup=False, series=PERF_ENGINE_SERIES,
-            length=PERF_ENGINE_LENGTH))
-
-        process_engine = BatchEngine("cameo", codec_options=options,
-                                     backend="process",
-                                     workers=PERF_ENGINE_WORKERS)
-        process_result = process_engine.compress(fleet)
-        assert process_result.report.failed == 0
-        timed_process = report.add(bench(
-            "engine.batch_64x4k_process",
-            lambda: process_engine.compress(fleet), ops=ops, repeats=1,
-            warmup=False, workers=PERF_ENGINE_WORKERS))
-
-        # Hard requirement: batch results identical to the per-series
-        # sequential run — CAMEO kept-point sets bit for bit.
-        for serial_outcome, process_outcome in zip(serial_result,
-                                                   process_result):
-            left = serial_outcome.unwrap().payload
-            right = process_outcome.unwrap().payload
-            assert left.indices.tolist() == right.indices.tolist()
-            assert np.array_equal(left.values, right.values)
-
-        speedup = report.speedup("engine_process_vs_serial",
-                                 "engine.batch_64x4k_process",
-                                 "engine.batch_64x4k_serial")
-        report.ratios["engine_batch_points_per_sec"] = timed_process.ops_per_sec
-        assert timed_serial.seconds > 0
-        if (os.cpu_count() or 1) >= PERF_ENGINE_WORKERS:
-            assert speedup >= PERF_MIN_ENGINE_PROCESS_SPEEDUP, (
-                f"process backend at {speedup:.2f}x the serial backend is "
-                f"below the {PERF_MIN_ENGINE_PROCESS_SPEEDUP}x floor")
 
     def test_xor_stacked_fastpath(self, report):
         """``engine.xor_stack``: stacked encode vs per-series, byte-identical."""

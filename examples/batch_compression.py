@@ -5,7 +5,7 @@ throughput is series per second across the fleet, not one series' latency.
 This example drives :func:`repro.engine.compress_batch` through the typical
 workflow:
 
-1. compress a fleet of sensor series with a lossless codec on every backend,
+1. compress a fleet of sensor series with a lossless codec on both backends,
 2. compress the same fleet with CAMEO (one route on every backend and
    kernel tier: ``codec.encode`` per series) and verify the results match
    per-series runs,
@@ -40,8 +40,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 1. lossless fleet compression on each backend
     # ------------------------------------------------------------------ #
-    print("=== Gorilla fleet, three backends ===")
-    for backend in ("serial", "thread", "process"):
+    print("=== Gorilla fleet, both backends ===")
+    for backend in ("serial", "thread"):
         result = compress_batch(fleet, codec="gorilla", backend=backend,
                                 workers=2)
         report = result.report

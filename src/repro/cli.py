@@ -11,12 +11,12 @@ Six subcommands cover the typical workflow on CSV data:
 
 ``compress-batch``
     Compress a whole fleet of CSVs (glob patterns and/or directories)
-    through the batch engine: ``--backend serial|thread|process``,
+    through the batch engine: ``--backend serial|thread``,
     ``--workers N``, any registered ``--codec``.  Writes one codec-block
     JSON document per input into ``--output-dir`` and prints the aggregate
     throughput report; a failing series is reported and skipped, the rest
     of the batch completes.  Fault-handling knobs: ``--timeout`` (per-chunk
-    seconds), ``--retries``, ``--on-degrade degrade|serial|error``; input
+    seconds), ``--retries``, ``--on-degrade degrade|error``; input
     policies ``--on-nan`` / ``--on-inf`` admit hostile CSVs.  Exit code 0
     when everything compressed, 3 on partial failure, 4 when nothing did.
 
@@ -55,7 +55,7 @@ Example
     python -m repro.cli compress readings.csv --codec gorilla \
         --output readings.gorilla.json
     python -m repro.cli compress-batch "sensors/*.csv" --codec gorilla \
-        --backend process --workers 4 --output-dir compressed/
+        --backend thread --workers 4 --output-dir compressed/
     python -m repro.cli compress readings.csv --codec pmc \
         --codec-arg error_bound=0.5 --output readings.pmc.json
     python -m repro.cli decompress readings.cameo.json --output restored.csv
@@ -275,11 +275,8 @@ def _unique_series_names(paths: list[Path]) -> list[str]:
 
 def _cmd_compress_batch(args: argparse.Namespace) -> int:
     from .engine import compress_batch
-    from .engine.backends import install_signal_cleanup
     from .sanitize import InputPolicy
 
-    # A SIGTERM/SIGHUP mid-batch must not leak the shared-memory segment.
-    install_signal_cleanup()
     paths = _expand_batch_inputs(args.inputs)
     if not paths:
         raise ReproError(f"no input files matched {args.inputs!r}")
@@ -334,12 +331,11 @@ def _cmd_compress_batch(args: argparse.Namespace) -> int:
     print(f"  wall {report.wall_seconds:.2f} s, cpu {report.cpu_seconds:.2f} s, "
           f"{report.points_per_sec:.0f} points/s, "
           f"{report.fastpath_series} series via the stacked XOR fast path")
-    recovery = (report.retries or report.timeouts or report.pool_rebuilds
+    recovery = (report.retries or report.timeouts
                 or report.quarantined_chunks or report.degraded_chunks
                 or report.sanitized_series)
     if recovery:
         print(f"  recovery: {report.retries} retries, {report.timeouts} timeouts, "
-              f"{report.pool_rebuilds} pool rebuilds, "
               f"{report.quarantined_chunks} quarantined chunks, "
               f"{report.degraded_series} series degraded, "
               f"{report.sanitized_series} series sanitized")
@@ -634,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--codec-arg", action="append", default=[], metavar="K=V",
                        help="extra codec option, repeatable")
     batch.add_argument("--backend", default="serial",
-                       choices=("serial", "thread", "process"),
+                       choices=("serial", "thread"),
                        help="execution backend (default serial)")
     batch.add_argument("--workers", type=int, default=None,
                        help="parallel workers (default: CPU count)")
@@ -646,10 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--retries", type=int, default=1,
                        help="chunk retry budget before quarantine (default 1)")
     batch.add_argument("--on-degrade", default="degrade",
-                       choices=("degrade", "serial", "error"),
-                       help="what happens to a quarantined chunk: walk the "
-                            "process->thread->serial ladder, go straight to "
-                            "serial, or record errors (default degrade)")
+                       choices=("degrade", "error"),
+                       help="what happens to a quarantined thread-backend "
+                            "chunk: re-encode it serially, or record errors "
+                            "(default degrade)")
     batch.add_argument("--on-nan", default="raise",
                        choices=("raise", "skip", "split"),
                        help="input policy for NaN values (default raise)")

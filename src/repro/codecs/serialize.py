@@ -1,8 +1,8 @@
 """(De)serialization of :class:`~repro.codecs.base.CompressedBlock` objects.
 
 A block has two portable forms.  The *document* (:func:`block_to_document`)
-is JSON: the wire and inspection form of ``/compress`` responses, the CLI
-and the process backend.  The *container* (:func:`pack_block`) is binary:
+is JSON: the wire and inspection form of ``/compress`` responses and the
+CLI.  The *container* (:func:`pack_block`) is binary:
 the one on-disk form, a sealed segment file of the durable store — the
 payload costs the bytes the codec produced, not their hex spelling.
 

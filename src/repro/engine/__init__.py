@@ -7,18 +7,16 @@ provides that layer:
 
 * :class:`~repro.engine.engine.BatchEngine` /
   :func:`~repro.engine.engine.compress_batch` — N series × any registered
-  codec on a ``serial`` / ``thread`` / ``process`` backend, with size-aware
-  chunking, shared-memory input transport, per-series error isolation, and
-  an aggregate :class:`~repro.engine.report.BatchReport`;
+  codec on a ``serial`` or ``thread`` backend, with size-aware chunking,
+  per-series error isolation, and an aggregate
+  :class:`~repro.engine.report.BatchReport`;
 * one cross-series fast path — the stacked XOR encode
   (:meth:`GorillaCodec.encode_batch`) — whose payloads are byte-identical
   to per-series runs; every other codec, CAMEO included, has exactly one
   route: ``codec.encode`` per series;
 * fault-tolerant supervision (:mod:`repro.engine.supervisor`) — per-chunk
-  timeouts, bounded retry, ``BrokenProcessPool`` recovery, and a
-  ``process → thread → serial`` degradation ladder, so a batch always
-  terminates with per-series outcomes and never leaks a shared-memory
-  segment.
+  timeouts, bounded retry, and a ``thread → serial`` degradation ladder,
+  so a batch always terminates with per-series outcomes.
 
 See ``docs/architecture.md`` ("The batch engine") for the data flow and
 ``docs/robustness.md`` for the failure semantics.

@@ -7,8 +7,9 @@ registered codec name, and runs them to completion on the chosen backend:
 
 * size-aware chunking (:mod:`repro.engine.chunking`) keeps a giant series
   from straggling behind a pile of tiny ones;
-* the ``process`` backend ships inputs through shared memory and returns
-  serialized codec-block documents (no float pickling);
+* the ``thread`` backend spreads chunks over a thread pool — on the native
+  kernel tier a CAMEO encode is one GIL-free call, so threads scale
+  without pickling or shared memory;
 * same-length lossless series take the one cross-series fast path (the
   stacked XOR encode) — payloads stay byte-identical to per-series runs;
 * every series is error-isolated: one poisoned input yields an error
@@ -29,7 +30,6 @@ Example
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -38,10 +38,9 @@ from ..codecs import codec_spec
 from ..data.timeseries import TimeSeries
 from ..exceptions import InvalidParameterError
 from ..sanitize import SANITIZE_METADATA_KEY, InputPolicy, sanitize
-from .backends import BACKENDS, resolve_workers
 from .chunking import DEFAULT_OVERSUBSCRIBE, plan_chunks
 from .report import BatchReport, BatchResult, SeriesOutcome
-from .supervisor import SupervisorPolicy, run_supervised
+from .supervisor import SupervisorPolicy, resolve_workers, run_supervised
 
 __all__ = ["BatchEngine", "compress_batch"]
 
@@ -91,10 +90,10 @@ class BatchEngine:
         Keyword arguments for the codec factory (e.g. ``max_lag``,
         ``epsilon`` for CAMEO).
     backend:
-        ``"serial"`` (default), ``"thread"``, or ``"process"``.
+        ``"serial"`` (default) or ``"thread"``.
     workers:
-        Parallel workers for the thread/process backends (defaults to the
-        CPU count; ignored by ``serial``).
+        Parallel workers for the thread backend (defaults to the CPU
+        count; ignored by ``serial``).
     fastpath:
         Enable the stacked XOR encode for same-length lossless series
         (the only cross-series fast path; no other codec family is
@@ -104,16 +103,17 @@ class BatchEngine:
         Chunks planned per worker (see :func:`repro.engine.chunking.plan_chunks`).
     timeout:
         Per-chunk wall-clock budget in seconds (``None`` = unbounded).  A
-        chunk that exceeds it is retried, then quarantined; on the process
-        backend the hung pool is killed and rebuilt.
+        thread-backend chunk that exceeds it is abandoned, retried, then
+        quarantined; the serial backend runs untimed.
     retries:
         Chunk-level retry budget before a chunk is quarantined.
     backoff:
-        Base sleep between chunk retries (exponential).
+        Base sleep between chunk retries (exponential; the first retry
+        sleeps ``backoff``).
     on_degrade:
-        What happens to a quarantined chunk: ``"degrade"`` (default — walk
-        the ``process → thread → serial`` ladder), ``"serial"`` (straight
-        to the serial guard), or ``"error"`` (record error outcomes).
+        What happens to a quarantined thread-backend chunk: ``"degrade"``
+        (default — re-encode it once on the serial rung) or ``"error"``
+        (record error outcomes).
     policy:
         Optional :class:`~repro.sanitize.InputPolicy` applied to every
         series before chunk planning.  Policy rejections become per-series
@@ -133,9 +133,6 @@ class BatchEngine:
         spec = codec_spec(codec)  # validates the name early
         self.codec = spec.name
         self.codec_options = dict(codec_options or {})
-        if backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
         self.backend = backend
         self.workers = resolve_workers(backend, workers)
         self.fastpath = bool(fastpath)
@@ -208,13 +205,13 @@ class BatchEngine:
                                            oversubscribe=self.oversubscribe)]
 
         wall_start = time.perf_counter()
-        cpu_start = self._cpu_seconds()
+        cpu_start = time.process_time()
         outcomes, stats = run_supervised(
             self.backend, chunks, series_list, series_names, self.codec,
             self.codec_options, self.fastpath, self.workers,
             policy=policy)
         wall = time.perf_counter() - wall_start
-        cpu = self._cpu_seconds() - cpu_start
+        cpu = time.process_time() - cpu_start
 
         outcomes.extend(pre_errors.values())
         outcomes.sort(key=lambda outcome: outcome.index)
@@ -226,7 +223,6 @@ class BatchEngine:
                              workers=self.workers, chunks=len(chunks),
                              wall_seconds=wall, cpu_seconds=cpu,
                              retries=stats.retries, timeouts=stats.timeouts,
-                             pool_rebuilds=stats.pool_rebuilds,
                              quarantined_chunks=stats.quarantined_chunks,
                              degraded_chunks=stats.degraded_chunks,
                              degraded_series=stats.degraded_series,
@@ -241,12 +237,6 @@ class BatchEngine:
             else:
                 report.failed += 1
         return BatchResult(outcomes=outcomes, report=report)
-
-    @staticmethod
-    def _cpu_seconds() -> float:
-        """CPU seconds of this process *and* its (reaped) children."""
-        times = os.times()
-        return times.user + times.system + times.children_user + times.children_system
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BatchEngine(codec={self.codec!r}, backend={self.backend!r}, "

@@ -34,8 +34,8 @@ class SeriesOutcome:
     error: str | None = None
     error_type: str | None = None
     fastpath: str | None = None
-    #: Set when the supervisor produced this outcome on a lower backend rung
-    #: than the engine was asked for (``"thread"`` or ``"serial"``).
+    #: ``"serial"`` when the supervisor re-encoded this outcome's quarantined
+    #: thread-backend chunk on the serial rung.
     degraded_to: str | None = None
 
     @property
@@ -70,7 +70,6 @@ class BatchReport:
     # Supervisor accounting (see repro.engine.supervisor.SupervisorStats).
     retries: int = 0
     timeouts: int = 0
-    pool_rebuilds: int = 0
     quarantined_chunks: int = 0
     degraded_chunks: int = 0
     degraded_series: int = 0
@@ -110,7 +109,6 @@ class BatchReport:
             "cpu_seconds": self.cpu_seconds,
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
             "quarantined_chunks": self.quarantined_chunks,
             "degraded_chunks": self.degraded_chunks,
             "degraded_series": self.degraded_series,

@@ -1,33 +1,25 @@
 """Fault-tolerant chunk supervision for the batch engine.
 
-PR 5's backends assumed a polite world: one hung worker stalled the batch
-forever, one crashed worker killed every chunk via ``BrokenProcessPool``,
-and a single chunk-level exception on the thread backend abandoned the rest
-of the run.  This module replaces the bare ``pool.map`` with *supervised
-per-chunk futures* so a batch **always terminates with per-series
-outcomes**:
+A bare ``pool.map`` lets one hung chunk stall the batch forever and one
+chunk-level exception abandon the rest of the run.  This module runs every
+chunk as a *supervised future* so a batch **always terminates with
+per-series outcomes**:
 
-* **per-chunk timeouts** — a chunk that exceeds ``timeout`` seconds is
-  abandoned (thread backend) or its pool is killed and rebuilt (process
-  backend) and the chunk is retried or written off as
+* **per-chunk timeouts** — a thread-backend chunk that exceeds ``timeout``
+  seconds is abandoned and retried or written off as
   :class:`~repro.exceptions.ChunkTimeoutError` outcomes;
 * **bounded retry with exponential backoff** — chunk-level failures are
-  retried up to ``retries`` times (``backoff * 2**attempt`` sleep between
-  attempts) before the chunk is given up;
-* **``BrokenProcessPool`` recovery** — a worker crash breaks every pending
-  future; the supervisor rebuilds the pool, re-submits the surviving
-  chunks (harvesting any results that completed before the crash), and
-  charges the failed attempt only to the suspect chunk it was waiting on;
-* **graceful degradation** — a chunk that exhausts its in-tier attempts is
-  quarantined and walked down the backend ladder (``process → thread →
-  serial``) according to ``on_degrade``; per-series error isolation inside
+  retried up to ``retries`` times (retry *k* sleeps ``backoff * 2**(k-1)``,
+  so the first retry sleeps ``backoff``) before the chunk is given up;
+* **graceful degradation** — a thread-backend chunk that exhausts its
+  attempts is quarantined and, under ``on_degrade="degrade"``, re-encoded
+  once on the in-process serial rung; per-series error isolation inside
   :func:`repro.engine.worker.encode_chunk` then guarantees the chunk's
   series yield outcomes even when the fault is a poisoned series itself.
 
 One deliberate asymmetry: a chunk whose *last* failure is a timeout never
 falls through to the untimed serial rung — a genuinely hung computation
-would hang the whole engine there.  Hangs stop at the thread rung (which
-still enforces the timeout) and become timeout outcomes.
+would hang the whole engine there — and becomes timeout outcomes instead.
 
 Every decision is counted in :class:`SupervisorStats`, which
 :class:`~repro.engine.engine.BatchEngine` folds into the
@@ -36,41 +28,49 @@ Every decision is counted in :class:`SupervisorStats`, which
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import faultinject
-from ..codecs.serialize import block_from_document
 from ..exceptions import (
     ChunkTimeoutError,
     DeadlineExceededError,
     InvalidParameterError,
-    ReproError,
-)
-from .backends import (
-    BACKENDS,
-    build_shared_input,
-    preferred_context,
-    release_segment,
-    segment_residue,
 )
 from .report import SeriesOutcome
-from .worker import encode_chunk, process_chunk_task
+from .worker import encode_chunk
 
-__all__ = ["SupervisorPolicy", "SupervisorStats", "run_supervised"]
+__all__ = ["BACKENDS", "SupervisorPolicy", "SupervisorStats",
+           "resolve_workers", "run_supervised"]
+
+#: Recognised backend names.
+BACKENDS = ("serial", "thread")
 
 #: Recognised degradation modes.
-ON_DEGRADE = ("degrade", "serial", "error")
+ON_DEGRADE = ("degrade", "error")
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise InvalidParameterError(
+            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
+
+
+def resolve_workers(backend: str, workers: int | None) -> int:
+    """Worker count for a backend (defaults to the machine's CPU count)."""
+    _check_backend(backend)
+    if backend == "serial":
+        return 1
+    if workers is None:
+        return max(os.cpu_count() or 1, 1)
+    if workers < 1:
+        raise InvalidParameterError("workers must be >= 1")
+    return int(workers)
 
 
 @dataclass(frozen=True)
@@ -81,25 +81,24 @@ class SupervisorPolicy:
     ----------
     timeout:
         Per-chunk wall-clock budget in seconds (``None`` = unbounded, the
-        historical behaviour).  Enforced on the thread and process tiers;
-        the serial tier runs untimed by construction.
+        historical behaviour).  Enforced on the thread backend; the serial
+        backend runs untimed by construction.
     retries:
-        Chunk-level retry budget *within* a tier before the chunk is
-        quarantined.
+        Chunk-level retry budget before the chunk is quarantined.
     backoff:
-        Base sleep between retries; attempt *k* sleeps ``backoff * 2**k``.
+        Base sleep between retries; retry *k* (1-based) sleeps
+        ``backoff * 2**(k-1)``, so the first retry sleeps ``backoff``.
     on_degrade:
-        What to do with a quarantined chunk: ``degrade`` (default — walk
-        the ladder ``process → thread → serial``), ``serial`` (skip the
-        thread rung, go straight to the serial guard), or ``error``
+        What to do with a quarantined thread-backend chunk: ``degrade``
+        (default — re-encode it once on the serial rung) or ``error``
         (record error outcomes immediately).
     deadline:
         Absolute ``time.monotonic()`` instant after which no further work
-        may start (``None`` = unbounded).  Every tier clamps its future
-        waits to the remaining budget, skips retries once the budget is
-        gone, and records :class:`~repro.exceptions.DeadlineExceededError`
-        outcomes for chunks abandoned at expiry — so a request-level
-        deadline bounds the whole run regardless of per-chunk ``timeout``.
+        may start (``None`` = unbounded).  Both backends clamp their waits
+        to the remaining budget, skip retries once the budget is gone, and
+        record :class:`~repro.exceptions.DeadlineExceededError` outcomes
+        for chunks abandoned at expiry — so a request-level deadline
+        bounds the whole run regardless of per-chunk ``timeout``.
     """
 
     timeout: float | None = None
@@ -137,7 +136,6 @@ class SupervisorStats:
 
     retries: int = 0
     timeouts: int = 0
-    pool_rebuilds: int = 0
     quarantined_chunks: int = 0
     degraded_chunks: int = 0
     degraded_series: int = 0
@@ -177,21 +175,6 @@ def _error_outcomes(job: _Job, chunk: list[int], exc: BaseException,
             for index in chunk]
 
 
-def _payload_to_outcomes(payload) -> list[SeriesOutcome]:
-    outcomes: list[SeriesOutcome] = []
-    for index, name, length, document, error, error_type, fastpath in payload:
-        if document is None:
-            outcomes.append(SeriesOutcome(index=index, name=name,
-                                          length=length, error=error,
-                                          error_type=error_type))
-        else:
-            outcomes.append(SeriesOutcome(index=index, name=name,
-                                          length=length,
-                                          block=block_from_document(document),
-                                          fastpath=fastpath))
-    return outcomes
-
-
 def _sleep_backoff(policy: SupervisorPolicy, attempt: int) -> None:
     if policy.backoff > 0:
         sleep = policy.backoff * (2 ** max(attempt - 1, 0))
@@ -227,54 +210,47 @@ def _wait_timeout(policy: SupervisorPolicy) -> float | None:
     return min(policy.timeout, remaining)
 
 
-def _deadline_outcomes(job: _Job, chunk: list[int],
-                       degraded_to: str | None = None
-                       ) -> list[SeriesOutcome]:
+def _deadline_outcomes(job: _Job, chunk: list[int]) -> list[SeriesOutcome]:
     error = DeadlineExceededError(
         f"run deadline expired before the chunk of {len(chunk)} series "
         f"completed")
-    return _error_outcomes(job, chunk, error, degraded_to=degraded_to)
+    return _error_outcomes(job, chunk, error)
 
 
-def _timeout_failure(policy: SupervisorPolicy, chunk_size: int,
-                     where: str) -> ChunkTimeoutError:
+def _timeout_failure(policy: SupervisorPolicy,
+                     chunk_size: int) -> ChunkTimeoutError:
     """The right error for a future wait that ran out of time."""
     if _expired(policy):
         return DeadlineExceededError(
-            f"chunk of {chunk_size} series abandoned on the {where}: the "
-            f"run deadline expired")
+            f"chunk of {chunk_size} series abandoned on the thread backend: "
+            f"the run deadline expired")
     return ChunkTimeoutError(
         f"chunk of {chunk_size} series exceeded the {policy.timeout:g}s "
-        f"timeout on the {where}")
+        f"timeout on the thread backend")
 
 
 # --------------------------------------------------------------------- #
 # serial tier
 # --------------------------------------------------------------------- #
 def _serial_chunk(job: _Job, chunk: list[int], policy: SupervisorPolicy,
-                  stats: SupervisorStats, *,
-                  degraded_to: str | None = None) -> list[SeriesOutcome]:
+                  stats: SupervisorStats) -> list[SeriesOutcome]:
     """One chunk in-process, with chunk-level retry then error outcomes."""
     failure: BaseException | None = None
     for attempt in range(policy.retries + 1):
         if _expired(policy):
             stats.timeouts += 1
-            return _deadline_outcomes(job, chunk, degraded_to=degraded_to)
+            return _deadline_outcomes(job, chunk)
         if attempt:
             stats.retries += 1
             _sleep_backoff(policy, attempt)
         try:
-            outcomes = _encode(job, chunk)
+            return _encode(job, chunk)
         except Exception as exc:
             failure = exc
-            continue
-        for outcome in outcomes:
-            outcome.degraded_to = degraded_to
-        return outcomes
     # Serial is the bottom of the ladder: exhaustion means quarantine
     # straight to error outcomes.
     stats.quarantined_chunks += 1
-    return _error_outcomes(job, chunk, failure, degraded_to=degraded_to)
+    return _error_outcomes(job, chunk, failure)
 
 
 def _run_serial(job: _Job, chunks, policy, stats) -> list[SeriesOutcome]:
@@ -288,36 +264,17 @@ def _run_serial(job: _Job, chunks, policy, stats) -> list[SeriesOutcome]:
 # degradation ladder
 # --------------------------------------------------------------------- #
 def _degrade_chunk(job: _Job, chunk: list[int], policy: SupervisorPolicy,
-                   stats: SupervisorStats, failure: BaseException,
-                   ladder: tuple[str, ...]) -> list[SeriesOutcome]:
-    """Walk one quarantined chunk down the backend ladder."""
+                   stats: SupervisorStats, failure: BaseException
+                   ) -> list[SeriesOutcome]:
+    """Quarantine one thread-backend chunk, then re-encode it serially."""
     stats.quarantined_chunks += 1
-    if policy.on_degrade == "error" or not ladder:
+    if policy.on_degrade == "error":
         return _error_outcomes(job, chunk, failure)
     stats.degraded_chunks += 1
     stats.degraded_series += len(chunk)
     if _expired(policy):
         stats.timeouts += 1
         return _deadline_outcomes(job, chunk)
-
-    if policy.on_degrade == "degrade" and "thread" in ladder:
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            outcomes = pool.submit(_encode, job, chunk).result(
-                timeout=_wait_timeout(policy))
-        except FutureTimeoutError:
-            stats.timeouts += 1
-            failure = _timeout_failure(policy, len(chunk),
-                                       "degraded thread rung")
-        except Exception as exc:
-            failure = exc
-        else:
-            for outcome in outcomes:
-                outcome.degraded_to = "thread"
-            return outcomes
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     # The untimed serial rung would hang forever on a genuinely stuck
     # chunk, so timeouts stop here and become timeout outcomes.
     if isinstance(failure, ChunkTimeoutError):
@@ -353,7 +310,7 @@ def _run_thread(job: _Job, chunks, workers: int, policy: SupervisorPolicy,
             except FutureTimeoutError:
                 stats.timeouts += 1
                 failure: BaseException = _timeout_failure(
-                    policy, len(chunks[cid]), "thread backend")
+                    policy, len(chunks[cid]))
                 if _expired(policy):
                     # The budget is gone: no retry, no degrade — record
                     # deadline outcomes and let the abandoned task die with
@@ -370,196 +327,11 @@ def _run_thread(job: _Job, chunks, workers: int, policy: SupervisorPolicy,
                 queue.append(cid)
             else:
                 results[cid] = _degrade_chunk(job, chunks[cid], policy,
-                                              stats, failure,
-                                              ladder=("serial",))
+                                              stats, failure)
     finally:
         # wait=False: an abandoned (timed-out) task must not block return.
         pool.shutdown(wait=False, cancel_futures=True)
     return [outcome for cid in range(count) for outcome in results[cid]]
-
-
-# --------------------------------------------------------------------- #
-# process tier
-# --------------------------------------------------------------------- #
-class _ProcessPoolBox:
-    """A rebuildable process pool (crash and hang recovery)."""
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self.pool = self._make()
-
-    def _make(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=preferred_context())
-
-    def submit(self, fn, *args):
-        try:
-            return self.pool.submit(fn, *args)
-        except BrokenExecutor:  # pragma: no cover - broke between waits
-            self.rebuild(kill=False)
-            return self.pool.submit(fn, *args)
-
-    def rebuild(self, *, kill: bool) -> None:
-        """Replace the pool; ``kill`` terminates hung workers first.
-
-        ``ProcessPoolExecutor`` has no public "kill one worker", so a hang
-        costs the whole pool: terminate every worker (SIGTERM reaps a
-        sleeping or wedged child) and start fresh.  A crash-broken pool has
-        already reaped its workers, so a plain shutdown suffices.
-        """
-        old = self.pool
-        processes = list(getattr(old, "_processes", {}).values()) if kill else []
-        try:
-            old.shutdown(wait=not kill, cancel_futures=True)
-        except Exception:  # pragma: no cover - shutdown of a broken pool
-            pass
-        for process in processes:
-            if process.is_alive():
-                try:
-                    process.terminate()
-                except OSError:  # pragma: no cover - already reaped
-                    pass
-        self.pool = self._make()
-
-    def shutdown(self) -> None:
-        self.pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_process(job: _Job, chunks, workers: int, policy: SupervisorPolicy,
-                 stats: SupervisorStats) -> list[SeriesOutcome]:
-    # Series that cannot travel through shared memory (non-numeric dtypes,
-    # empty arrays) are encoded in the parent — they would fail validation
-    # anyway, and the error outcome must still be recorded per series.
-    shareable: list[list[int]] = []
-    parent_side: list[int] = []
-    for chunk in chunks:
-        kept = []
-        for index in chunk:
-            array = np.asarray(job.series[index])
-            if array.dtype.kind in ("f", "i", "u") and array.ndim == 1 \
-                    and array.size:
-                kept.append(index)
-            else:
-                parent_side.append(index)
-        if kept:
-            shareable.append(kept)
-
-    outcomes: list[SeriesOutcome] = []
-    if parent_side:
-        outcomes.extend(_serial_chunk(job, parent_side, policy, stats))
-    if not shareable:
-        return outcomes
-
-    shm, manifest = build_shared_input(job.series, shareable)
-    try:
-        faultinject.fire("manifest", manifest=manifest)
-        tasks = [(shm.name,
-                  [(index, job.names[index], *manifest[index])
-                   for index in chunk],
-                  job.codec_name, job.codec_options, job.use_fastpath)
-                 for chunk in shareable]
-        outcomes.extend(
-            _supervise_process_chunks(job, shareable, tasks, workers,
-                                      policy, stats))
-    finally:
-        release_segment(shm)
-    leaked = segment_residue(shm.name)
-    if leaked:  # pragma: no cover - the release above is idempotent
-        raise ReproError(f"shared-memory segment leaked: {leaked}")
-    return outcomes
-
-
-def _supervise_process_chunks(job, chunks, tasks, workers, policy, stats
-                              ) -> list[SeriesOutcome]:
-    count = len(chunks)
-    results: dict[int, list[SeriesOutcome]] = {}
-    attempts = [0] * count
-    box = _ProcessPoolBox(workers)
-    try:
-        inflight = {cid: box.submit(process_chunk_task, tasks[cid])
-                    for cid in range(count)}
-        queue = deque(range(count))
-        deadline_reaped = False
-        while queue:
-            cid = queue.popleft()
-            if cid in results:
-                continue
-            if _expired(policy):
-                # Reaped futures raise CancelledError (a BaseException) on
-                # .result(); harvest finished chunks, write the rest off.
-                future = inflight[cid]
-                if future.done() and not future.cancelled():
-                    try:
-                        results[cid] = _payload_to_outcomes(
-                            future.result(timeout=0))
-                        continue
-                    except Exception:
-                        pass
-                stats.timeouts += 1
-                results[cid] = _deadline_outcomes(job, chunks[cid])
-                continue
-            try:
-                payload = inflight[cid].result(timeout=_wait_timeout(policy))
-                results[cid] = _payload_to_outcomes(payload)
-                continue
-            except FutureTimeoutError:
-                stats.timeouts += 1
-                failure: BaseException = _timeout_failure(
-                    policy, len(chunks[cid]), "process backend")
-                if _expired(policy):
-                    # Budget gone: record deadline outcomes and reap the
-                    # workers still grinding (once) instead of resubmitting.
-                    results[cid] = _error_outcomes(job, chunks[cid], failure)
-                    if not deadline_reaped:
-                        deadline_reaped = True
-                        stats.pool_rebuilds += 1
-                        box.rebuild(kill=True)
-                    continue
-                stats.pool_rebuilds += 1
-                box.rebuild(kill=True)
-                _resubmit_pending(box, tasks, inflight, results, skip=cid)
-            except BrokenProcessPool as exc:
-                # The suspect is the chunk we were waiting on: charge the
-                # failed attempt to it alone, resubmit everyone else free.
-                failure = exc
-                stats.pool_rebuilds += 1
-                box.rebuild(kill=False)
-                _resubmit_pending(box, tasks, inflight, results, skip=cid)
-            except Exception as exc:
-                failure = exc
-            attempts[cid] += 1
-            if attempts[cid] <= policy.retries and not _expired(policy):
-                stats.retries += 1
-                _sleep_backoff(policy, attempts[cid])
-                inflight[cid] = box.submit(process_chunk_task, tasks[cid])
-                queue.append(cid)
-            else:
-                results[cid] = _degrade_chunk(job, chunks[cid], policy,
-                                              stats, failure,
-                                              ladder=("thread", "serial"))
-    finally:
-        box.shutdown()
-    return [outcome for cid in range(count) for outcome in results[cid]]
-
-
-def _resubmit_pending(box: _ProcessPoolBox, tasks, inflight, results,
-                      skip: int) -> None:
-    """After a rebuild: harvest finished chunks, resubmit the rest.
-
-    Results that completed before the pool broke are kept (no recompute);
-    chunks whose futures died with the pool are resubmitted without
-    touching their attempt counters — only the suspect (``skip``) pays.
-    """
-    for cid, future in list(inflight.items()):
-        if cid in results or cid == skip:
-            continue
-        if future.done():
-            try:
-                results[cid] = _payload_to_outcomes(future.result(timeout=0))
-                continue
-            except Exception:
-                pass  # died with the pool: resubmit fresh below
-        inflight[cid] = box.submit(process_chunk_task, tasks[cid])
 
 
 # --------------------------------------------------------------------- #
@@ -575,9 +347,7 @@ def run_supervised(backend: str, chunks, series, names, codec_name: str,
     engine re-sorts by batch index).  This function never raises for
     chunk- or worker-level failures — that is its contract.
     """
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
+    _check_backend(backend)
     if policy is None:
         policy = SupervisorPolicy()
     stats = SupervisorStats()
@@ -585,8 +355,6 @@ def run_supervised(backend: str, chunks, series, names, codec_name: str,
                codec_options=codec_options, use_fastpath=use_fastpath)
     if backend == "serial":
         outcomes = _run_serial(job, chunks, policy, stats)
-    elif backend == "thread":
-        outcomes = _run_thread(job, chunks, workers, policy, stats)
     else:
-        outcomes = _run_process(job, chunks, workers, policy, stats)
+        outcomes = _run_thread(job, chunks, workers, policy, stats)
     return outcomes, stats

@@ -1,12 +1,8 @@
-"""Chunk encoding shared by every engine backend.
+"""Chunk encoding shared by both engine backends.
 
 :func:`encode_chunk` compresses one work chunk of series with per-series
 error isolation and routes same-length lossless series through the one
-cross-series fast path (the stacked XOR encode).  :func:`process_chunk_task` is
-the module-level process-pool entry: it attaches the parent's shared-memory
-block, builds zero-copy array views, encodes, and returns *serialized*
-codec-block documents — so float payloads never travel through pickle in
-either direction.
+cross-series fast path (the stacked XOR encode).
 """
 
 from __future__ import annotations
@@ -15,11 +11,10 @@ import numpy as np
 
 from .. import faultinject
 from ..codecs import codec_spec, get_codec
-from ..codecs.base import SOURCE_DTYPE_KEY, Codec, ingest_values
-from ..codecs.serialize import block_to_document
+from ..codecs.base import SOURCE_DTYPE_KEY, ingest_values
 from .report import SeriesOutcome
 
-__all__ = ["encode_chunk", "process_chunk_task", "XOR_STACK_MAX_LENGTH"]
+__all__ = ["encode_chunk", "XOR_STACK_MAX_LENGTH"]
 
 #: Series-length ceiling for the stacked XOR fast path.  Stacking amortizes
 #: per-call NumPy dispatch, which dominates only for short series; beyond
@@ -43,8 +38,8 @@ def _series_length(series) -> int:
 
 
 def encode_chunk(series_list, names, indices, codec_name: str,
-                 codec_options: dict | None, *, use_fastpath: bool = True,
-                 codec: Codec | None = None) -> list[SeriesOutcome]:
+                 codec_options: dict | None, *, use_fastpath: bool = True
+                 ) -> list[SeriesOutcome]:
     """Compress one chunk of series; one outcome per input, in chunk order.
 
     A failing series (NaN values, empty array, codec error, ...) yields an
@@ -54,8 +49,7 @@ def encode_chunk(series_list, names, indices, codec_name: str,
     # whatever happens here (crash, hang, raise) is the supervisor's problem.
     faultinject.fire("chunk", indices=list(indices))
     spec = codec_spec(codec_name)
-    if codec is None:
-        codec = get_codec(spec.name, **(codec_options or {}))
+    codec = get_codec(spec.name, **(codec_options or {}))
     count = len(series_list)
     outcomes: dict[int, SeriesOutcome] = {}
     pending = list(range(count))
@@ -125,59 +119,3 @@ def _xor_fastpath(series_list, names, indices, codec, outcomes, pending):
     remaining.sort()
     return remaining
 
-
-# --------------------------------------------------------------------- #
-# process-pool entry
-# --------------------------------------------------------------------- #
-def process_chunk_task(task: tuple) -> list[tuple]:
-    """Encode one chunk from shared memory (runs in a worker process).
-
-    ``task`` is ``(shm_name, entries, codec_name, codec_options,
-    use_fastpath)`` with one ``(index, name, offset, length, dtype)`` entry
-    per series.  Returns one ``(index, name, length, document, error,
-    error_type, fastpath)`` tuple per series, where ``document`` is the
-    portable codec-block form (model codecs are materialized) — compact and
-    picklable, so the raw float arrays never cross the process boundary.
-    """
-    from multiprocessing import shared_memory
-
-    shm_name, entries, codec_name, codec_options, use_fastpath = task
-    # Attaching registers the segment with the (shared) resource tracker; the
-    # registration set is idempotent and the parent's ``unlink`` unregisters
-    # it once, so no extra bookkeeping is needed here.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    series_list: list = []
-    outcomes: list = []
-    try:
-        names = []
-        indices = []
-        for index, name, offset, length, dtype in entries:
-            series_list.append(np.ndarray((length,), dtype=np.dtype(dtype),
-                                          buffer=shm.buf, offset=offset))
-            names.append(name)
-            indices.append(index)
-        codec = get_codec(codec_name, **(codec_options or {}))
-        outcomes = encode_chunk(series_list, names, indices, codec_name,
-                                codec_options, use_fastpath=use_fastpath,
-                                codec=codec)
-        payload = []
-        for outcome in outcomes:
-            if outcome.block is None:
-                payload.append((outcome.index, outcome.name, outcome.length,
-                                None, outcome.error, outcome.error_type,
-                                outcome.fastpath))
-            else:
-                block = outcome.block
-                document = block_to_document(
-                    block, materialize=lambda block=block: codec.decode(block))
-                payload.append((outcome.index, outcome.name, outcome.length,
-                                document, None, None, outcome.fastpath))
-        return payload
-    finally:
-        # Drop every view into the segment before closing it.
-        series_list.clear()
-        outcomes = None  # noqa: F841 - release block references
-        try:
-            shm.close()
-        except (BufferError, OSError):  # pragma: no cover - view alive/closed
-            pass

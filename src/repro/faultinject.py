@@ -1,26 +1,27 @@
 """Deterministic fault injection for the batch engine.
 
 The supervisor layer (:mod:`repro.engine.supervisor`) promises that a batch
-*always* terminates with per-series outcomes — through worker crashes, hangs,
-mid-encode exceptions, and corrupted shared-memory manifests.  Promises like
-that rot unless every recovery path is exercised on every backend, so this
-module provides *planned* faults instead of hope:
+*always* terminates with per-series outcomes — through crashing, hanging and
+raising chunks and mid-encode exceptions.  Promises like that rot unless
+every recovery path is exercised on every backend, so this module provides
+*planned* faults instead of hope:
 
 * a :class:`FaultPlan` is a list of :class:`FaultAction` entries, each naming
-  a *kind* (``crash`` / ``hang`` / ``raise`` / ``corrupt``), an injection
-  *site* (``chunk`` / ``encode`` / ``manifest``), and the batch index of the
-  series that selects where it fires;
-* plans travel to worker processes through the ``REPRO_FAULT_PLAN``
-  environment variable (JSON), so ``fork`` and ``spawn`` children both see
-  them without any pickling support from the executor;
+  a *kind* (``crash`` / ``hang`` / ``raise``), an injection *site*
+  (``chunk`` / ``encode``), and the batch index of the series that selects
+  where it fires;
+* plans travel through the ``REPRO_FAULT_PLAN`` environment variable
+  (JSON), so a child process (``repro serve`` started by a test, say)
+  sees them without any pickling;
 * each action fires a bounded number of times (``max_hits``, default once).
   Hits are claimed through ``O_CREAT | O_EXCL`` marker files in the plan's
-  ``state_dir``, which makes the accounting atomic *across processes*: a
-  worker that crashes after claiming its hit does not crash again on retry,
-  which is exactly the recover-on-retry scenario the supervisor tests need;
+  ``state_dir``, which makes the accounting atomic *across processes and
+  threads*: a chunk that faults after claiming its hit does not fault again
+  on retry, which is exactly the recover-on-retry scenario the supervisor
+  tests need;
 * ``crash`` only hard-kills (``os._exit``) when it fires in a process other
-  than the one that activated the plan; in the activating process (serial
-  and thread backends) it degrades to raising :class:`InjectedCrash`, so a
+  than the one that activated the plan; in the activating process (both
+  engine backends) it degrades to raising :class:`InjectedCrash`, so a
   hostile plan can never take down the test runner itself.
 
 The test suite activates plans with :func:`active_plan`; the stress harness
@@ -67,20 +68,17 @@ ENV_PLAN = "REPRO_FAULT_PLAN"
 CRASH_EXIT_CODE = 86
 
 #: Recognised fault kinds.
-KINDS = ("crash", "hang", "raise", "corrupt")
+KINDS = ("crash", "hang", "raise")
 
 #: Recognised injection sites.
 #:
 #: ``chunk``
 #:     Fires at the start of a chunk task, before per-series error isolation
-#:     — the supervisor's retry/rebuild machinery is what must absorb it.
+#:     — the supervisor's retry and degrade machinery is what must absorb it.
 #: ``encode``
 #:     Fires inside the per-series encode loop — per-series isolation must
 #:     turn it into one error outcome while the rest of the chunk completes.
-#: ``manifest``
-#:     Fires in the parent while building the shared-memory manifest —
-#:     corrupts one entry so the worker cannot view that chunk's input.
-SITES = ("chunk", "encode", "manifest")
+SITES = ("chunk", "encode")
 
 #: Recognised storage fault kinds (see :class:`StorageFaultAction`).
 #:
@@ -170,9 +168,9 @@ class InjectedFault(RuntimeError):
 class InjectedCrash(InjectedFault):
     """A ``crash`` action firing in the plan-activating process.
 
-    Real ``os._exit`` crashes only happen in worker processes; in the
+    Real ``os._exit`` crashes only happen in other processes; in the
     activating process the crash is represented as this exception so the
-    serial and thread backends exercise the same plan without killing the
+    serial and thread backends run the plan without killing the
     interpreter that is running the tests.
     """
 
@@ -184,16 +182,15 @@ class FaultAction:
     Parameters
     ----------
     kind:
-        ``crash`` | ``hang`` | ``raise`` | ``corrupt``.
+        ``crash`` | ``hang`` | ``raise``.
     series:
         Batch index selecting where the action fires: the chunk containing
-        this series (sites ``chunk`` / ``manifest``) or this series' own
-        encode call (site ``encode``).  Selecting by series index — not by
-        chunk position or worker id — keeps plans deterministic under any
-        chunk planning or pool scheduling.
+        this series (site ``chunk``) or this series' own encode call (site
+        ``encode``).  Selecting by series index — not by chunk position or
+        worker id — keeps plans deterministic under any chunk planning or
+        pool scheduling.
     site:
-        Injection site (defaults to the kind's natural site: ``manifest``
-        for ``corrupt``, ``chunk`` otherwise).
+        Injection site (default ``chunk``).
     seconds:
         Sleep duration for ``hang`` actions.
     max_hits:
@@ -212,8 +209,7 @@ class FaultAction:
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"choose from {', '.join(KINDS)}")
-        site = self.site or ("manifest" if self.kind == "corrupt" else "chunk")
-        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "site", self.site or "chunk")
         if self.site not in SITES:
             raise ValueError(f"unknown fault site {self.site!r}; "
                              f"choose from {', '.join(SITES)}")
@@ -414,8 +410,7 @@ def _claim_hit(plan: FaultPlan, action: FaultAction) -> bool:
 # --------------------------------------------------------------------- #
 # the hook
 # --------------------------------------------------------------------- #
-def fire(site: str, *, indices=None, index: int | None = None,
-         manifest: dict | None = None) -> None:
+def fire(site: str, *, indices=None, index: int | None = None) -> None:
     """Fire every matching action of the active plan (no-op without one).
 
     Parameters
@@ -423,12 +418,9 @@ def fire(site: str, *, indices=None, index: int | None = None,
     site:
         The injection site this call guards.
     indices:
-        Batch indices of the chunk being processed (sites ``chunk``).
+        Batch indices of the chunk being processed (site ``chunk``).
     index:
         Batch index of the series being encoded (site ``encode``).
-    manifest:
-        The shared-memory manifest under construction (site ``manifest``);
-        ``corrupt`` actions mutate their target entry in place.
     """
     plan = load_plan()
     if plan is None:
@@ -442,32 +434,23 @@ def fire(site: str, *, indices=None, index: int | None = None,
         elif site == "chunk":
             if indices is None or action.series not in indices:
                 continue
-        elif site == "manifest":
-            if manifest is None or action.series not in manifest:
-                continue
         if not _claim_hit(plan, action):
             continue
-        _perform(plan, action, manifest)
+        _perform(plan, action)
 
 
-def _perform(plan: FaultPlan, action: FaultAction, manifest: dict | None) -> None:
+def _perform(plan: FaultPlan, action: FaultAction) -> None:
     if action.kind == "hang":
         time.sleep(max(float(action.seconds), 0.0))
         return
     if action.kind == "raise":
         raise InjectedFault(
             f"injected fault at site {action.site!r} (series {action.series})")
-    if action.kind == "crash":
-        if plan.pid and os.getpid() != plan.pid:
-            os._exit(CRASH_EXIT_CODE)
-        raise InjectedCrash(
-            f"injected worker crash (series {action.series}; in-process, "
-            "represented as an exception)")
-    if action.kind == "corrupt" and manifest is not None:
-        offset, length, dtype = manifest[action.series]
-        # An offset far beyond the segment makes the worker's zero-copy view
-        # construction fail deterministically.
-        manifest[action.series] = (offset + (1 << 40), length, dtype)
+    if plan.pid and os.getpid() != plan.pid:
+        os._exit(CRASH_EXIT_CODE)
+    raise InjectedCrash(
+        f"injected worker crash (series {action.series}; in-process, "
+        "represented as an exception)")
 
 
 # --------------------------------------------------------------------- #
@@ -663,10 +646,10 @@ def random_plan(seed: int, series_count: int, *,
     count = rng.randint(1, max(int(max_actions), 1))
     actions: list[FaultAction] = []
     for _ in range(count):
-        kind = rng.choice(("crash", "hang", "raise", "raise", "corrupt"))
+        kind = rng.choice(("crash", "hang", "raise", "raise"))
         series = rng.randrange(max(int(series_count), 1))
         site = "encode" if kind == "raise" and rng.random() < 0.5 else ""
-        persistent = kind in ("raise", "corrupt") and rng.random() < 0.25
+        persistent = kind == "raise" and rng.random() < 0.25
         actions.append(FaultAction(
             kind=kind, series=series, site=site,
             seconds=round(rng.uniform(0.2, hang_seconds), 3),

@@ -12,9 +12,8 @@ States follow the classic closed → open → half-open cycle:
   it (and restarts the cooldown).
 
 The service keys breakers by codec and feeds them the supervisor's
-degradation accounting (quarantined chunks, pool rebuilds, degraded
-series) — PR 6's ``degraded_to`` machinery, not HTTP status codes, which
-keeps client errors (bad input, blown deadlines) from tripping it.
+degradation accounting (quarantined chunks, degraded series), not HTTP
+status codes, which keeps client errors (bad input, blown deadlines) from tripping it.
 """
 
 from __future__ import annotations

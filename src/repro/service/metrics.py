@@ -80,7 +80,6 @@ class ServiceMetrics:
         self.inc("repro_engine_failed_series_total", report.failed)
         self.inc("repro_engine_retries_total", report.retries)
         self.inc("repro_engine_timeouts_total", report.timeouts)
-        self.inc("repro_engine_pool_rebuilds_total", report.pool_rebuilds)
         self.inc("repro_engine_degraded_series_total", report.degraded_series)
         self.inc("repro_compressed_points_total", report.total_points)
         self.inc("repro_encoded_bits_total", report.encoded_bits)

@@ -284,12 +284,11 @@ class CompressionService:
                                  deadline=remaining)
         report = result.report
         self.metrics.absorb_report(report)
-        # Breaker signal: backend degradation only — quarantines, pool
-        # rebuilds, degraded series.  Timeouts are excluded (a tight client
+        # Breaker signal: backend degradation only — quarantines and
+        # degraded series.  Timeouts are excluded (a tight client
         # deadline must not trip the breaker) and so are per-series input
         # errors (isolation means bad input never implicates the backend).
-        healthy = not (report.quarantined_chunks or report.pool_rebuilds
-                       or report.degraded_series)
+        healthy = not (report.quarantined_chunks or report.degraded_series)
         self.breaker.record(payload["codec"], healthy)
         include_blocks = payload["include_blocks"]
         outcomes = []

@@ -410,7 +410,7 @@ class MultiStreamCompressor:
     class keeps one buffer per stream and encodes *all* sealed chunks —
     across every stream — in batched :class:`repro.engine.BatchEngine`
     passes: same-length lossless chunks stack through the XOR batch
-    encoder, and the thread/process backends spread the work over cores.
+    encoder, and the thread backend spreads the work over cores.
 
     Chunks are sealed exactly like :class:`StreamingCompressor` seals them
     (same values, same codec), so every chunk's block is identical to the

@@ -71,24 +71,6 @@ class TestDeadlineBoundsWaits:
                    for outcome in bad)
         assert len(result) == len(batch)
 
-    def test_process_backend_rebuilds_and_returns(self):
-        batch = make_batch(count=4)
-        engine = BatchEngine("gorilla", backend="process", workers=2,
-                             timeout=SAFE_TIMEOUT, retries=2)
-        with active_plan([FaultAction(kind="hang", series=0, seconds=6.0,
-                                      max_hits=None)]):
-            started = time.monotonic()
-            result = engine.compress(batch, deadline=0.5)
-            elapsed = time.monotonic() - started
-        assert elapsed < 5.0
-        assert len(result) == len(batch)
-        bad = result.errors()
-        assert bad
-        assert all(outcome.error_type == "DeadlineExceededError"
-                   for outcome in bad)
-        # The hung pool was killed so its workers cannot linger.
-        assert result.report.pool_rebuilds >= 1
-
     def test_serial_backend_writes_off_expired_chunks(self):
         # Serial planning is one chunk per run, so drive the serial rung
         # directly with an already-expired policy: the chunk must be

@@ -15,7 +15,7 @@ from repro.codecs import get_codec
 from repro.engine import BatchEngine, compress_batch
 from repro.metrics import chebyshev
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 def _fleet(count: int, length: int, seed: int) -> list[np.ndarray]:
@@ -50,8 +50,7 @@ CAMEO_INPUTS = {
 }
 
 # ``chebyshev`` passed as a function object takes the row-wise callable
-# path (no closed form, not served by the native loop) and, unlike a
-# lambda, pickles for the process backend.
+# path (no closed form, not served by the native loop).
 CAMEO_CONFIGS = {
     "acf": dict(statistic="acf"),
     "pacf": dict(statistic="pacf"),

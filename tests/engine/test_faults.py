@@ -3,9 +3,8 @@
 Every recovery path the supervisor promises is exercised with a
 deterministic :mod:`repro.faultinject` plan, on every backend where the
 fault is meaningful: per-series isolation of injected encode failures,
-chunk-level retry, worker-crash recovery (pool rebuild), hang/timeout
-recovery, the ``process → thread → serial`` degradation ladder, and the
-zero-shared-memory-residue guarantee.
+chunk-level retry and its backoff schedule, hang/timeout recovery, and the
+``thread → serial`` degradation ladder.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchEngine, SupervisorPolicy, compress_batch
-from repro.engine.backends import segment_residue
 from repro.exceptions import InvalidParameterError
 from repro.faultinject import FaultAction, active_plan, random_plan
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 #: Generous per-chunk budget for tests that must not time out.
 SAFE_TIMEOUT = 20.0
@@ -73,19 +71,22 @@ class TestChunkRetry:
         assert result.report.failed >= 1
         assert result.report.quarantined_chunks >= 1
 
+    def test_backoff_doubles_from_base(self, monkeypatch):
+        # Retry k sleeps backoff * 2**(k-1): the first retry sleeps backoff.
+        sleeps = []
+        monkeypatch.setattr("repro.engine.supervisor.time.sleep",
+                            sleeps.append)
+        with active_plan([FaultAction(kind="raise", series=0, site="chunk",
+                                      max_hits=None)]):
+            result = run(make_batch(), "serial", retries=2)
+        assert result.report.retries == 2
+        assert sleeps == [0.05, 0.1]
+
 
 class TestCrashRecovery:
-    """A crashing worker breaks the pool; the supervisor rebuilds it."""
+    """An injected crash in the plan-activating process is an exception."""
 
-    def test_process_worker_crash_recovers_on_retry(self):
-        batch = make_batch()
-        with active_plan([FaultAction(kind="crash", series=1)]):
-            result = run(batch, "process", retries=1)
-        assert result.report.failed == 0
-        assert result.report.pool_rebuilds >= 1
-        assert result.report.retries >= 1
-
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_in_process_crash_becomes_exception(self, backend):
         # In the plan-activating process a crash degrades to InjectedCrash,
         # so the same plan exercises serial/thread without killing pytest.
@@ -95,42 +96,17 @@ class TestCrashRecovery:
         assert result.report.failed == 0
         assert result.report.retries >= 1
 
-    def test_no_shared_memory_residue_after_crash(self):
-        batch = make_batch()
-        with active_plan([FaultAction(kind="crash", series=0)]):
-            run(batch, "process", retries=1)
-        assert segment_residue() == []
-
-    def test_crash_without_retries_yields_error_outcomes(self):
-        batch = make_batch()
-        with active_plan([FaultAction(kind="crash", series=0,
-                                      max_hits=None)]):
-            result = run(batch, "process", retries=0, on_degrade="error")
-        assert len(result) == len(batch)
-        assert result.report.failed >= 1
-        assert segment_residue() == []
-
 
 class TestHangTimeout:
-    """A hung chunk is killed at the timeout and retried or written off."""
+    """A hung chunk is abandoned at the timeout and retried or written off."""
 
-    def test_process_hang_recovers_on_retry(self):
-        batch = make_batch()
-        with active_plan([FaultAction(kind="hang", series=0, seconds=8.0)]):
-            result = run(batch, "process", timeout=1.0, retries=1)
-        assert result.report.failed == 0
-        assert result.report.timeouts >= 1
-        assert result.report.pool_rebuilds >= 1
-        assert segment_residue() == []
-
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_persistent_hang_terminates_with_timeout_outcomes(self, backend):
+    def test_persistent_hang_terminates_with_timeout_outcomes(self):
         # Short sleeps: abandoned thread-rung tasks outlive the call and are
         # joined at interpreter exit, so they must run out quickly.
         batch = make_batch(count=4)
         with active_plan([FaultAction(kind="hang", series=0, seconds=1.2,
                                       max_hits=None)]):
-            result = run(batch, backend, timeout=0.3, retries=0)
+            result = run(batch, "thread", timeout=0.3, retries=0)
         assert len(result) == len(batch)
         bad = result.errors()
         assert bad and all(outcome.error_type == "ChunkTimeoutError"
@@ -147,48 +123,40 @@ class TestHangTimeout:
 
 
 class TestDegradationLadder:
-    """A quarantined chunk walks process → thread → serial per on_degrade."""
+    """A quarantined thread-backend chunk is re-encoded on the serial rung."""
 
-    def test_corrupt_manifest_degrades_to_thread(self):
-        # The corrupted manifest poisons every in-tier retry (the task
-        # tuples are built once), so the chunk must leave the process tier;
-        # the thread rung re-encodes from the parent's arrays and succeeds.
+    def test_exhausted_thread_chunk_degrades_to_serial(self):
+        # The fault outlasts every thread attempt (retries + 1 hits), so the
+        # chunk is quarantined; the serial rung's attempt then succeeds.
+        retries = 1
         batch = make_batch()
-        with active_plan([FaultAction(kind="corrupt", series=1)]):
-            result = run(batch, "process", retries=1)
-        assert result.report.failed == 0
-        assert result.report.quarantined_chunks >= 1
-        assert result.report.degraded_chunks >= 1
-        degraded = [outcome for outcome in result if outcome.degraded_to]
-        assert degraded
-        assert all(outcome.degraded_to == "thread" for outcome in degraded)
-        assert result.report.degraded_series == len(degraded)
-        assert segment_residue() == []
-
-    def test_on_degrade_serial_skips_thread_rung(self):
-        batch = make_batch()
-        with active_plan([FaultAction(kind="corrupt", series=1)]):
-            result = run(batch, "process", retries=0, on_degrade="serial")
+        with active_plan([FaultAction(kind="raise", series=1, site="chunk",
+                                      max_hits=retries + 1)]):
+            result = run(batch, "thread", retries=retries)
         assert result.report.failed == 0
         degraded = [outcome for outcome in result if outcome.degraded_to]
         assert degraded
         assert all(outcome.degraded_to == "serial" for outcome in degraded)
+        assert result.report.degraded_series == len(degraded)
+        assert result.report.degraded_chunks >= 1
 
     def test_on_degrade_error_records_failures(self):
         batch = make_batch()
-        with active_plan([FaultAction(kind="corrupt", series=1)]):
-            result = run(batch, "process", retries=0, on_degrade="error")
+        with active_plan([FaultAction(kind="raise", series=1, site="chunk",
+                                      max_hits=None)]):
+            result = run(batch, "thread", retries=0, on_degrade="error")
         assert len(result) == len(batch)
-        assert result.report.failed >= 1
+        bad = result.errors()
+        assert bad and all(outcome.error_type == "InjectedFault"
+                           for outcome in bad)
         assert result.report.degraded_chunks == 0
-        assert segment_residue() == []
 
 
 class TestRandomPlanSmoke:
     """Gating smoke subset of the stress soak: a few fixed seeds."""
 
     @pytest.mark.parametrize("seed", (3, 7))
-    @pytest.mark.parametrize("backend", ("serial", "process"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_random_plan_always_terminates(self, seed, backend):
         batch = make_batch()
         actions = random_plan(seed, len(batch))
@@ -196,7 +164,6 @@ class TestRandomPlanSmoke:
             result = run(batch, backend, timeout=1.5, retries=1)
         assert len(result) == len(batch), f"seed {seed} lost outcomes"
         assert sorted(outcome.index for outcome in result) == list(range(len(batch)))
-        assert segment_residue() == [], f"seed {seed} leaked shared memory"
 
 
 class TestPolicyValidation:
@@ -207,14 +174,17 @@ class TestPolicyValidation:
             SupervisorPolicy(retries=-1)
         with pytest.raises(InvalidParameterError):
             SupervisorPolicy(backoff=-0.1)
-        with pytest.raises(InvalidParameterError):
-            SupervisorPolicy(on_degrade="explode")
+        for bad in ("explode", "serial"):
+            with pytest.raises(InvalidParameterError, match="degrade, error"):
+                SupervisorPolicy(on_degrade=bad)
 
     def test_engine_rejects_bad_knobs(self):
         with pytest.raises(InvalidParameterError):
             BatchEngine("gorilla", timeout=-1.0)
         with pytest.raises(InvalidParameterError):
             BatchEngine("gorilla", on_degrade="explode")
+        with pytest.raises(InvalidParameterError, match="serial, thread"):
+            BatchEngine("gorilla", backend="process")
         with pytest.raises(InvalidParameterError):
             BatchEngine("gorilla", policy="skip")
 
@@ -231,4 +201,4 @@ class TestCleanPathIdentity:
             == [outcome.block.payload for outcome in supervised]
         report = supervised.report
         assert report.retries == 0 and report.timeouts == 0
-        assert report.pool_rebuilds == 0 and report.degraded_chunks == 0
+        assert report.degraded_chunks == 0

@@ -2,9 +2,9 @@
 
 Every test here runs a *seeded* random fault plan (``repro.faultinject
 .random_plan``) against every backend and asserts only the supervisor's
-hard contract: the batch terminates with one outcome per series and leaves
-no shared-memory residue.  The seed appears in the test id and in every
-assertion message, so a soak failure replays deterministically with::
+hard contract: the batch terminates with one outcome per series.  The
+seed appears in the test id and in every assertion message, so a soak
+failure replays deterministically with::
 
     pytest tests/engine/test_stress.py -m stress -k "seed<N>"
 
@@ -19,14 +19,13 @@ import numpy as np
 import pytest
 
 from repro.engine import compress_batch
-from repro.engine.backends import segment_residue
 from repro.faultinject import active_plan, random_plan
 
 #: Recorded soak seeds.  Every plan is a pure function of its seed, so this
 #: list *is* the soak's reproducibility record — extend it to widen coverage.
 STRESS_SEEDS = tuple(range(12))
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 SERIES_COUNT = 6
 
@@ -52,7 +51,6 @@ def test_soak_random_plans_always_terminate(seed, backend):
         == list(range(SERIES_COUNT)), f"outcome indices broken: {context}"
     for outcome in result:
         assert outcome.ok or outcome.error_type, f"empty outcome: {context}"
-    assert segment_residue() == [], f"leaked shared memory: {context}"
 
 
 @pytest.mark.stress
@@ -62,11 +60,10 @@ def test_soak_cameo_codec_survives_plans(seed):
     batch = make_batch()
     actions = random_plan(seed, SERIES_COUNT)
     with active_plan(actions):
-        result = compress_batch(batch, codec="cameo", backend="process",
+        result = compress_batch(batch, codec="cameo", backend="thread",
                                 workers=2, timeout=2.5, retries=1,
                                 codec_options={"max_lag": 8, "epsilon": 0.05})
     assert len(result) == SERIES_COUNT, f"seed {seed} lost outcomes"
-    assert segment_residue() == [], f"seed {seed} leaked shared memory"
 
 
 def test_stress_marker_keeps_soaks_opt_in(request):

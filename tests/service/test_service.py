@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.faultinject import ServiceFaultAction, active_plan
+from repro.faultinject import FaultAction, ServiceFaultAction, active_plan
 from repro.service import (AdmissionController, CircuitBreaker, Deadline,
                            Job, Lifecycle, ServiceConfig, ServiceMetrics)
 from repro.storage.durable import DurableStore
@@ -389,6 +389,23 @@ class TestBreakerHTTP:
                                         {"series": [[1.0] * 32]})
         assert status == 200
         assert service.breaker.state_of("gorilla") == "closed"
+
+    def test_degraded_engine_runs_open_the_breaker(self, service_factory):
+        # The real path: each /compress run's BatchReport feeds the breaker.
+        service, client = service_factory(retries=0, breaker_threshold=2)
+        with active_plan([FaultAction(kind="raise", series=0, site="chunk",
+                                      max_hits=None)]):
+            for _ in range(2):
+                status, body, _h = client.post("/compress",
+                                                {"series": [[1.0] * 32]})
+                assert status == 207 and body["degraded_series"] == 1
+            assert service.breaker.state_of("gorilla") == "open"
+            status, body, headers = client.post("/compress",
+                                                {"series": [[1.0] * 32]})
+        assert status == 503 and body["breaker"] == "open"
+        assert "Retry-After" in headers
+        # Refused before the engine ran: only the two degraded runs counted.
+        assert service.metrics.counter("repro_engine_series_total") == 2
 
 
 # --------------------------------------------------------------------- #

@@ -351,7 +351,7 @@ class TestBatchExitCodes:
         with active_plan([FaultAction(kind="raise", series=0, site="chunk",
                                       max_hits=None)]):
             code = main(["compress-batch", str(mixed_dir / "good.csv"),
-                         "--codec", "gorilla", "--backend", "process",
+                         "--codec", "gorilla", "--backend", "thread",
                          "--workers", "2", "--timeout", "10",
                          "--retries", "0", "--on-degrade", "error",
                          "--output-dir", str(tmp_path / "fault")])
@@ -364,9 +364,11 @@ class TestBatchExitCodes:
             self, mixed_dir, tmp_path, capsys):
         from repro.faultinject import FaultAction, active_plan
 
-        with active_plan([FaultAction(kind="corrupt", series=0)]):
+        # Two hits outlast the one in-tier retry; the serial rung succeeds.
+        with active_plan([FaultAction(kind="raise", series=0, site="chunk",
+                                      max_hits=2)]):
             code = main(["compress-batch", str(mixed_dir / "good.csv"),
-                         "--codec", "gorilla", "--backend", "process",
+                         "--codec", "gorilla", "--backend", "thread",
                          "--workers", "2", "--timeout", "10",
                          "--output-dir", str(tmp_path / "degraded")])
         assert code == 0

@@ -69,9 +69,9 @@ def main(argv: list[str] | None = None) -> int:
                              "signal (distinct noise seeds) instead of one "
                              "series")
     parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"),
+                        choices=("serial", "thread"),
                         help="engine backend for --batch (cProfile only sees "
-                             "parent-process work; use serial for kernel "
+                             "the calling thread; use serial for kernel "
                              "attribution)")
     parser.add_argument("--workers", type=int, default=None,
                         help="engine workers for --batch")

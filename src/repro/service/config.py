@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..codecs import codec_spec
+from ..engine.supervisor import resolve_workers
 from ..exceptions import InvalidParameterError
 
 __all__ = ["ServiceConfig"]
@@ -80,6 +81,7 @@ class ServiceConfig:
 
     def __post_init__(self):
         codec_spec(self.codec)  # validates the default codec name early
+        resolve_workers(self.backend, self.engine_workers)  # and the engine's
         for name in ("workers", "queue_depth", "per_tenant_inflight",
                      "chunk_size", "drain_batch", "breaker_threshold",
                      "max_body_bytes"):

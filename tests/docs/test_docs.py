@@ -61,6 +61,23 @@ class TestDocsPages:
             assert status in text, \
                 f"docs/service.md should document status {status}"
 
+    def test_robustness_page_documents_every_engine_fault(self):
+        from repro.faultinject import KINDS, SITES
+
+        text = (DOCS / "robustness.md").read_text(encoding="utf-8")
+        missing = [name for name in KINDS + SITES if f"`{name}`" not in text]
+        assert not missing, \
+            f"engine fault kinds/sites missing from docs/robustness.md: {missing}"
+
+    def test_robustness_page_documents_every_backend_and_degrade_mode(self):
+        from repro.engine.supervisor import BACKENDS, ON_DEGRADE
+
+        text = (DOCS / "robustness.md").read_text(encoding="utf-8")
+        missing = [name for name in BACKENDS + ON_DEGRADE
+                   if f"`{name}`" not in text]
+        assert not missing, \
+            f"engine knobs missing from docs/robustness.md: {missing}"
+
     def test_roadmap_points_to_performance_page(self):
         roadmap = (REPO_ROOT / "ROADMAP.md").read_text(encoding="utf-8")
         assert "docs/performance.md" in roadmap

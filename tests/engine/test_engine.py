@@ -8,14 +8,24 @@ record, never a dead batch.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.codecs import get_codec
 from repro.engine import BatchEngine, compress_batch
+from repro.engine.supervisor import resolve_workers
+from repro.exceptions import InvalidParameterError
 from repro.metrics import chebyshev
 
 BACKENDS = ("serial", "thread")
+
+#: Engine runs the determinism tests compare against per-series encodes:
+#: ``(backend, workers)``.  ``thread-4`` splits every fleet below into four
+#: chunks, so four GIL-free kernel calls run at once instead of two.
+RUNS = {"serial": ("serial", 1), "thread": ("thread", 2),
+        "thread-4": ("thread", 4)}
 
 
 def _fleet(count: int, length: int, seed: int) -> list[np.ndarray]:
@@ -67,19 +77,21 @@ CAMEO_CASES = [pytest.param(inputs, config, id=f"{inputs}-{config}")
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("inputs, config", CAMEO_CASES)
-    def test_cameo_identical_to_sequential(self, backend, inputs, config,
+    def test_cameo_identical_to_sequential(self, run, inputs, config,
                                            kernel_tier):
         """Fixed-seed batch == per-series ``codec.encode``, block for block:
-        a CAMEO series has one route on every backend and tier."""
+        a CAMEO series has one route on every backend, width and tier."""
+        backend, workers = RUNS[run]
         make_fleet, options = CAMEO_INPUTS[inputs]
         fleet = make_fleet()
         options = {**options, **CAMEO_CONFIGS[config]}
         result = compress_batch(fleet, codec="cameo", codec_options=options,
-                                backend=backend, workers=2)
+                                backend=backend, workers=workers)
         codec = get_codec("cameo", **options)
         assert result.report.failed == 0
+        assert result.report.chunks == min(len(fleet), workers)
         assert result.report.fastpath_series == 0
         for outcome, series in zip(result, fleet):
             block, reference = outcome.unwrap(), codec.encode(series)
@@ -95,13 +107,14 @@ class TestDeterminism:
                 metadata.pop("elapsed_seconds")
             assert block.metadata == reference.metadata
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("run", RUNS)
     @pytest.mark.parametrize("codec_name", ["gorilla", "chimp"])
-    def test_xor_payloads_byte_identical(self, backend, codec_name):
+    def test_xor_payloads_byte_identical(self, run, codec_name):
+        backend, workers = RUNS[run]
         fleet = [np.round(series, 2) for series in _fleet(7, 220, seed=23)]
         fleet.append(np.round(_fleet(1, 97, seed=5)[0], 2))  # odd length out
         result = compress_batch(fleet, codec=codec_name, backend=backend,
-                                workers=2)
+                                workers=workers)
         codec = get_codec(codec_name)
         assert result.report.failed == 0
         for outcome, series in zip(result, fleet):
@@ -125,14 +138,15 @@ class TestDeterminism:
 
 
 class TestFaultIsolation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_poisoned_series_do_not_kill_the_batch(self, backend):
+    @pytest.mark.parametrize("run", RUNS)
+    def test_poisoned_series_do_not_kill_the_batch(self, run):
+        backend, workers = RUNS[run]
         fleet = _fleet(6, 150, seed=41)
         fleet[2] = np.full(80, np.nan)          # NaN-only
         fleet[4] = np.empty(0, dtype=np.float64)  # length 0
         result = compress_batch(fleet, codec="cameo",
                                 codec_options=dict(max_lag=12, epsilon=0.05),
-                                backend=backend, workers=2)
+                                backend=backend, workers=workers)
         assert result.report.series == 6
         assert result.report.failed == 2
         errors = result.errors()
@@ -214,10 +228,36 @@ class TestReport:
         assert as_dict["codec"] == "gorilla"
         assert as_dict["series"] == 5
 
-    def test_unknown_codec_and_backend_rejected(self):
-        from repro.exceptions import InvalidParameterError
+    def test_report_fields_are_the_supervisor_counters(self):
+        # as_dict is what /compress returns: every run statistic, the
+        # supervisor's counters, and nothing else.
+        report = compress_batch(_fleet(3, 64, seed=1), codec="raw",
+                                backend="thread", workers=2).report
+        assert set(report.as_dict()) == {
+            "codec", "backend", "workers", "series", "failed",
+            "total_points", "encoded_bits", "chunks", "fastpath_series",
+            "wall_seconds", "cpu_seconds", "retries", "timeouts",
+            "quarantined_chunks", "degraded_chunks", "degraded_series",
+            "sanitized_series", "points_per_sec", "bits_per_value",
+            "compression_ratio"}
+        assert report.cpu_seconds >= 0.0
 
+    def test_unknown_codec_and_backend_rejected(self):
         with pytest.raises(InvalidParameterError):
             BatchEngine("definitely-not-a-codec")
         with pytest.raises(InvalidParameterError):
             BatchEngine("raw", backend="gpu")
+
+
+class TestResolveWorkers:
+    def test_serial_is_one_worker_whatever_is_asked(self):
+        assert resolve_workers("serial", None) == 1
+        assert resolve_workers("serial", 8) == 1
+
+    def test_thread_defaults_to_the_cpu_count(self):
+        assert resolve_workers("thread", None) == max(os.cpu_count() or 1, 1)
+        assert resolve_workers("thread", 3) == 3
+
+    def test_thread_rejects_fewer_than_one_worker(self):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            resolve_workers("thread", 0)

@@ -15,6 +15,7 @@ import pytest
 from repro.engine import BatchEngine, SupervisorPolicy, compress_batch
 from repro.exceptions import InvalidParameterError
 from repro.faultinject import FaultAction, active_plan, random_plan
+from repro.streaming import MultiStreamCompressor
 
 BACKENDS = ("serial", "thread")
 
@@ -79,6 +80,18 @@ class TestChunkRetry:
         with active_plan([FaultAction(kind="raise", series=0, site="chunk",
                                       max_hits=None)]):
             result = run(make_batch(), "serial", retries=2)
+        assert result.report.retries == 2
+        assert sleeps == [0.05, 0.1]
+
+    def test_thread_retries_follow_the_same_schedule(self, monkeypatch):
+        # Only the chunk holding series 0 fails, so only it sleeps.
+        sleeps = []
+        monkeypatch.setattr("repro.engine.supervisor.time.sleep",
+                            sleeps.append)
+        with active_plan([FaultAction(kind="raise", series=0, site="chunk",
+                                      max_hits=None)]):
+            result = run(make_batch(), "thread", retries=2,
+                         on_degrade="error")
         assert result.report.retries == 2
         assert sleeps == [0.05, 0.1]
 
@@ -187,6 +200,37 @@ class TestPolicyValidation:
             BatchEngine("gorilla", backend="process")
         with pytest.raises(InvalidParameterError):
             BatchEngine("gorilla", policy="skip")
+
+
+#: The library entry points that take the engine's execution knobs.
+ENTRY_POINTS = {
+    "BatchEngine": lambda **knobs: BatchEngine("gorilla", **knobs),
+    "compress_batch": lambda **knobs: compress_batch(
+        make_batch(count=2), codec="gorilla", **knobs),
+    "MultiStreamCompressor": lambda **knobs: MultiStreamCompressor(
+        64, "gorilla", **knobs),
+}
+
+
+class TestRemovedOptions:
+    """``backend="process"`` and ``on_degrade="serial"`` are gone everywhere."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("knob, value, choices", [
+        ("backend", "process", "serial, thread"),
+        ("on_degrade", "serial", "degrade, error"),
+    ], ids=["backend-process", "on_degrade-serial"])
+    def test_rejected_naming_the_remaining_choices(self, entry, knob, value,
+                                                   choices):
+        with pytest.raises(InvalidParameterError, match=choices):
+            ENTRY_POINTS[entry](**{knob: value})
+
+    @pytest.mark.parametrize("fields", [dict(kind="corrupt"),
+                                        dict(kind="raise", site="manifest")],
+                             ids=["kind-corrupt", "site-manifest"])
+    def test_fault_plan_rejects_the_shared_memory_faults(self, fields):
+        with pytest.raises(ValueError, match="choose from"):
+            FaultAction(series=0, **fields)
 
 
 class TestCleanPathIdentity:

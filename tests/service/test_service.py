@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro.engine import BatchReport
+from repro.exceptions import InvalidParameterError
 from repro.faultinject import FaultAction, ServiceFaultAction, active_plan
 from repro.service import (AdmissionController, CircuitBreaker, Deadline,
                            Job, Lifecycle, ServiceConfig, ServiceMetrics)
@@ -180,6 +182,17 @@ class TestIngestEndpoint:
 # --------------------------------------------------------------------- #
 def _job(tenant: str = "t") -> Job:
     return Job(kind="compress", tenant=tenant, deadline=Deadline.after(30))
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("knobs, choices", [
+        (dict(backend="process"), "serial, thread"),
+        (dict(engine_workers=0), "workers must be >= 1"),
+    ], ids=["process-backend", "zero-workers"])
+    def test_engine_knobs_rejected_at_construction(self, knobs, choices):
+        # Refused when the config is built, not at the first /compress.
+        with pytest.raises(InvalidParameterError, match=choices):
+            ServiceConfig(**knobs)
 
 
 class TestAdmissionUnit:
@@ -436,6 +449,19 @@ class TestMetricsEndpoint:
                    and 'quantile="0.99"' in line for line in lines)
         assert any(line.startswith("repro_engine_series_total")
                    for line in lines)
+
+    def test_absorbed_report_renders_every_engine_counter(self):
+        metrics = ServiceMetrics()
+        metrics.absorb_report(BatchReport(
+            codec="gorilla", backend="thread", workers=2, series=5, failed=1,
+            retries=2, timeouts=1, degraded_series=3))
+        engine_lines = sorted(line for line in metrics.render().splitlines()
+                              if line.startswith("repro_engine_"))
+        assert engine_lines == ["repro_engine_degraded_series_total 3",
+                                "repro_engine_failed_series_total 1",
+                                "repro_engine_retries_total 2",
+                                "repro_engine_series_total 5",
+                                "repro_engine_timeouts_total 1"]
 
 
 # --------------------------------------------------------------------- #

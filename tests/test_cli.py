@@ -375,6 +375,15 @@ class TestBatchExitCodes:
         output = capsys.readouterr().out
         assert "series degraded" in output
 
+    @pytest.mark.parametrize("flag, removed", [("--backend", "process"),
+                                               ("--on-degrade", "serial")])
+    def test_removed_choices_are_usage_errors(self, flag, removed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["compress-batch", "x.csv", flag,
+                                       removed])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
+
     def test_fault_knob_defaults(self):
         args = build_parser().parse_args(
             ["compress-batch", "x.csv"])

@@ -47,7 +47,10 @@ class ServiceConfig:
         Optional durable-store directory enabling ``/ingest`` spooling and
         idempotency journaling.  ``spool_fsync`` is its WAL fsync policy.
     drain_batch:
-        Pending sealed chunks that trigger an inline ingest drain.
+        Pending sealed ingest chunks that wake the background drainer; it
+        encodes whole multiples of this many at a time, and ``/ingest``
+        jobs wait for it beyond
+        :data:`~repro.service.server.BACKLOG_BATCHES` times as many.
     breaker_threshold, breaker_cooldown:
         Consecutive degraded runs that open a codec's circuit breaker, and
         the seconds before a half-open probe is allowed.

@@ -3,7 +3,8 @@
 The state machine is deliberately tiny — ``starting → running → draining
 → stopped`` — because its ordering contract is what matters:
 
-* ``/readyz`` answers 200 only in ``running``.  Entering ``draining``
+* ``/readyz`` answers 200 only in ``running`` (and, in the service, only
+  while its ingest drainer has not died).  Entering ``draining``
   flips readiness *first*, before admission stops, so a load balancer
   stops routing new traffic ahead of the first 503.
 * ``/healthz`` answers 200 in every state the process can still respond

@@ -14,7 +14,8 @@ status     meaning
 404 / 405  unknown endpoint / method
 413        request body beyond ``max_body_bytes``
 429        shed: queue watermark latched, queue full, or tenant cap
-503        draining, circuit breaker open, or injected enqueue fail
+503        draining, circuit breaker open, injected enqueue fail, or
+           ingest backlog full
 504        request deadline expired before the job finished
 =========  =======================================================
 
@@ -89,8 +90,10 @@ def _handle_get(service, path: str) -> tuple[int, object, dict]:
         return (200 if alive else 503), {
             "alive": alive, "state": service.lifecycle.state}, {}
     if path == "/readyz":
-        ready = service.lifecycle.is_ready
+        ready = service.is_ready
         body = {"ready": ready, "state": service.lifecycle.state}
+        if service.drainer_error is not None:
+            body["drainer_error"] = service.drainer_error
         if ready:
             return 200, body, {}
         return 503, body, {"Retry-After": "1"}

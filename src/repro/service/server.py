@@ -9,14 +9,21 @@
   request deadline, ``/ingest`` jobs feed the shared
   :class:`~repro.streaming.MultiStreamCompressor` (WAL-spooled and
   idempotency-journaled when a durable store is configured);
+* one background drainer thread that encodes the ingest queue's sealed
+  chunks whenever ``drain_batch`` of them are pending: it takes them under
+  the ingest lock, encodes them holding no lock, and commits the results
+  and the spool cut under the lock again, so no ``/ingest`` request waits
+  for an encode unless the backlog passes ``BACKLOG_BATCHES`` batches;
 * the graceful drain sequence (``initiate_drain``): readiness flips first,
   admission stops, queued jobs get ``drain_timeout`` to finish, the
-  remainder is shed with well-formed 503s, the spool is flushed and the
-  store checkpointed, then the listener shuts down;
+  remainder is shed with well-formed 503s, the drainer finishes the batches
+  due and stops, the journal is persisted and the store checkpointed, then
+  the listener shuts down;
 * the crash path (``abort``): an injected ``mid_job_crash`` (or any other
   service-site crash) closes the spool *abruptly* — no journal persistence,
-  no drain — so on-disk state is exactly what the WAL acknowledged, which
-  is what the chaos tests reopen and fsck.
+  no drain, an in-flight encode's batch dropped uncommitted — so on-disk
+  state is exactly what the WAL acknowledged, which is what the chaos tests
+  reopen and fsck.
 """
 
 from __future__ import annotations
@@ -39,7 +46,12 @@ from .lifecycle import Lifecycle
 from .metrics import ServiceMetrics
 from .routes import CRASHED_STATUS, handle_request
 
-__all__ = ["CompressionService", "DrainReport"]
+__all__ = ["BACKLOG_BATCHES", "CompressionService", "DrainReport"]
+
+#: Backpressure: an ``/ingest`` job waits for the drainer while this many
+#: times ``drain_batch`` sealed chunks are pending, so the queue of raw
+#: chunks in memory stays bounded however far ingest outruns the encode.
+BACKLOG_BATCHES = 4
 
 
 @dataclass(frozen=True)
@@ -71,9 +83,21 @@ class CompressionService:
         self.admission = AdmissionController(self.config, self.metrics)
         self.breaker = CircuitBreaker(threshold=self.config.breaker_threshold,
                                       cooldown=self.config.breaker_cooldown)
-        # One lock serializes every touch of the shared ingest compressor
-        # (worker appends, inline drains, /streams snapshots, final close).
+        # One lock serializes every touch of the shared ingest compressor's
+        # state: worker appends, the drainer's take and commit, /streams
+        # snapshots, the final close and an abort.  The drainer's encode
+        # runs outside it.  `_ingest_changed` is signalled whenever the
+        # pending count or the drainer's state changes.
         self._spool_lock = threading.RLock()
+        self._ingest_changed = threading.Condition(self._spool_lock)
+        # Drainer state, guarded by `_spool_lock`: `_drainer_live` from
+        # start() until the drainer exits or the ingest side closes,
+        # `_encoding` while a taken batch is outside the lock.
+        self._drainer: threading.Thread | None = None
+        self._drainer_live = False
+        self._drainer_stop = False
+        self._encoding = False
+        self.drainer_error: str | None = None
         self.multi = MultiStreamCompressor(
             self.config.chunk_size, self.config.codec,
             codec_options=dict(self.config.codec_options),
@@ -85,7 +109,7 @@ class CompressionService:
             # Crash recovery: re-ingest undrained spool values before the
             # service admits anything, then compress the recovered backlog.
             self.replayed = self.multi.replay_spool()
-            if self.multi._pending:
+            if self.multi.pending_chunks:
                 self.multi.drain()
         self._httpd: ThreadingHTTPServer | None = None
         self._workers: list[threading.Thread] = []
@@ -103,12 +127,21 @@ class CompressionService:
         """Bind the listener and start the workers (OSError propagates)."""
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), _make_handler(self))
+        self._drainer_live = True
+        self._drainer = threading.Thread(target=self._drainer_loop,
+                                         daemon=True, name="repro-drainer")
+        self._drainer.start()
         for position in range(self.config.workers):
             worker = threading.Thread(target=self._worker_loop, daemon=True,
                                       name=f"repro-worker-{position}")
             worker.start()
             self._workers.append(worker)
         self.lifecycle.mark_running()
+
+    @property
+    def is_ready(self) -> bool:
+        """Readiness: running, and no exception has killed the drainer."""
+        return self.lifecycle.is_ready and self.drainer_error is None
 
     @property
     def port(self) -> int:
@@ -168,7 +201,17 @@ class CompressionService:
         self._workers_stop.set()
         for worker in self._workers:
             worker.join(timeout=5.0)
+        # Nothing adds any more: the drainer commits the batches still due
+        # and exits.
+        if self._drainer is not None:
+            with self._ingest_changed:
+                self._drainer_stop = True
+                self._ingest_changed.notify_all()
+            self._drainer.join(timeout=self.config.drain_timeout + 5.0)
         with self._spool_lock:
+            # A drainer that outlived its join must not commit to a closed
+            # spool; its batch replays on the next boot.
+            self._drainer_live = False
             # Deliberately no flush of partial buffers: undrained acked
             # values stay in the spool and replay on the next boot, so a
             # drain can never lose an acked batch.  close() persists the
@@ -198,11 +241,16 @@ class CompressionService:
         self.lifecycle.begin_drain()
         self.admission.stop("aborted")
         self._workers_stop.set()
-        spool = self.multi.spool
-        if spool is not None:
-            with self._spool_lock:
+        with self._ingest_changed:
+            # An encode in flight finishes outside the lock and then finds
+            # the drainer dead: its batch is dropped uncommitted, and the
+            # spool, which still holds it, replays it on the next boot.
+            self._drainer_live = False
+            self._ingest_changed.notify_all()
+            if self.multi.spool is not None:
                 try:
-                    spool.close()  # NOT multi.close(): skip journal persist
+                    # NOT multi.close(): skip journal persist.
+                    self.multi.spool.close()
                 except Exception:
                     pass
         # Waiters must not hang on jobs that will never run.
@@ -229,6 +277,51 @@ class CompressionService:
             httpd.server_close()
 
         threading.Thread(target=_close, daemon=True).start()
+
+    # ------------------------------------------------------------------ #
+    # the ingest drainer
+    # ------------------------------------------------------------------ #
+    def _drainer_loop(self) -> None:
+        """Encode the ingest queue in the background, one batch at a time.
+
+        A batch is the largest whole multiple of ``drain_batch`` at the
+        front of the queue, so what is left pending once ingest stops does
+        not depend on how encodes and requests interleaved: the sealed
+        chunks modulo ``drain_batch``.
+        """
+        multi, batch_size = self.multi, self.config.drain_batch
+        try:
+            while True:
+                with self._ingest_changed:
+                    self._ingest_changed.wait_for(
+                        lambda: (not self._drainer_live or self._drainer_stop
+                                 or multi.pending_chunks >= batch_size))
+                    due = multi.pending_chunks // batch_size * batch_size
+                    if not (self._drainer_live and due):
+                        return
+                    batch = multi.take(due)
+                    self._encoding = True
+                started = time.monotonic()
+                outcomes = multi.encode(batch)
+                with self._ingest_changed:
+                    self._encoding = False
+                    if not self._drainer_live:
+                        return  # aborted mid-encode: the spool replays it
+                    multi.commit(batch, outcomes)
+                    self._ingest_changed.notify_all()
+                self.metrics.inc("repro_ingest_drains_total")
+                self.metrics.inc("repro_ingest_drain_seconds_total",
+                                 time.monotonic() - started)
+        except InjectedCrash:
+            self.abort()  # a storage-site crash in a commit: process death
+        except Exception as exc:  # never a silently dead drainer
+            self.metrics.inc("repro_ingest_drain_errors_total")
+            self.drainer_error = f"{type(exc).__name__}: {exc}"
+        finally:
+            with self._ingest_changed:
+                self._encoding = False
+                self._drainer_live = False
+                self._ingest_changed.notify_all()
 
     # ------------------------------------------------------------------ #
     # workers
@@ -322,7 +415,19 @@ class CompressionService:
         payload = job.payload
         stream, values, key = (payload["stream"], payload["values"],
                                payload["key"])
-        with self._spool_lock:
+        backlog = BACKLOG_BATCHES * self.config.drain_batch
+        with self._ingest_changed:
+            self._ingest_changed.wait_for(
+                lambda: (self.multi.pending_chunks < backlog
+                         or not self._drainer_live),
+                timeout=max(job.deadline.remaining(), 0.0))
+            if self.multi.pending_chunks >= backlog:
+                # The deadline passed first, or no drainer is left to wait
+                # for: refuse before the spool append, so nothing landed.
+                job.finish(503, {"error": "ingest backlog full: "
+                                          f"{backlog} chunks await the "
+                                          "drainer"}, {"Retry-After": "1"})
+                return
             if key is not None:
                 sealed, duplicate = self.multi.add_idempotent(
                     stream, values, key)
@@ -333,9 +438,8 @@ class CompressionService:
             # WAL acknowledged the values but the client never got its 200
             # — exactly what the idempotency journal must absorb on retry.
             faultinject.fire_service("mid_job_crash", detail=f"/ingest {stream}")
-            drained = 0
-            if len(self.multi._pending) >= self.config.drain_batch:
-                drained = len(self.multi.drain())
+            if self.multi.pending_chunks >= self.config.drain_batch:
+                self._ingest_changed.notify_all()
         self.metrics.inc("repro_ingested_values_total",
                          0 if duplicate else len(values))
         if duplicate:
@@ -345,7 +449,6 @@ class CompressionService:
             "ingested": 0 if duplicate else len(values),
             "duplicate": duplicate,
             "sealed_chunks": sealed,
-            "drained_chunks": drained,
         })
 
     # ------------------------------------------------------------------ #
@@ -356,8 +459,9 @@ class CompressionService:
             "repro_queue_depth": float(self.admission.depth),
             "repro_jobs_running": float(self.admission.running),
             "repro_shedding": 1.0 if self.admission.shedding else 0.0,
-            "repro_ready": 1.0 if self.lifecycle.is_ready else 0.0,
+            "repro_ready": 1.0 if self.is_ready else 0.0,
             "repro_spool_replayed_values": float(self.replayed),
+            "repro_ingest_pending_chunks": float(self.multi.pending_chunks),
         }
         for position, (key, state) in enumerate(
                 sorted(self.breaker.snapshot().items())):
@@ -370,7 +474,18 @@ class CompressionService:
         return self.metrics.render(gauges)
 
     def stream_summary(self) -> dict:
-        with self._spool_lock:
+        """Per-stream accounting, once no drain is in flight or due.
+
+        The wait makes the snapshot a barrier: every batch due when it was
+        asked for is encoded and committed before it answers, so a client
+        timing writes up to it pays for the encodes it caused.
+        """
+        batch_size = self.config.drain_batch
+        with self._ingest_changed:
+            self._ingest_changed.wait_for(
+                lambda: not self._drainer_live or not (
+                    self._encoding or self.multi.pending_chunks >= batch_size),
+                timeout=self.config.default_deadline)
             streams = {}
             for name in self.multi.streams:
                 report = self.multi.report(name)
@@ -381,7 +496,7 @@ class CompressionService:
                     "buffered_points": report.buffered_points,
                     "encoded_bits": report.encoded_bits,
                 }
-            pending = len(self.multi._pending)
+            pending = self.multi.pending_chunks
         return {"streams": streams, "pending_chunks": pending,
                 "replayed_values": self.replayed,
                 "store": self.config.store}

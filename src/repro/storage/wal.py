@@ -43,7 +43,9 @@ Every kind is applied in sequence order, so "record A was fsynced before
 record B was written" is the only ordering primitive a caller needs: the
 ingest spool's rules (intent before the append it describes, applied flips
 before the reset that invalidates their positions, reset only after the
-drain that consumed the values) are all of that form.
+batch that consumed the values commits) are of that form.  Its fourth — a
+cut and the split boundaries it must keep travel in one record — relies
+only on a record being applied whole.
 
 A torn write leaves a truncated final record (header or CRC missing); a
 flipped bit fails the CRC.  Both stop the scan at the *previous* record —

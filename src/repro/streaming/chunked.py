@@ -436,10 +436,10 @@ class MultiStreamCompressor:
         crash loses nothing — a fresh compressor pointed at the same
         directory calls :meth:`replay_spool` to re-ingest the undrained
         tail (pending chunks and buffer, not chunks already emitted by
-        earlier drains).  The spool is a log: each :meth:`drain` resets
-        every drained stream's series to its undrained tail with one WAL
-        record, and input-policy split boundaries are spooled too, so
-        replayed chunking matches the pre-crash run.  ``spool_fsync`` sets the
+        earlier drains).  The spool is a log: each drain's :meth:`commit`
+        cuts every drained stream's series back to its undrained tail with
+        one WAL record, and input-policy split boundaries are spooled too,
+        so replayed chunking matches the pre-crash run.  ``spool_fsync`` sets the
         spool WAL's fsync policy (default ``"always"``; see
         :data:`repro.storage.wal.FSYNC_POLICIES`).  The spool store is
         exclusively locked while the compressor holds it.
@@ -564,21 +564,54 @@ class MultiStreamCompressor:
                 sealed += 1
         return sealed
 
+    @property
+    def pending_chunks(self) -> int:
+        """Sealed chunks queued for the next drain."""
+        return len(self._pending)
+
     def drain(self) -> list[tuple[str, ChunkResult]]:
         """Encode every queued sealed chunk in one batched engine pass.
 
         Returns ``(stream, chunk_result)`` pairs in seal order.  A chunk
         that fails to encode is recorded in :attr:`errors` (with its stream
         in the outcome name) and skipped; the rest of the batch completes.
+
+        This is :meth:`take` → :meth:`encode` → :meth:`commit` in one call.
+        A caller that ingests from other threads runs the three steps
+        itself: take and commit under its ingest lock, encode outside it.
         """
-        if not self._pending:
+        batch = self.take()
+        if not batch:
             return []
-        pending, self._pending = self._pending, []
-        names = [stream for stream, _values in pending]
-        outcome_batch = self.engine.compress(
-            [values for _stream, values in pending], names=names)
+        return self.commit(batch, self.encode(batch))
+
+    def take(self, count: int | None = None) -> list[tuple[str, np.ndarray]]:
+        """Dequeue the ``count`` oldest sealed chunks (default: all of them).
+
+        Returns ``(stream, values)`` pairs in seal order: the batch that
+        :meth:`encode` and then :meth:`commit` consume.
+        """
+        count = len(self._pending) if count is None else int(count)
+        batch, self._pending = self._pending[:count], self._pending[count:]
+        return batch
+
+    def encode(self, batch):
+        """Run one engine pass over a taken batch.
+
+        Reads nothing the compressor mutates, so it may run while other
+        threads :meth:`add`; returns the engine's ordered outcomes.
+        """
+        return self.engine.compress([values for _stream, values in batch],
+                                    names=[stream for stream, _values in batch])
+
+    def commit(self, batch, outcomes) -> list[tuple[str, ChunkResult]]:
+        """Record a taken batch's outcomes in seal order, then cut the spool.
+
+        Returns the ``(stream, chunk_result)`` pairs of the chunks that
+        encoded (see :meth:`drain`).
+        """
         sealed: list[tuple[str, ChunkResult]] = []
-        for (stream, values), outcome in zip(pending, outcome_batch):
+        for (stream, values), outcome in zip(batch, outcomes):
             _buffer, results, report = self._stream_state(stream)
             if not outcome.ok:
                 # The chunk's values were consumed from the buffer either
@@ -601,7 +634,7 @@ class MultiStreamCompressor:
                                                deviation)
             sealed.append((stream, result))
         if self.spool is not None:
-            self._mark_drained({stream for stream, _values in pending})
+            self._mark_drained(batch)
         return sealed
 
     def flush(self) -> list[tuple[str, ChunkResult]]:
@@ -799,26 +832,49 @@ class MultiStreamCompressor:
             if segment.size:
                 self.spool.append(name, segment)
 
-    def _mark_drained(self, streams) -> None:
-        """Cut the chunks a drain emitted out of the spool.
+    def _mark_drained(self, batch) -> None:
+        """Cut the chunks a committed batch emitted out of the spool.
 
-        Each drained stream's series is reset to its undrained tail — the
-        stream's buffer; every chunk queued before the drain was in it —
-        with one WAL record, which also clears the series' recorded split
-        boundaries (all of them lie in the part just emitted).  The reset
-        is written when the drain that consumed the chunks completes, so a
-        crash between a drain and its caller persisting the results
-        replays exactly that one batch again (at-least-once); chunks from
-        earlier drains are never re-ingested.
+        Each drained stream's series is reset to its **undrained tail**
+        with one WAL record: the stream's chunks still queued — sealed
+        while the batch encoded, or left out of the take — followed by its
+        buffer.  The spool holds the emitted chunks, then exactly that
+        tail, so the cut is a prefix.  A reset also clears the series'
+        recorded split boundaries.  Replay still re-chunks the tail
+        identically while every retained chunk is full-size: it re-seals
+        every ``chunk_size`` values, and no split lies inside the buffer
+        (a split seals it).  A retained *short* chunk ends at a split the
+        reset record, which carries no metadata, cannot keep — and a second
+        record after it would leave a crash window with the values but not
+        the boundary.  So for such a stream the commit instead advances the
+        series' ``drained`` watermark past the emitted chunks with one
+        metadata record, the recorded splits stay in place, and the
+        stream's next commit without a short retained chunk resets it.
+
+        The cut is written when the batch commits, so a crash between a
+        take and its commit replays exactly that one batch again
+        (at-least-once); chunks from earlier commits are never re-ingested.
         """
         # Applied flips recorded since the last persist must be durable
         # before any reset below: a reset restarts the spool positions that
         # a pending entry's landed check relies on.
         if self._idem_dirty:
             self._persist_idempotency()
-        for stream in sorted(streams):
-            if stream in self.spool:
-                self.spool.reset(stream, self._buffers[stream])
+        emitted: dict[str, int] = {}
+        for stream, values in batch:
+            emitted[stream] = emitted.get(stream, 0) + values.size
+        for stream in sorted(emitted):
+            if stream not in self.spool:
+                continue
+            retained = [values for name, values in self._pending
+                        if name == stream]
+            if all(values.size == self.chunk_size for values in retained):
+                self.spool.reset(stream, np.concatenate(
+                    [*retained, np.asarray(self._buffers[stream])]))
+            else:
+                drained = int(self.spool.metadata(stream).get("drained", 0))
+                self.spool.update_metadata(
+                    {stream: {"drained": drained + emitted[stream]}})
 
     def replay_spool(self) -> int:
         """Re-ingest the spool's undrained values; returns the count.
@@ -836,10 +892,11 @@ class MultiStreamCompressor:
         re-applying the input policy (the spool holds already-sanitized
         values).
 
-        A series written before the spool became a log still carries its
-        drained chunks and a ``drained`` watermark in its metadata; replay
-        starts past it, and the stream's next drain resets the series
-        into the log layout.
+        A series may still carry drained chunks below a ``drained``
+        watermark in its metadata — written by a commit that retained a
+        short chunk (see :meth:`_mark_drained`), or by spools from before
+        the spool became a log; replay starts past it, and the stream's
+        next reset drops them.
         """
         if self.spool is None:
             raise InvalidParameterError(

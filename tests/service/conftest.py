@@ -64,3 +64,36 @@ def service_factory(tmp_path):
         if service.lifecycle.is_alive:
             service.stop(timeout=15.0)
         service.lifecycle.drained.wait(timeout=15.0)
+
+
+class EncodeGate:
+    """A stub for the ingest engine's encode that holds it until released.
+
+    ``entered`` is set once the drainer is inside an encode, which then
+    waits for ``release`` before running the real one.
+    """
+
+    def __init__(self, service):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._compress = service.multi.engine.compress
+        service.multi.engine.compress = self
+
+    def __call__(self, *args, **kwargs):
+        self.entered.set()
+        self.release.wait(timeout=30.0)
+        return self._compress(*args, **kwargs)
+
+
+@pytest.fixture()
+def encode_gate():
+    """Install an :class:`EncodeGate` on a service; all open at teardown."""
+    gates: list[EncodeGate] = []
+
+    def install(service) -> EncodeGate:
+        gates.append(EncodeGate(service))
+        return gates[-1]
+
+    yield install
+    for gate in gates:
+        gate.release.set()

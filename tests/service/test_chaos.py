@@ -20,6 +20,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 
 import pytest
 
@@ -169,6 +170,32 @@ class TestChaosMatrix:
             assert service.stop(timeout=15)
             assert not service.drain_report.aborted
         assert fsck(store).clean
+
+
+class TestAbortMidEncode:
+    """An abort while the drainer encodes drops the batch uncommitted."""
+
+    def test_abort_while_the_drainer_encodes(self, tmp_path, service_factory,
+                                             encode_gate):
+        store = str(tmp_path / "abort-mid-encode")
+        service, client = service_factory(store=store, drain_batch=2)
+        gate = encode_gate(service)
+        status, _body, _h = client.post("/ingest", INGEST, headers=KEY)
+        assert status == 200
+        assert gate.entered.wait(10)
+        aborter = threading.Thread(target=service.abort, daemon=True)
+        aborter.start()
+        aborter.join(timeout=10)
+        assert not aborter.is_alive(), "abort waited for the encode"
+        assert service.drain_report.aborted
+        gate.release.set()
+        service._drainer.join(timeout=10)
+        assert not service._drainer.is_alive()
+        # Never committed: no results in memory, and the spool still holds
+        # the batch, so the reboot replays it and the retry dedupes.
+        assert service.multi.results("s") == []
+        _assert_store_recovers_exactly_once(service_factory, store,
+                                            expect_duplicate=True)
 
 
 class TestCompressCrash:

@@ -18,6 +18,7 @@ from repro.exceptions import InvalidParameterError
 from repro.faultinject import FaultAction, ServiceFaultAction, active_plan
 from repro.service import (AdmissionController, CircuitBreaker, Deadline,
                            Job, Lifecycle, ServiceConfig, ServiceMetrics)
+from repro.service.server import BACKLOG_BATCHES
 from repro.storage.durable import DurableStore
 
 
@@ -175,6 +176,124 @@ class TestIngestEndpoint:
         status, body, _h = client.get("/streams")
         assert status == 200
         assert body["streams"]["s"]["ingested_points"] == 20
+
+
+# --------------------------------------------------------------------- #
+# the background ingest drainer
+# --------------------------------------------------------------------- #
+def _in_thread(call, *args, **kwargs):
+    """Start ``call`` on a thread; returns (thread, list its result lands in)."""
+    answers: list = []
+    thread = threading.Thread(
+        target=lambda: answers.append(call(*args, **kwargs)), daemon=True)
+    thread.start()
+    return thread, answers
+
+
+class TestIngestDrainer:
+    def test_streams_waits_for_the_drain_in_flight(self, service_factory,
+                                                   encode_gate):
+        service, client = service_factory(drain_batch=2)
+        gate = encode_gate(service)
+        # The request that seals the second chunk is answered while its
+        # drain is still encoding: the encode is off the request path.
+        status, body, _h = client.post("/ingest",
+                                       {"stream": "s", "values": [1.5] * 20})
+        assert status == 200 and body["sealed_chunks"] == 2
+        assert "drained_chunks" not in body
+        assert gate.entered.wait(10)
+        reader, answers = _in_thread(client.get, "/streams")
+        reader.join(timeout=0.3)
+        assert reader.is_alive() and not answers, \
+            "/streams answered while a drain was in flight"
+        gate.release.set()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        status, body, _h = answers[0]
+        assert status == 200 and body["pending_chunks"] == 0
+        assert body["streams"]["s"]["chunks"] == 2
+        assert body["streams"]["s"]["buffered_points"] == 4
+
+    def test_ingest_past_the_backlog_bound_waits(self, service_factory,
+                                                 encode_gate):
+        service, client = service_factory(drain_batch=1)
+        gate = encode_gate(service)
+        one_chunk = {"stream": "s", "values": [2.5] * 8}
+        assert client.post("/ingest", one_chunk)[0] == 200
+        assert gate.entered.wait(10)               # the drainer holds it
+        bound = BACKLOG_BATCHES * service.config.drain_batch
+        for _ in range(bound):
+            assert client.post("/ingest", one_chunk)[0] == 200
+        assert service.multi.pending_chunks == bound
+        # One more waits for the drainer instead of growing the queue...
+        writer, answers = _in_thread(client.post, "/ingest", one_chunk)
+        writer.join(timeout=0.3)
+        assert writer.is_alive() and service.multi.pending_chunks == bound
+        # ...and one whose deadline passes first is refused unapplied.
+        status, body, headers = client.post(
+            "/ingest", one_chunk, headers={"X-Deadline-Ms": "200"})
+        assert status == 503 and "backlog" in body["error"]
+        assert "Retry-After" in headers
+        gate.release.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive() and answers[0][0] == 200
+        status, body, _h = client.get("/streams")
+        assert body["streams"]["s"]["ingested_points"] == 8 * (bound + 2)
+        assert body["pending_chunks"] == 0
+
+    def test_what_stays_pending_does_not_depend_on_timing(
+            self, service_factory, encode_gate):
+        # The drainer takes whole batches, so once ingest stops the barrier
+        # finds sealed chunks modulo drain_batch pending — here none —
+        # however the encodes and the requests interleaved.
+        service, client = service_factory(drain_batch=2)
+        gate = encode_gate(service)
+        one_chunk = {"stream": "s", "values": [3.5] * 8}
+        for _ in range(2):
+            assert client.post("/ingest", one_chunk)[0] == 200
+        assert gate.entered.wait(10)
+        for _ in range(3):                       # sealed during the encode
+            assert client.post("/ingest", one_chunk)[0] == 200
+        gate.release.set()
+        deadline = time.monotonic() + 10
+        while service.multi.pending_chunks == 3 and time.monotonic() < deadline:
+            time.sleep(0.01)                     # the next take happened
+        assert client.post("/ingest", one_chunk)[0] == 200
+        status, body, _h = client.get("/streams")
+        assert status == 200 and body["pending_chunks"] == 0
+        assert body["streams"]["s"]["chunks"] == 6
+
+    def test_drains_show_on_metrics(self, service_factory):
+        _service, client = service_factory(drain_batch=2)
+        client.post("/ingest", {"stream": "s", "values": [1.0] * 20})
+        client.get("/streams")             # returns once the drain committed
+        lines = client.get("/metrics")[1].splitlines()
+        for needle in ("repro_ingest_drains_total 1",
+                       "repro_ingest_pending_chunks 0"):
+            assert needle in lines, f"{needle!r} missing from scrape"
+        assert any(line.startswith("repro_ingest_drain_seconds_total ")
+                   for line in lines)
+
+    def test_a_failed_drainer_is_counted_and_fails_readiness(
+            self, service_factory):
+        service, client = service_factory(drain_batch=1)
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("encoder exploded")
+
+        service.multi.engine.compress = broken
+        assert client.post("/ingest", {"stream": "s", "values": [1.0] * 8},
+                           )[0] == 200
+        service._drainer.join(timeout=10)
+        assert not service._drainer.is_alive()
+        status, body, _h = client.get("/readyz")
+        assert status == 503
+        assert "encoder exploded" in body["drainer_error"]
+        lines = client.get("/metrics")[1].splitlines()
+        assert "repro_ingest_drain_errors_total 1" in lines
+        assert "repro_ready 0" in lines
+        # Nothing waits on a dead drainer: the barrier answers at once.
+        assert client.get("/streams", timeout=5)[0] == 200
 
 
 # --------------------------------------------------------------------- #
@@ -442,6 +561,7 @@ class TestMetricsEndpoint:
             "repro_idempotent_duplicates_total 1",
             "repro_queue_depth 0",
             "repro_ready 1",
+            "repro_ingest_pending_chunks 2",
         )
         for needle in wanted:
             assert needle in lines, f"{needle!r} missing from scrape"

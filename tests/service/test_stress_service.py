@@ -14,6 +14,10 @@ hold:
 * idempotent ingests are applied exactly once: however many retries a
   crash forces, a final reboot sees every key's batch exactly once.
 
+The long-ingest soak holds the drainer's bound instead: many clients
+out-ingesting a slowed encode never queue more than ``BACKLOG_BATCHES``
+batches of sealed chunks, and lose or repeat no value.
+
 A failing seed replays exactly: the plan is a pure function of the seed.
 """
 
@@ -22,7 +26,9 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -31,7 +37,9 @@ import pytest
 
 from repro.faultinject import active_plan, random_service_plan
 from repro.service import CompressionService, ServiceConfig
+from repro.service.server import BACKLOG_BATCHES
 from repro.storage.recovery import fsck
+from repro.streaming import MultiStreamCompressor
 
 STRESS_SEEDS = tuple(range(12))
 
@@ -109,6 +117,71 @@ def test_service_chaos_soak(seed, tmp_path):
         assert status == 200 and body["duplicate"], (key, status, body)
     assert service.stop(timeout=15)
     assert fsck(store).clean
+
+
+@pytest.mark.stress
+def test_long_ingest_soak_bounds_the_backlog(tmp_path):
+    """More clients than cores out-ingest a slowed drainer for a long run:
+    the pending backlog never passes its bound, and every acked value is
+    emitted or left in the spool exactly once."""
+    store = str(tmp_path / "store")
+    service = CompressionService(ServiceConfig(
+        port=0, workers=4, chunk_size=8, drain_batch=2, queue_depth=32,
+        default_deadline=30.0, store=store))
+    multi = service.multi
+    encode, add = multi.engine.compress, multi.add
+    peak = [0]
+
+    def slow_encode(*args, **kwargs):
+        time.sleep(0.02)
+        return encode(*args, **kwargs)
+
+    def tracked_add(*args, **kwargs):
+        sealed = add(*args, **kwargs)
+        peak[0] = max(peak[0], multi.pending_chunks)
+        return sealed
+
+    multi.engine.compress, multi.add = slow_encode, tracked_add
+    service.start()
+    threading.Thread(target=service.serve_forever, daemon=True).start()
+    streams, requests = 6, 250
+    acked: dict[str, list[float]] = {f"s{i}": [] for i in range(streams)}
+
+    def client(stream: str, offset: int) -> None:
+        for request in range(requests):
+            # One chunk's worth per request: each add seals at most one.
+            values = [float(offset + request * 8 + k) for k in range(8)]
+            outcome = _post(service.port, "/ingest",
+                            {"stream": stream, "values": values}, {})
+            assert outcome is not None and outcome[0] == 200, outcome
+            acked[stream].extend(values)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(name, i * 10**6))
+                   for i, name in enumerate(acked)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    bound = BACKLOG_BATCHES * service.config.drain_batch
+    assert service.config.drain_batch < peak[0] <= bound, peak[0]
+    assert all(len(values) == 8 * requests for values in acked.values())
+    assert (service.stream_summary()["pending_chunks"]
+            < service.config.drain_batch)
+    assert service.stop(timeout=30)
+
+    emitted = {name: multi.reconstruct(name).tolist() for name in acked}
+    with MultiStreamCompressor(8, "gorilla", spool_to=store) as rebooted:
+        rebooted.replay_spool()
+        rebooted.flush()
+        for name, values in acked.items():
+            assert emitted[name] + rebooted.reconstruct(name).tolist() \
+                == values, name
 
 
 @pytest.mark.stress

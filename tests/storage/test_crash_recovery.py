@@ -230,18 +230,25 @@ def test_crash_during_recovery_checkpoint_is_survivable(tmp_path):
 # ``MultiStreamCompressor(spool_to=...)`` layers an ordering protocol on the
 # store: split boundaries and idempotency intents durable before the values
 # they describe, applied flips durable before a reset invalidates their
-# positions, a stream's spool cut back only after the drain that emitted its
-# chunks.  The same kill-at-every-hit loop runs that protocol.
+# positions, a stream's spool cut back only after the commit that emitted
+# its chunks, and cut to the undrained tail — chunks sealed while the batch
+# encoded included.  The same kill-at-every-hit loop runs that protocol.
 
 SPOOL_CHUNK = 8
 
 #: ``(op, stream, count-or-pattern, idempotency key)``; a pattern marks
 #: where NaNs (split boundaries under the policy) sit among the values.
+#: ``drain`` is take → encode → commit in one op; ``take`` ... ``commit``
+#: spreads them over ops, so the adds between them seal chunks while the
+#: taken batch is out encoding, as they do beside the service's drainer.
 _KEYED_OPS = (
     ("add", "a", 3, None), ("add", "a", 4, "k1"), ("add", "b", 5, None),
     ("add", "b", 6, "k2"), ("add", "a", 5, None), ("drain", None, 0, None),
     ("add", "a", 4, "k3"), ("add", "b", 2, None), ("drain", None, 0, None),
     ("add", "a", 3, None), ("add", "b", 7, "k4"), ("add", "a", 6, "k5"),
+    # b seals a full chunk during the encode; a only buffers.
+    ("take", None, 0, None), ("add", "b", 6, "k6"), ("add", "a", 3, None),
+    ("commit", None, 0, None), ("add", "a", 2, "k7"),
 )
 _SPLIT_OPS = (
     ("add", "a", "vvv", None), ("add", "a", "vv_vv", None),
@@ -249,6 +256,13 @@ _SPLIT_OPS = (
     ("add", "a", "v_vv", None), ("add", "b", "vvv", None),
     ("add", "a", "vvvv_v", None), ("drain", None, 0, None),
     ("add", "b", "vv_vvvvvv", None), ("add", "a", "vv", None),
+    # During the encode a seals a short chunk at a split, then a full one
+    # (its commit advances the watermark); b seals two full chunks (its
+    # commit resets the spool to them plus the buffer).
+    ("add", "a", "vvvvv", None), ("take", None, 0, None),
+    ("add", "a", "vvv_vvvvvvvvvv", None), ("add", "b", "vvvvvvvvvvv", None),
+    ("commit", None, 0, None), ("add", "a", "vv", None),
+    ("drain", None, 0, None), ("add", "a", "v_vv", None),
 )
 
 
@@ -274,23 +288,26 @@ def _spool_compressor(directory, policy):
 
 def _run_spool_workload(directory, ops, policy):
     """Returns (compressor, acked ops, in-flight op, values of the chunks
-    the in-flight drain was emitting per stream)."""
+    the taken-but-uncommitted batch held per stream)."""
     acked, in_flight, draining = [], None, {}
-    multi = None
+    multi = batch = None
     try:
         in_flight = ("open", None, None, None)
         multi = _spool_compressor(directory, policy)
         for in_flight in _spool_ops(ops):
             op, stream, values, key = in_flight
-            if op == "drain":
+            if op in ("drain", "take"):
+                batch = multi.take()
+                assert multi.pending_chunks == 0
                 draining = {}
-                for name, chunk in multi._pending:
+                for name, chunk in batch:
                     draining.setdefault(name, []).extend(chunk.tolist())
-                multi.drain()
+            if op in ("drain", "commit"):
+                multi.commit(batch, multi.encode(batch))
                 draining = {}
-            elif key is None:
+            elif op == "add" and key is None:
                 multi.add(stream, values)
-            else:
+            elif op == "add":
                 multi.add_idempotent(stream, values, key)
             acked.append(in_flight)
         in_flight = ("close", None, None, None)

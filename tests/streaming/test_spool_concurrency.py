@@ -1,8 +1,9 @@
 """Concurrency coverage for the WAL spool: replay vs live ingest.
 
 The service serializes every touch of its shared
-:class:`~repro.streaming.MultiStreamCompressor` behind one lock; these
-tests pin down the contracts that discipline relies on:
+:class:`~repro.streaming.MultiStreamCompressor`'s state behind one lock
+(only a drain's encode runs outside it); these tests pin down the contracts
+that discipline relies on:
 
 * ``replay_spool`` is a *boot-time* operation — it refuses to run once
   live ingestion has started, so a replay can never interleave with

@@ -119,6 +119,44 @@ class TestBoundedLog:
                 assert np.array_equal(store.read(stream), values)
 
 
+class TestUndrainedTail:
+    """A commit cuts each drained stream back to what is still undrained:
+    the chunks sealed while its batch encoded, then the buffer."""
+
+    def test_retained_full_chunks_are_reset_into_the_log(self, tmp_path):
+        with MultiStreamCompressor(4, "raw",
+                                   spool_to=tmp_path / "spool") as multi:
+            multi.add("s", [1.0, 2.0, 3.0, 4.0])
+            batch = multi.take()
+            multi.add("s", [5.0, 6.0, 7.0, 8.0, 9.0])   # seals mid-encode
+            multi.commit(batch, multi.encode(batch))
+            assert multi.pending_chunks == 1
+            assert multi.spool.read("s").tolist() == [5, 6, 7, 8, 9]
+            assert multi.spool.metadata("s") == {}
+
+    def test_a_retained_short_chunk_keeps_its_split(self, tmp_path):
+        from repro.sanitize import InputPolicy
+
+        policy = InputPolicy(on_nan="split")
+        spool = tmp_path / "spool"
+        with MultiStreamCompressor(4, "raw", policy=policy,
+                                   spool_to=spool) as multi:
+            multi.add("s", [1.0, 2.0, 3.0, 4.0])
+            batch = multi.take()
+            multi.add("s", [5.0, np.nan, 6.0])          # seals [5] mid-encode
+            multi.commit(batch, multi.encode(batch))
+            # A reset would drop the split at 5: the watermark keeps it.
+            assert multi.spool.metadata("s") == {"drained": 4, "splits": [5]}
+        with MultiStreamCompressor(4, "raw", policy=policy,
+                                   spool_to=spool) as again:
+            assert again.replay_spool() == 2
+            again.flush()
+            assert [r.length for r in again.results("s")] == [1, 1]
+            again.add("s", [7.0, 8.0, 9.0, 10.0])
+            again.drain()                               # nothing short left
+            assert again.spool.metadata("s") == {}
+
+
 class TestParentLayout:
     """A spool written before it became a log: raw segment files, a
     ``drained`` watermark and ``splits`` in the manifest's series metadata,

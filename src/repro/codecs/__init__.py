@@ -46,7 +46,6 @@ from .adapters import (
 from .serialize import (
     block_from_document,
     block_to_document,
-    load_block_json,
     save_block_json,
 )
 
@@ -72,5 +71,4 @@ __all__ = [
     "block_to_document",
     "block_from_document",
     "save_block_json",
-    "load_block_json",
 ]

@@ -54,7 +54,6 @@ __all__ = [
     "block_to_document",
     "block_from_document",
     "save_block_json",
-    "load_block_json",
     "pack_block",
     "unpack_block",
     "BLOCK_FORMAT",
@@ -217,16 +216,6 @@ def save_block_json(block: CompressedBlock, path, *,
     document = block_to_document(block, materialize=materialize)
     path.write_text(json.dumps(document), encoding="utf-8")
     return path
-
-
-def load_block_json(path) -> CompressedBlock:
-    """Read a block document written by :func:`save_block_json`."""
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DecompressionError(f"cannot read codec block from {path}: {exc}") from exc
-    return block_from_document(document)
 
 
 # ---------------------------------------------------------------------- #

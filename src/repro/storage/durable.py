@@ -29,11 +29,13 @@ Durability contract
 * Sealed segments and the manifest are updated *after* the WAL, via
   tmp-file → fsync → rename → directory fsync, so a crash at any point
   leaves either the old or the new state, never a torn hybrid.
-* A checkpoint (triggered by sealing, ``flush``, or a shard's WAL
-  generation outgrowing :data:`WAL_CHECKPOINT_BYTES`) rotates the shard
-  WAL to a fresh generation holding only the current buffers; the manifest
-  references segment files by name + checksum and the WAL generation, so
-  recovery replays exactly the not-yet-sealed tail.
+* Sealing happens in memory; the values it sealed stay in the shard WAL
+  until a checkpoint (``flush``, ``close``, or a shard's WAL generation
+  outgrowing :data:`WAL_CHECKPOINT_BYTES`) publishes every sealed segment
+  of its shards and rotates each shard WAL to a fresh generation holding
+  only the current buffers.  The manifest references segment files by
+  name + checksum and the WAL generation, so recovery replays exactly
+  what the manifest does not hold, re-sealing as it goes.
 * A *log series* (``create_series(..., log=True)``) never seals: its
   values live only in the shard WAL and the in-memory buffer, an append
   costs its one WAL record, and :meth:`DurableStore.reset` replaces its
@@ -82,6 +84,7 @@ from .persistence import (
     DURABLE_FORMAT_VERSION,
     MANIFEST_NAME,
     _codec_spec,
+    _fsync_dir,
     _segment_from_document,
     _store_from_manifest,
 )
@@ -194,18 +197,6 @@ def _series_slug(name: str) -> str:
     cleaned = "".join(ch if ch.isalnum() or ch in "._-" else "_"
                       for ch in name)[:40] or "series"
     return f"{cleaned}-{crc32c_hex(name.encode('utf-8'))[:8]}"
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a rename inside it survives power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platforms without dir fds
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _merge_metadata(metadata: dict, updates: dict) -> None:
@@ -353,9 +344,9 @@ class DurableStore:
         """Durably append values; returns the number of segments sealed.
 
         The values are acknowledged once they are in the shard WAL (fsynced
-        under ``fsync_policy="always"``); sealing and the manifest swap
-        happen after, and a crash anywhere in between is recovered by WAL
-        replay on the next open.  A log series never seals (returns 0).
+        under ``fsync_policy="always"``).  Sealing happens in memory: the
+        next checkpoint publishes the segments, and until then WAL replay
+        re-seals them on open.  A log series never seals (returns 0).
         """
         self._check_open()
         name = str(name)
@@ -367,7 +358,7 @@ class DurableStore:
         values = as_float_array(values, name="values")
         self._log(name, values=values)
         sealed = self._apply_values(name, values)
-        self._checkpoint_if_due(name, force=bool(sealed))
+        self._checkpoint_if_due(name)
         return sealed
 
     def reset(self, name, values=()) -> None:
@@ -386,19 +377,16 @@ class DurableStore:
         self._checkpoint_if_due(name, force=self._apply_reset(name, values))
 
     def flush(self, name: str | None = None) -> int:
-        """Seal buffered values into (possibly short) segments, durably."""
+        """Seal buffered values into (possibly short) segments and publish
+        every sealed segment of their shards, durably."""
         self._check_open()
         names = [str(name)] if name is not None else self.list_series()
-        shards: set[str] = set()
         sealed = 0
         for series_name in names:
             state = self._memory._state(series_name)  # noqa: SLF001
-            if not state.buffer or series_name in self._logs:
-                continue
-            sealed += self._memory.flush(series_name)
-            shards.add(self._series_shard[series_name])
-        if shards:
-            self._checkpoint(shards)
+            if state.buffer and series_name not in self._logs:
+                sealed += self._memory.flush(series_name)
+        self._publish(names)
         return sealed
 
     # ------------------------------------------------------------------ #
@@ -493,10 +481,18 @@ class DurableStore:
             wal.sync()
 
     def close(self) -> None:
-        """Close WAL handles and release the store lock.  Buffers stay
-        durable in the WAL."""
+        """Publish every sealed segment, close WAL handles and release the
+        store lock.  Buffers stay durable in the WAL."""
         if self._closed:
             return
+        try:
+            self._publish(self.list_series())
+        finally:
+            self._abandon()
+
+    def _abandon(self) -> None:
+        """Close without publishing, as a process death would: the WAL
+        holds every acknowledged value and the next open replays it."""
         for wal in self._wals.values():
             wal.close()
         self._wals.clear()
@@ -506,8 +502,13 @@ class DurableStore:
     def __enter__(self) -> "DurableStore":
         return self
 
-    def __exit__(self, *_exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *_exc) -> None:
+        # An exception on the way out (an injected crash above all) is not
+        # a graceful close: publish nothing and leave it to recovery.
+        if exc_type is None:
+            self.close()
+        else:
+            self._abandon()
 
     def __del__(self):  # pragma: no cover - GC safety net
         self._release_lock()
@@ -630,6 +631,15 @@ class DurableStore:
                      > floor + max(WAL_CHECKPOINT_BYTES, floor)):
             self._checkpoint({shard})
 
+    def _publish(self, names) -> None:
+        """Checkpoint the shards of ``names`` that hold sealed segments no
+        manifest references yet."""
+        shards = {self._series_shard[name] for name in names
+                  if len(self._memory._state(name).segments)  # noqa: SLF001
+                  > len(self._refs[name])}
+        if shards:
+            self._checkpoint(shards)
+
     def _atomic_write(self, relpath: str, data: bytes, site: str) -> None:
         """tmp-file → fsync → rename → dir fsync, with fault hooks."""
         final = self.directory / relpath
@@ -682,42 +692,39 @@ class DurableStore:
             "series": series_documents,
         }
 
-    def _write_manifest(self) -> None:
-        """Atomic manifest swap, preserving the previous one as fallback."""
-        payload = json.dumps(self._manifest_document(), sort_keys=True,
-                             default=float).encode("utf-8")
-        final = self.directory / MANIFEST_NAME
-        if final.exists():
-            # Keep the last-known-good manifest: a torn publication of the
-            # new one (non-atomic rename, injected torn_write) must not
-            # leave the store unopenable.  Verify the current manifest
-            # first — copying externally corrupted bytes over a good
-            # fallback would destroy the last recovery path.
-            document, _reason = self._parse_manifest_file(final)
-            if document is not None:
-                prev = self.directory / PREV_MANIFEST_NAME
-                with open(prev, "wb") as handle:
-                    handle.write(final.read_bytes())
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        self._atomic_write(MANIFEST_NAME, attach_footer(payload)[0],
-                           site="manifest_write")
-        # Files the published manifest no longer references.
+    def _write_manifest(self) -> int:
+        """Atomic manifest swap, then its fallback copy, then cleanup.
+
+        ``manifest.json.prev`` is written from the bytes just published,
+        never re-read from disk, so corrupt bytes cannot reach the
+        fallback a torn or corrupt manifest is recovered from.  Only once
+        both name the current WAL generations are retired segment files
+        and older generations removed — after a crash before the ``.prev``
+        write, the generations a fallback to it replays stay on disk.
+        Returns the number of WAL files removed.
+        """
+        data = attach_footer(json.dumps(
+            self._manifest_document(), sort_keys=True,
+            default=float).encode("utf-8"))[0]
+        self._atomic_write(MANIFEST_NAME, data, site="manifest_write")
+        with open(self.directory / PREV_MANIFEST_NAME, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         while self._garbage:
             try:
                 (self.directory / self._garbage.pop()).unlink()
             except OSError:  # pragma: no cover - already gone
                 pass
+        return self._prune_wals()
 
-    def _rotate_wal(self, shard: str) -> int:
+    def _rotate_wal(self, shard: str) -> None:
         """Write the next WAL generation holding only current buffers.
 
-        Returns the superseded generation number.  The new generation is
-        not referenced until the following manifest swap, so a crash here
-        is invisible to recovery.
+        The new generation is not referenced until the following manifest
+        swap, so a crash here is invisible to recovery.
         """
-        old_generation = self._generations[shard]
-        new_generation = old_generation + 1
+        new_generation = self._generations[shard] + 1
         records: list[WalRecord] = []
         for name in self._memory.list_series():
             if self._series_shard[name] != shard:
@@ -745,23 +752,20 @@ class DurableStore:
             self._wals.pop(shard).close()
         self._generations[shard] = new_generation
         self._wal_floor[shard] = len(blob)
-        return old_generation
 
-    def _prune_wals(self, shard: str) -> int:
-        """Remove WAL generations older than current-1 (best effort).
+    def _wal_files(self, shard: str = "*"):
+        """``(shard, generation, path)`` of each WAL file on disk."""
+        for path in (self.directory / WAL_DIR).glob(f"shard-{shard}.*.wal"):
+            name, _, generation = path.name[:-len(".wal")].partition(".")
+            if generation.isdigit():
+                yield name[len("shard-"):], int(generation), path
 
-        The previous generation is kept because ``manifest.json.prev`` may
-        still reference it.
-        """
-        keep = {self._generations[shard], self._generations[shard] - 1}
+    def _prune_wals(self) -> int:
+        """Remove every WAL generation older than its shard's current one
+        (best effort); only called once both manifests name the current."""
         removed = 0
-        wal_dir = self.directory / WAL_DIR
-        for path in wal_dir.glob(f"shard-{shard}.*.wal"):
-            try:
-                generation = int(path.name.rsplit(".", 2)[-2])
-            except ValueError:  # pragma: no cover - foreign file
-                continue
-            if generation not in keep:
+        for shard, generation, path in self._wal_files():
+            if generation < self._generations.get(shard, -1):
                 try:
                     path.unlink()
                     removed += 1
@@ -769,8 +773,9 @@ class DurableStore:
                     pass
         return removed
 
-    def _checkpoint(self, shards: set[str]) -> None:
-        """Persist sealed segments, rotate WALs, swap the manifest."""
+    def _checkpoint(self, shards: set[str]) -> int:
+        """Persist sealed segments, rotate WALs, swap the manifest; returns
+        the number of WAL files pruned."""
         for name in self._memory.list_series():
             if self._series_shard[name] not in shards:
                 continue
@@ -778,11 +783,9 @@ class DurableStore:
             refs = self._refs[name]
             for segment in state.segments[len(refs):]:
                 refs.append(self._write_segment(name, segment))
-        superseded = {shard: self._rotate_wal(shard)
-                      for shard in sorted(shards)}
-        self._write_manifest()
-        for shard in superseded:
-            self._prune_wals(shard)
+        for shard in sorted(shards):
+            self._rotate_wal(shard)
+        return self._write_manifest()
 
     # ------------------------------------------------------------------ #
     # recovery
@@ -819,12 +822,13 @@ class DurableStore:
             self._migrate_v2()
         dirty = (bool(report.quarantined) or used_prev
                  or report.removed_tmp_files > 0 or version == 2)
+        # A clean, untouched open writes nothing and so prunes nothing: a
+        # ``.prev`` left behind by a crash keeps every generation a fallback
+        # to it would replay.
         if touched:
-            self._checkpoint(touched)
+            report.removed_stale_wals = self._checkpoint(touched)
         elif dirty:
-            self._write_manifest()
-        report.removed_stale_wals = sum(
-            self._prune_wals(shard) for shard in self._generations)
+            report.removed_stale_wals = self._write_manifest()
 
     def _remove_tmp_files(self) -> int:
         removed = 0
@@ -1047,16 +1051,6 @@ class DurableStore:
             position += length
         state.segments.sort(key=lambda segment: segment.start)
 
-    def _on_disk_generations(self, shard: str) -> list[int]:
-        """Sorted WAL generation numbers present on disk for ``shard``."""
-        generations = []
-        for path in (self.directory / WAL_DIR).glob(f"shard-{shard}.*.wal"):
-            try:
-                generations.append(int(path.name.rsplit(".", 2)[-2]))
-            except ValueError:  # pragma: no cover - foreign file
-                continue
-        return sorted(generations)
-
     def _replay_wals(self, report: RecoveryReport) -> set[str]:
         """Replay every shard's WAL chain, oldest generation first.
 
@@ -1078,9 +1072,9 @@ class DurableStore:
         touched: set[str] = set()
         for shard in sorted(self._generations):
             referenced = self._generations[shard]
-            newer = [generation
-                     for generation in self._on_disk_generations(shard)
-                     if generation > referenced]
+            newer = sorted(generation
+                           for _, generation, _ in self._wal_files(shard)
+                           if generation > referenced)
             last_sequence = -1
             broken = False
             for position, generation in enumerate([referenced, *newer]):

@@ -99,6 +99,18 @@ def _segment_from_document(document: dict, codec) -> Segment:
     return Segment(int(document["start"]), chunk, codec, summary=summary)
 
 
+def _fsync_dir(path: Path) -> None:
+    """fsync a directory so a rename inside it survives power loss."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platforms without dir fds
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     """tmp-file → fsync → rename → directory fsync."""
     tmp = path.with_name(path.name + ".tmp")
@@ -107,14 +119,7 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    try:
-        fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platforms without dir fds
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    _fsync_dir(path.parent)
 
 
 # ---------------------------------------------------------------------- #

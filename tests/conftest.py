@@ -64,6 +64,25 @@ def kernel_tier(request):
         _kernels.set_native_enabled(None)
 
 
+@pytest.fixture
+def io_counts(monkeypatch):
+    """Count ``os.fsync`` calls and ``os.replace`` onto ``manifest.json``."""
+    counts = {"fsyncs": 0, "manifest_swaps": 0}
+    fsync, replace = os.fsync, os.replace
+
+    def counting_fsync(fd):
+        counts["fsyncs"] += 1
+        return fsync(fd)
+
+    def counting_replace(source, target, **kwargs):
+        counts["manifest_swaps"] += os.path.basename(target) == "manifest.json"
+        return replace(source, target, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """Session-wide deterministic random generator."""

@@ -5,12 +5,13 @@ after a crash injected at *any* registered storage fault site — at every
 hit of that site the workload produces — the reopened store reads
 bit-identical to the last acknowledged durable state.
 
-The harness runs a fixed workload (creates, appends that seal segments
-and trigger checkpoints, a final flush) under a plan that crashes at the
-``k``-th hit of one site, for every ``k`` until the workload completes
-without crashing.  Acknowledged operations must all survive; the one
-in-flight operation may additionally survive exactly when the crash site
-lies past the WAL acknowledgement point.
+The harness runs a fixed workload (creates, appends that seal segments, a
+final flush that publishes them — and, with ``WAL_CHECKPOINT_BYTES``
+shrunk, WAL-size checkpoints between the appends) under a plan that
+crashes at the ``k``-th hit of one site, for every ``k`` until the
+workload completes without crashing.  Acknowledged operations must all
+survive; the one in-flight operation may additionally survive exactly
+when the crash site lies past the WAL acknowledgement point.
 """
 
 import shutil
@@ -24,6 +25,7 @@ from repro.faultinject import (
     InjectedCrash,
     StorageFaultAction,
     active_plan,
+    inject_bit_flip,
 )
 from repro.storage import DurableStore
 
@@ -110,8 +112,17 @@ def _check_recovery(directory, acked, in_flight, site):
     second.close()
 
 
+@pytest.mark.parametrize("checkpoint_bytes", [None, 100],
+                         ids=["steady", "checkpointing"])
 @pytest.mark.parametrize("site", STORAGE_SITES)
-def test_kill_at_every_syncpoint(site, tmp_path):
+def test_kill_at_every_syncpoint(site, checkpoint_bytes, tmp_path,
+                                 monkeypatch):
+    if checkpoint_bytes is not None:
+        # Sealing publishes nothing by itself, so the steady workload
+        # checkpoints only at its flush: make WAL-size checkpoints land
+        # between the appends too.
+        monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES",
+                            checkpoint_bytes)
     crash_points = 0
     for k in range(200):
         directory = tmp_path / f"{site}-{k}"
@@ -126,6 +137,31 @@ def test_kill_at_every_syncpoint(site, tmp_path):
     else:
         pytest.fail(f"site {site} fired more than 200 times")
     assert crash_points > 0, f"site {site} never fired during the workload"
+
+
+def test_kill_between_manifest_rename_and_prev_write(tmp_path, monkeypatch):
+    """Each such crash leaves ``manifest.json.prev`` one swap behind.  The
+    reopened store reads the acknowledged state, and so does a fallback to
+    that ``.prev`` when the live manifest is corrupted afterwards: the WAL
+    generation it names was not pruned."""
+    monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES", 100)
+    crash_points = 0
+    for k in range(200):
+        directory = tmp_path / f"live-{k}"
+        with active_plan([StorageFaultAction(
+                kind="crash", site="after_rename", target="manifest.json",
+                skip_hits=k)]):
+            acked, in_flight, crashed = _run_workload(directory)
+        if not crashed:
+            break
+        crash_points += 1
+        fallback = shutil.copytree(directory, tmp_path / f"fallback-{k}")
+        _check_recovery(directory, acked, in_flight, "after_rename")
+        inject_bit_flip(fallback / "manifest.json", 400)
+        _check_recovery(fallback, acked, in_flight, "after_rename")
+    else:
+        pytest.fail("the manifest was renamed more than 200 times")
+    assert crash_points >= 8
 
 
 @pytest.mark.parametrize("site", ["wal_append", "wal_compact",

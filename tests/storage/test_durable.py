@@ -1,12 +1,19 @@
 """DurableStore: round trips, recovery, quarantine, migration, spool."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import SeriesNotFoundError, StorageError
 from repro.faultinject import (
+    InjectedCrash,
     InjectedFault,
     StorageFaultAction,
     active_plan,
@@ -33,6 +40,12 @@ def root(tmp_path):
 
 def _values(n, seed=0):
     return np.round(np.random.default_rng(seed).normal(size=n), 3)
+
+
+def _crash_after_manifest_rename():
+    """A crash between the manifest rename and the ``.prev`` write."""
+    return active_plan([StorageFaultAction(kind="crash", site="after_rename",
+                                           target="manifest.json")])
 
 
 class TestFooter:
@@ -150,6 +163,146 @@ class TestRoundTrip:
             store.append("a", _values(20))
         with DurableStore.open(root) as reopened:
             assert reopened.length("a") == 20
+
+
+_DIE_BEFORE_CLOSE = """
+import os, sys
+import numpy as np
+from repro.storage import DurableStore
+store = DurableStore.create(sys.argv[1], default_segment_size=8)
+store.create_series("a", codec="raw")
+values = np.load(sys.argv[2])
+for start in range(0, values.size, 5):
+    store.append("a", values[start:start + 5])
+os._exit(0)
+"""
+
+
+class TestPublication:
+    """Sealing is in memory; ``flush``, ``close`` and oversize WALs publish."""
+
+    def test_a_sealing_append_costs_its_one_wal_fsync(self, root, io_counts):
+        with DurableStore.create(root, default_segment_size=8) as store:
+            store.create_series("a", codec="raw")
+            io_counts.update(fsyncs=0, manifest_swaps=0)
+            assert store.append("a", _values(16)) == 2
+            assert io_counts == {"fsyncs": 1, "manifest_swaps": 0}
+            assert not list(root.glob("segments/*/*/seg-*.seg"))
+            # Nothing is buffered, and flush still publishes both.
+            assert store.flush() == 0
+            assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 2
+
+    def test_close_publishes_every_sealed_segment(self, root):
+        data = {f"s{i}": _values(20, seed=i) for i in range(4)}
+        with DurableStore.create(root, default_segment_size=8,
+                                 shards=2) as store:
+            for name, values in data.items():
+                store.create_series(name, codec="raw")
+                assert store.append(name, values) == 2
+        assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 8
+        shards = [path.name.split(".")[0]
+                  for path in (root / "wal").glob("*.wal")]
+        assert len(shards) == len(set(shards))   # one generation a shard
+        assert ((root / "manifest.json").read_bytes()
+                == (root / "manifest.json.prev").read_bytes())
+        with DurableStore.open(root) as reopened:
+            report = reopened.recovery
+            assert report.clean and report.resealed_segments == 0
+            assert report.segments_verified == 8
+            assert report.replayed_records == 4   # the buffered tails
+            for name, values in data.items():
+                assert np.array_equal(reopened.read(name), values)
+
+    def test_process_death_before_close_reopens_bit_identical(self, root,
+                                                              tmp_path):
+        values = _values(61)
+        np.save(tmp_path / "values.npy", values)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _DIE_BEFORE_CLOSE, str(root),
+                        str(tmp_path / "values.npy")],
+                       env=env, check=True, timeout=120)
+        assert not list(root.glob("segments/*/*/seg-*.seg"))
+        with DurableStore.open(root) as store:
+            assert store.recovery.clean
+            assert store.recovery.resealed_segments == 7
+            assert np.array_equal(store.read("a"), values)
+        with DurableStore.open(root) as again:
+            assert again.recovery.clean
+            assert again.recovery.resealed_segments == 0
+            assert np.array_equal(again.read("a"), values)
+
+    def test_exit_on_an_injected_crash_publishes_nothing(self, root,
+                                                         io_counts):
+        with DurableStore.create(root, default_segment_size=8) as store:
+            store.create_series("a", codec="raw")
+        manifest = (root / "manifest.json").read_bytes()
+        with pytest.raises(InjectedCrash):
+            with DurableStore.open(root) as store:
+                store.append("a", _values(20))
+                io_counts.update(fsyncs=0, manifest_swaps=0)
+                raise InjectedCrash("process death")
+        # The WAL handle's close, nothing more.
+        assert io_counts == {"fsyncs": 1, "manifest_swaps": 0}
+        assert (root / "manifest.json").read_bytes() == manifest
+        assert not list(root.glob("segments/*/*/seg-*.seg"))
+        with DurableStore.open(root) as store:   # the lock was released
+            assert store.recovery.resealed_segments == 2
+            assert np.array_equal(store.read("a"), _values(20))
+
+    def test_a_simulated_process_death_runs_nothing(self, root, io_counts):
+        store = DurableStore.create(root, default_segment_size=8)
+        store.create_series("a", codec="raw")
+        store.append("a", _values(20))
+        io_counts.update(fsyncs=0, manifest_swaps=0)
+        del store                  # dropped, never closed
+        gc.collect()
+        assert io_counts == {"fsyncs": 0, "manifest_swaps": 0}
+        assert not list(root.glob("segments/*/*/seg-*.seg"))
+        with DurableStore.open(root) as store:
+            assert store.recovery.resealed_segments == 2
+            assert np.array_equal(store.read("a"), _values(20))
+
+    def test_an_oversize_wal_publishes_sealed_segments(self, root,
+                                                       monkeypatch):
+        monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES", 500)
+        with DurableStore.create(root, default_segment_size=8,
+                                 shards=1) as store:
+            store.create_series("a", codec="raw")
+            for i in range(10):
+                store.append("a", _values(6, seed=i))   # ~80 B a record
+            published = len(list(root.glob("segments/*/*/seg-*.seg")))
+            assert 0 < published < store.info("a").segments
+            store.flush()
+            assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 8
+
+    def test_a_lagging_prev_keeps_every_generation_it_may_need(self, root):
+        # Two handles in a row die between the manifest rename and the
+        # .prev write, so .prev is two swaps behind; a clean open in
+        # between writes nothing and prunes nothing.
+        values = _values(40)
+        for part in (values[:20], values[20:]):
+            with pytest.raises(InjectedCrash):
+                with DurableStore.open(root, create=True,
+                                       default_segment_size=8) as store:
+                    if "a" not in store:
+                        store.create_series("a", codec="raw")
+                    store.append("a", part)
+                    with _crash_after_manifest_rename():
+                        store.flush()
+        DurableStore.open(root).close()
+        assert len(list((root / "wal").glob("*.wal"))) == 3
+        inject_bit_flip(root / "manifest.json", 400)
+        with DurableStore.open(root) as store:
+            assert store.recovery.used_prev_manifest
+            assert store.recovery.extra_wal_generations == 2
+            assert np.array_equal(store.read("a"), values)
+        # That recovery published both manifests: only its generation stays.
+        assert len(list((root / "wal").glob("*.wal"))) == 1
+        with DurableStore.open(root) as store:
+            assert store.recovery.clean
+            assert np.array_equal(store.read("a"), values)
 
 
 class TestQuarantine:
@@ -295,6 +448,19 @@ class TestManifestFallback:
         assert report.used_prev_manifest and report.corruption_found
         assert fsck(root).clean
 
+    def test_torn_publication_never_reaches_prev(self, root):
+        values = _values(20)
+        with DurableStore.create(root, default_segment_size=8) as store:
+            store.create_series("z", codec="raw")
+            store.append("z", values)
+            with active_plan([StorageFaultAction(kind="torn_write",
+                                                 site="manifest_write")]):
+                store.flush()   # half of the last manifest reaches the disk
+        store, report = recover(root)
+        assert report.used_prev_manifest and report.segments_verified == 3
+        assert np.array_equal(store.read("z"), values)
+        store.close()
+
     def test_both_manifests_gone_raises(self, root):
         with DurableStore.create(root) as store:
             store.create_series("z", codec="raw")
@@ -304,13 +470,21 @@ class TestManifestFallback:
             DurableStore.open(root)
 
     def test_fallback_replays_newer_wal_generations(self, root):
-        # manifest.json.prev lags behind the current WAL generation;
-        # appends acknowledged after the fallback manifest was published
-        # must still be replayed, not pruned or overwritten.
+        # A crash between the manifest rename and the .prev write leaves
+        # manifest.json.prev behind the current WAL generation; appends
+        # acknowledged after the fallback manifest was published must
+        # still be replayed, not pruned or overwritten.
         head, tail = np.arange(10.0), np.array([100.0, 101.0, 102.0])
-        with DurableStore.create(root, default_segment_size=8) as store:
-            store.create_series("z", codec="raw")
-            store.append("z", head)  # seals a segment -> WAL rotation
+        with pytest.raises(InjectedCrash):
+            with DurableStore.create(root, default_segment_size=8) as store:
+                store.create_series("z", codec="raw")
+                store.append("z", head)   # seals a segment in memory
+                with _crash_after_manifest_rename():
+                    store.flush()         # publishes, rotates the WAL, dies
+        assert ((root / "manifest.json").read_bytes()
+                != (root / "manifest.json.prev").read_bytes())
+        with DurableStore.open(root) as store:
+            assert store.recovery.clean
             store.append("z", tail)  # lands in the newer generation
         inject_bit_flip(root / "manifest.json", 400)
         store, report = recover(root)
@@ -533,8 +707,9 @@ class TestLogSeries:
         values = _values(20, seed=3)
         with DurableStore.create(root, default_segment_size=8) as store:
             store.create_series("a", codec="raw", metadata={"drained": 16})
-            store.append("a", values)                 # two segment files
-            assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 2
+            store.append("a", values)
+            store.flush()                             # three segment files
+            assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 3
             store.reset("a", values[16:])
             assert not list(root.glob("segments/*/*/seg-*.seg"))
             assert store.append("a", values[:12]) == 0
@@ -550,13 +725,14 @@ class TestLogSeries:
         store = DurableStore.create(root, default_segment_size=8)
         store.create_series("a", codec="raw")
         store.append("a", values)
+        store.flush()
         # The reset record is durable; its checkpoint never runs.
         with active_plan([StorageFaultAction(kind="crash",
                                              site="wal_compact")]):
             with pytest.raises(InjectedFault):
                 store.reset("a", values[16:])
         store.close()
-        assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 2
+        assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 3
         with DurableStore.open(root) as reopened:
             # The manifest still listed the segments: replay dropped them
             # again and the recovery checkpoint retired their files.
@@ -575,8 +751,8 @@ class TestLogSeries:
                 if i % 8 == 7:
                     store.reset("log", [float(i)])
             wal = list((root / "wal").glob("*.wal"))
-            assert len(wal) == 2                          # current + previous
-            assert max(path.stat().st_size for path in wal) < 700
+            assert len(wal) == 1                          # the current one
+            assert wal[0].stat().st_size < 700
         with DurableStore.open(root) as reopened:
             assert reopened.recovery.clean
             assert reopened.recovery.replayed_records < 12

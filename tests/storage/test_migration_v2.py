@@ -17,7 +17,12 @@ import pytest
 
 from repro.codecs import get_codec
 from repro.codecs.serialize import unpack_block
-from repro.faultinject import InjectedCrash, StorageFaultAction, active_plan
+from repro.faultinject import (
+    InjectedCrash,
+    StorageFaultAction,
+    active_plan,
+    inject_bit_flip,
+)
 from repro.storage import DurableStore, load_store
 from repro.storage.durable import attach_footer, split_footer
 from repro.storage.persistence import (
@@ -138,6 +143,22 @@ class TestOpenMigrates:
                 assert np.array_equal(store.read(name), values)
             assert store.metadata("s") == {"drained": 4, "splits": [7]}
         _assert_migrated(root, reads)
+
+    def test_prev_is_version_3_right_after_migration(self, tmp_path):
+        root = tmp_path / "v2"
+        reads = _fresh_v2(root)
+        DurableStore.open(root).close()
+        payload, _crc, reason, _detail = split_footer(
+            (root / "manifest.json.prev").read_bytes())
+        assert payload is not None, reason
+        assert json.loads(payload)["version"] == 3
+        # Falling back to it finds every .seg file it names.
+        inject_bit_flip(root / "manifest.json", 400)
+        with DurableStore.open(root) as store:
+            assert store.recovery.used_prev_manifest
+            assert store.recovery.quarantined == []
+            for name, values in reads.items():
+                assert np.array_equal(store.read(name), values)
 
     def test_corrupt_json_segment_is_quarantined_not_migrated(self, tmp_path):
         root = tmp_path / "v2"

@@ -8,7 +8,6 @@ from growing, and the layout older spools were written in.
 
 from __future__ import annotations
 
-import os
 import shutil
 from pathlib import Path
 
@@ -35,25 +34,6 @@ def _cycle(multi, rng) -> int:
             multi.add(stream, rng.normal(size=BATCH))
     assert len(multi.drain()) == len(STREAMS)
     return REQUESTS
-
-
-@pytest.fixture
-def io_counts(monkeypatch):
-    """Count ``os.fsync`` calls and ``os.replace`` onto ``manifest.json``."""
-    counts = {"fsyncs": 0, "manifest_swaps": 0}
-    fsync, replace = os.fsync, os.replace
-
-    def counting_fsync(fd):
-        counts["fsyncs"] += 1
-        return fsync(fd)
-
-    def counting_replace(source, target, **kwargs):
-        counts["manifest_swaps"] += os.path.basename(target) == "manifest.json"
-        return replace(source, target, **kwargs)
-
-    monkeypatch.setattr(os, "fsync", counting_fsync)
-    monkeypatch.setattr(os, "replace", counting_replace)
-    return counts
 
 
 class TestRequestPathCosts:
@@ -103,10 +83,10 @@ class TestBoundedLog:
         written = 200 * REQUESTS * record_bytes
         shards = len({path.name.split(".")[0]
                       for path in (spool / "wal").iterdir()})
-        # A shard keeps its current generation and the one before it, each
-        # cut off by the append that crossed WAL_CHECKPOINT_BYTES.
+        # A shard keeps only its current generation, cut off by the append
+        # that crossed WAL_CHECKPOINT_BYTES.
         generation = WAL_CHECKPOINT_BYTES + 64 * 1024
-        bound = 2 * shards * generation
+        bound = shards * generation
         assert bound < written, "the workload is too small to tell"
         size = sum(path.stat().st_size for path in spool.rglob("*")
                    if path.is_file())

@@ -93,6 +93,8 @@ class QueryEngine:
         if start >= stop:
             raise StorageError("aggregate query over an empty range")
 
+        state = self.store._state(name)  # noqa: SLF001 - geometry and holes
+        state.refuse_holes(start, stop)  # the same refusal as read()
         segments = self.store.segments(name)
         rows = 0
         total = 0.0
@@ -119,7 +121,7 @@ class QueryEngine:
             minimum = min(minimum, float(np.min(values)))
             maximum = max(maximum, float(np.max(values)))
 
-        sealed_points = sum(segment.length for segment in segments)
+        sealed_points = state.sealed_points
         if stop > sealed_points:
             tail = self.store.read(name, max(start, sealed_points), stop)
             if tail.size:

@@ -46,7 +46,7 @@ class SegmentSummary:
 class Segment:
     """A sealed, immutable run of consecutive values of one series."""
 
-    __slots__ = ("start", "chunk", "summary", "_codec")
+    __slots__ = ("start", "length", "end", "chunk", "summary", "_codec")
 
     def __init__(self, start: int, chunk: CompressedBlock, codec: Codec,
                  summary: SegmentSummary | None = None):
@@ -54,7 +54,11 @@ class Segment:
             raise StorageError("segment start must be >= 0")
         if chunk.length <= 0:
             raise StorageError("segment must contain at least one value")
+        #: Geometry, fixed at seal time: ``length`` original values covering
+        #: the global positions ``[start, end)``.
         self.start = int(start)
+        self.length = int(chunk.length)
+        self.end = self.start + self.length
         self.chunk = chunk
         self._codec = codec
         if summary is None:
@@ -64,16 +68,6 @@ class Segment:
     # ------------------------------------------------------------------ #
     # geometry
     # ------------------------------------------------------------------ #
-    @property
-    def length(self) -> int:
-        """Number of original values covered by the segment."""
-        return int(self.chunk.length)
-
-    @property
-    def end(self) -> int:
-        """Exclusive global end position."""
-        return self.start + self.length
-
     def contains(self, position: int) -> bool:
         """Whether the global ``position`` falls inside this segment."""
         return self.start <= position < self.end

@@ -79,15 +79,17 @@ class _SeriesState:
     holes: list[dict] = field(default_factory=list)
 
     @property
-    def lost_points(self) -> int:
-        """Values covered by quarantined segments (position-space only)."""
-        return sum(int(hole["length"]) for hole in self.holes)
-
-    @property
     def sealed_points(self) -> int:
-        """Global position one past the last sealed (or quarantined) value."""
-        return (sum(segment.length for segment in self.segments)
-                + self.lost_points)
+        """Global position one past the last sealed (or quarantined) value.
+
+        Segments and holes tile ``[0, sealed_points)`` — sealing only
+        appends at the end, and the durable store checks the tiling at open
+        — so this is the end of the last piece, found without a walk.
+        """
+        end = self.segments[-1].end if self.segments else 0
+        for hole in self.holes:
+            end = max(end, int(hole["start"]) + int(hole["length"]))
+        return end
 
     @property
     def total_points(self) -> int:
@@ -103,14 +105,16 @@ class _SeriesState:
         return max(bisect_right(self.segments, position,
                                 key=attrgetter("start")) - 1, 0)
 
-    def hole_overlapping(self, start: int, stop: int) -> dict | None:
-        """The first quarantine hole intersecting ``[start, stop)``, if any."""
+    def refuse_holes(self, start: int, stop: int) -> None:
+        """Raise if ``[start, stop)`` overlaps a quarantine hole."""
         for hole in self.holes:
             hole_start = int(hole["start"])
-            hole_stop = hole_start + int(hole["length"])
-            if hole_start < stop and start < hole_stop:
-                return hole
-        return None
+            if hole_start < stop and start < hole_start + int(hole["length"]):
+                raise StorageError(
+                    f"range [{start}, {stop}) of series {self.name!r} overlaps "
+                    f"the quarantined segment {hole.get('file', '?')} "
+                    f"[{hole.get('reason', 'corrupt')}]; the data was corrupt "
+                    "and is preserved in the store's quarantine/ directory")
 
 
 class TimeSeriesStore:
@@ -234,13 +238,7 @@ class TimeSeriesStore:
                                           sealed_points + len(state.buffer))
         if start >= stop:
             return np.empty(0, dtype=np.float64)
-        hole = state.hole_overlapping(start, stop)
-        if hole is not None:
-            raise StorageError(
-                f"range [{start}, {stop}) of series {name!r} overlaps the "
-                f"quarantined segment {hole.get('file', '?')} "
-                f"[{hole.get('reason', 'corrupt')}]; the data was corrupt and "
-                "is preserved in the store's quarantine/ directory")
+        state.refuse_holes(start, stop)
 
         pieces: list[np.ndarray] = []
         segments = state.segments
@@ -268,12 +266,7 @@ class TimeSeriesStore:
             raise StorageError(f"position {position} out of range [0, {total})")
         if position >= sealed_points:
             return float(state.buffer[position - sealed_points])
-        hole = state.hole_overlapping(position, position + 1)
-        if hole is not None:
-            raise StorageError(
-                f"position {position} of series {name!r} falls inside the "
-                f"quarantined segment {hole.get('file', '?')} "
-                f"[{hole.get('reason', 'corrupt')}]")
+        state.refuse_holes(position, position + 1)
         segment = state.segments[state.first_segment_reaching(position)]
         return segment.value_at(position)
 

@@ -391,6 +391,28 @@ class TestQuarantine:
             assert np.array_equal(store.read("x", 64, 66),
                                   np.asarray([7.0, 8.0]))
 
+    def test_trailing_hole_decides_the_sealed_end(self, root):
+        """The last segment quarantined: only the hole says where the
+        sealed positions end."""
+        values = self._seeded(root)
+        inject_bit_flip(self._segment_files(root)[3], 99)
+        more = _values(16, seed=1)
+        with DurableStore.open(root) as store:
+            assert store.holes("x")[0]["start"] == 48
+            assert store.length("x") == 64
+            assert np.array_equal(store.read("x", 0, 48), values[:48])
+            with pytest.raises(StorageError, match="quarantined"):
+                store.read("x", 48, 64)
+            assert store.append("x", more) == 1
+            assert store.memory.segments("x")[-1].start == 64
+            assert store.length("x") == 80
+        with DurableStore.open(root) as store:
+            assert store.recovery.clean
+            assert [(hole["start"], hole["length"])
+                    for hole in store.holes("x")] == [(48, 16)]
+            assert store.length("x") == 80
+            assert np.array_equal(store.read("x", 64, 80), more)
+
     def test_every_bit_flip_position_is_rejected(self, root, tmp_path):
         """Checksum verification rejects 100% of injected bit flips."""
         import shutil

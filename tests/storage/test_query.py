@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, StorageError
+from repro.faultinject import inject_bit_flip
 from repro.stats import acf
-from repro.storage import QueryEngine, TimeSeriesStore
+from repro.storage import DurableStore, QueryEngine, TimeSeriesStore
+from repro.storage.query import SUPPORTED_AGGREGATES
 
 RNG = np.random.default_rng(17)
 
@@ -113,6 +115,39 @@ class TestAggregatePushdown:
         store, values = cameo_store
         result = QueryEngine(store).aggregate("power", "mean")
         assert result.value == pytest.approx(np.mean(values), rel=0.02)
+
+
+class TestAggregateOverQuarantine:
+    """Three 4-value segments, the middle one quarantined: ``[4, 8)`` is a
+    hole no segment covers."""
+
+    @pytest.fixture()
+    def engine(self, tmp_path):
+        root = tmp_path / "store"
+        store = DurableStore.create(root, default_segment_size=4)
+        store.create_series("x", codec="raw")
+        store.append("x", np.arange(12.0))
+        store.close()
+        inject_bit_flip(sorted(root.glob("segments/*/*/seg-*.seg"))[1], 99)
+        with DurableStore.open(root) as reopened:
+            assert reopened.holes("x")[0]["start"] == 4
+            yield QueryEngine(reopened.memory)
+
+    @pytest.mark.parametrize("agg", SUPPORTED_AGGREGATES)
+    def test_ranges_over_the_hole_raise_like_read(self, engine, agg):
+        for start, stop in ((0, 12), (2, 10), (4, 8), (7, 9)):
+            with pytest.raises(StorageError, match="quarantined") as read:
+                engine.range("x", start, stop)
+            with pytest.raises(StorageError, match="quarantined") as aggregate:
+                engine.aggregate("x", agg, start, stop)
+            assert str(aggregate.value) == str(read.value)
+
+    def test_ranges_beside_the_hole_count_each_segment_once(self, engine):
+        after = engine.aggregate("x", "sum", 8, 12)
+        assert (after.value, after.rows) == (38.0, 4)
+        before = engine.aggregate("x", "sum", 0, 4)
+        assert (before.value, before.rows) == (6.0, 4)
+        assert engine.aggregate("x", "count", 9, 12).value == 3
 
 
 class TestStatisticalQueries:

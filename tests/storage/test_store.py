@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError, SeriesNotFoundError, StorageError
 from repro.storage import (
+    QueryEngine,
     RawCodec,
     Segment,
     SegmentSummary,
@@ -221,6 +224,102 @@ class TestStoreReads:
         values = RNG.standard_normal(n)
         store.append("s", values)
         np.testing.assert_array_equal(store.read("s"), values)
+
+
+class _NoWalk(list):
+    """A segment list that refuses to be walked from end to end."""
+
+    def __iter__(self):
+        raise AssertionError("walked the whole segment list")
+
+
+class TestSealedGeometry:
+    """Segments and quarantine holes tile ``[0, sealed_points)``, so the
+    sealed end is the end of the last piece: no walk over the series."""
+
+    @staticmethod
+    def _tiled(pieces, buffered, shuffle_seed):
+        """A series laid out as ``pieces`` (``(is_hole, length)`` in
+        position order) plus ``buffered`` values; returns the store and the
+        expected content, NaN inside holes."""
+        store = TimeSeriesStore()
+        store.create_series("s", codec="raw", segment_size=6)
+        state = store._state("s")  # noqa: SLF001 - lay out holes directly
+        expected: list[float] = []
+        for is_hole, length in pieces:
+            position = len(expected)
+            values = np.arange(position, position + length) + 0.5
+            if is_hole:
+                state.holes.append({"start": position, "length": length,
+                                    "file": f"q-{position}", "reason": "test"})
+                expected.extend([np.nan] * length)
+            else:
+                state.segments.append(
+                    Segment(position, state.codec.encode(values), state.codec))
+                expected.extend(values)
+        # Recovery records prior holes before new ones: any order is legal.
+        random.Random(shuffle_seed).shuffle(state.holes)
+        tail = [-(index + 0.5) for index in range(buffered)]
+        state.buffer.extend(tail)
+        return store, np.asarray(expected + tail)
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 7)),
+                    min_size=1, max_size=7),
+           st.integers(0, 5), st.integers(0, 2**16))
+    @example([(True, 3), (False, 4)], 0, 0)                 # hole first
+    @example([(False, 4), (True, 3), (False, 2)], 2, 0)     # hole in the middle
+    @example([(False, 4), (True, 3)], 1, 0)                 # hole last
+    @example([(False, 2), (True, 3), (True, 2), (False, 1)], 0, 1)  # adjacent
+    @example([(True, 2), (True, 5)], 3, 1)                  # holes only
+    @settings(max_examples=40, deadline=None)
+    def test_tilings_agree_with_the_summed_definition(self, pieces, buffered,
+                                                      shuffle_seed):
+        store, expected = self._tiled(pieces, buffered, shuffle_seed)
+        state = store._state("s")  # noqa: SLF001
+        summed = (sum(segment.length for segment in state.segments)
+                  + sum(hole["length"] for hole in state.holes))
+        assert store.info("s").sealed_points == summed
+        assert store.length("s") == summed + buffered == expected.size
+        engine = QueryEngine(store)
+        for start in range(expected.size + 1):
+            for stop in range(start + 1, expected.size + 2):
+                window = expected[start:stop]
+                if np.isnan(window).any():
+                    with pytest.raises(StorageError, match="quarantined"):
+                        store.read("s", start, stop)
+                    with pytest.raises(StorageError, match="quarantined"):
+                        engine.aggregate("s", "sum", start, stop)
+                    continue
+                np.testing.assert_array_equal(store.read("s", start, stop),
+                                              window)
+                if start < expected.size:
+                    assert (engine.aggregate("s", "sum", start, stop).value
+                            == np.sum(window))
+        for position in range(expected.size):
+            if np.isnan(expected[position]):
+                with pytest.raises(StorageError, match="quarantined"):
+                    store.value_at("s", position)
+            else:
+                assert store.value_at("s", position) == expected[position]
+        # A sealing append continues at the end of the last piece.
+        assert store.append("s", np.full(6, 9.5)) == 1
+        assert state.segments[-1].start == summed
+        assert store.length("s") == expected.size + 6
+
+    def test_reads_and_sealing_appends_never_walk_the_segment_list(self):
+        store = TimeSeriesStore()
+        store.create_series("s", codec="raw", segment_size=16)
+        values = _seasonal(16 * 40 + 5)
+        store.append("s", values)
+        state = store._state("s")  # noqa: SLF001
+        state.segments = _NoWalk(state.segments)
+        assert store.length("s") == values.size
+        np.testing.assert_array_equal(store.read("s", 100, 300), values[100:300])
+        np.testing.assert_array_equal(store.read("s", 630), values[630:])
+        assert store.value_at("s", 333) == values[333]
+        assert store.value_at("s", 642) == values[642]
+        assert store.append("s", _seasonal(11)) == 1
+        assert state.segments[-1].start == 640
 
 
 class TestInfoAndCompaction:

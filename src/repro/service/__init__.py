@@ -15,13 +15,13 @@ robustness machinery, not the routing:
   a slow chunk never holds a connection past its deadline;
 * **idempotent retries** — client idempotency keys journaled through the
   WAL spool (:meth:`repro.streaming.MultiStreamCompressor.add_idempotent`),
-  so a crashed-then-retried ingest is applied exactly once after replay;
+  so a crashed-then-retried ingest is applied exactly once after a reboot;
 * **background ingest drainer** (:mod:`repro.service.server`) — sealed
   ingest chunks are encoded by one thread outside the ingest lock, never
   on a request, behind a bounded backlog;
 * **graceful drain** (:mod:`repro.service.lifecycle`) — SIGTERM stops
-  admission, finishes or sheds queued jobs under a drain deadline, flushes
-  the spool, checkpoints the store, then exits; ``/readyz`` flips before
+  admission, finishes or sheds queued jobs under a drain deadline,
+  checkpoints the store, then exits; ``/readyz`` flips before
   ``/healthz``;
 * **circuit breaker** (:mod:`repro.service.breaker`) — repeated backend
   degradations trip a per-codec breaker that fails fast with 503 until a

@@ -7,23 +7,24 @@
 * a pool of worker threads consuming the admission queue — ``/compress``
   jobs run a per-request :class:`~repro.engine.BatchEngine` bounded by the
   request deadline, ``/ingest`` jobs feed the shared
-  :class:`~repro.streaming.MultiStreamCompressor` (WAL-spooled and
-  idempotency-journaled when a durable store is configured);
+  :class:`~repro.streaming.MultiStreamCompressor` (each stream a log series
+  of the durable store, idempotency-journaled, when one is configured);
 * one background drainer thread that encodes the ingest queue's sealed
   chunks whenever ``drain_batch`` of them are pending: it takes them under
-  the ingest lock, encodes them holding no lock, and commits the results
-  and the spool cut under the lock again, so no ``/ingest`` request waits
-  for an encode unless the backlog passes ``BACKLOG_BATCHES`` batches;
+  the ingest lock, encodes them holding no lock, and installs the encoded
+  chunks in the store under the lock again, so no ``/ingest`` request
+  waits for an encode unless the backlog passes ``BACKLOG_BATCHES``
+  batches;
 * the graceful drain sequence (``initiate_drain``): readiness flips first,
   admission stops, queued jobs get ``drain_timeout`` to finish, the
   remainder is shed with well-formed 503s, the drainer finishes the batches
   due and stops, the journal is persisted and the store checkpointed, then
   the listener shuts down;
 * the crash path (``abort``): an injected ``mid_job_crash`` (or any other
-  service-site crash) closes the spool *abruptly* — no journal persistence,
-  no drain, an in-flight encode's batch dropped uncommitted — so on-disk
-  state is exactly what the WAL acknowledged, which is what the chaos tests
-  reopen and fsck.
+  service-site crash) abandons the store — no journal persistence, no
+  checkpoint, an in-flight encode's batch dropped uncommitted — so on-disk
+  state is exactly what the WAL acknowledged and the last checkpoint
+  published, which is what the chaos tests reopen and fsck.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ class DrainReport:
 class CompressionService:
     """A crash-tolerant HTTP compression service over the durable store.
 
-    Construction opens the durable store (when configured) and replays its
-    spool — a :class:`~repro.exceptions.StorageError` here means the store
-    is locked or corrupt and maps to the CLI's exit code 4, the same as a
-    failed bind in :meth:`start`.
+    Construction opens the durable store (when configured) and encodes the
+    chunks it holds but had not installed — a
+    :class:`~repro.exceptions.StorageError` here means the store is locked
+    or corrupt and maps to the CLI's exit code 4, the same as a failed bind
+    in :meth:`start`.
     """
 
     def __init__(self, config: ServiceConfig | None = None):
@@ -104,13 +106,12 @@ class CompressionService:
             backend="serial",
             spool_to=self.config.store,
             spool_fsync=self.config.spool_fsync)
-        self.replayed = 0
-        if self.config.store is not None:
-            # Crash recovery: re-ingest undrained spool values before the
-            # service admits anything, then compress the recovered backlog.
-            self.replayed = self.multi.replay_spool()
-            if self.multi.pending_chunks:
-                self.multi.drain()
+        # The compressor re-queued every value its store holds past the
+        # installed chunks; encode that backlog before admitting anything.
+        self.replayed = sum(self.multi.report(name).buffered_points
+                            for name in self.multi.streams)
+        if self.multi.pending_chunks:
+            self.multi.drain()
         self._httpd: ThreadingHTTPServer | None = None
         self._workers: list[threading.Thread] = []
         self._workers_stop = threading.Event()
@@ -210,12 +211,12 @@ class CompressionService:
             self._drainer.join(timeout=self.config.drain_timeout + 5.0)
         with self._spool_lock:
             # A drainer that outlived its join must not commit to a closed
-            # spool; its batch replays on the next boot.
+            # store; its batch is queued again on the next boot.
             self._drainer_live = False
-            # Deliberately no flush of partial buffers: undrained acked
-            # values stay in the spool and replay on the next boot, so a
-            # drain can never lose an acked batch.  close() persists the
-            # idempotency journal and checkpoints the store.
+            # Deliberately no flush of partial chunks: undrained acked
+            # values stay raw in the store and are queued again on the next
+            # boot.  close() persists the idempotency journal and
+            # checkpoints the store, publishing the installed chunks.
             self.multi.close()
         self.lifecycle.mark_stopped()
         self._shutdown_listener()
@@ -225,12 +226,13 @@ class CompressionService:
         self.lifecycle.drained.set()
 
     def abort(self) -> None:
-        """Simulated process death: abrupt spool close, nothing graceful.
+        """Simulated process death: the store is abandoned, nothing graceful.
 
         On-disk state afterwards is exactly what the WAL acknowledged plus
-        the last manifest swap — the idempotency journal is *not* persisted
-        (its intents were already durable before each append), which is the
-        state :meth:`~repro.storage.durable.DurableStore.open` recovery and
+        the last manifest swap — chunks installed since are not published
+        and the idempotency journal is *not* persisted (its intents were
+        already durable before each append), which is the state
+        :meth:`~repro.storage.durable.DurableStore.open` recovery and
         journal reconciliation are built for.
         """
         with self._drain_lock:
@@ -244,13 +246,14 @@ class CompressionService:
         with self._ingest_changed:
             # An encode in flight finishes outside the lock and then finds
             # the drainer dead: its batch is dropped uncommitted, and the
-            # spool, which still holds it, replays it on the next boot.
+            # store, which still holds its values raw, queues it on the
+            # next boot.
             self._drainer_live = False
             self._ingest_changed.notify_all()
             if self.multi.spool is not None:
                 try:
-                    # NOT multi.close(): skip journal persist.
-                    self.multi.spool.close()
+                    # NOT multi.close(): no journal persist, no checkpoint.
+                    self.multi.spool.abandon()
                 except Exception:
                     pass
         # Waiters must not hang on jobs that will never run.
@@ -306,14 +309,14 @@ class CompressionService:
                 with self._ingest_changed:
                     self._encoding = False
                     if not self._drainer_live:
-                        return  # aborted mid-encode: the spool replays it
+                        return  # aborted mid-encode: the next boot queues it
                     multi.commit(batch, outcomes)
                     self._ingest_changed.notify_all()
                 self.metrics.inc("repro_ingest_drains_total")
                 self.metrics.inc("repro_ingest_drain_seconds_total",
                                  time.monotonic() - started)
         except InjectedCrash:
-            self.abort()  # a storage-site crash in a commit: process death
+            self.abort()  # an injected crash: process death
         except Exception as exc:  # never a silently dead drainer
             self.metrics.inc("repro_ingest_drain_errors_total")
             self.drainer_error = f"{type(exc).__name__}: {exc}"
@@ -423,7 +426,7 @@ class CompressionService:
                 timeout=max(job.deadline.remaining(), 0.0))
             if self.multi.pending_chunks >= backlog:
                 # The deadline passed first, or no drainer is left to wait
-                # for: refuse before the spool append, so nothing landed.
+                # for: refuse before the store append, so nothing landed.
                 job.finish(503, {"error": "ingest backlog full: "
                                           f"{backlog} chunks await the "
                                           "drainer"}, {"Retry-After": "1"})
@@ -434,7 +437,7 @@ class CompressionService:
             else:
                 sealed = self.multi.add(stream, values)
                 duplicate = False
-            # Fired *after* the spool append: the crash window where the
+            # Fired *after* the store append: the crash window where the
             # WAL acknowledged the values but the client never got its 200
             # — exactly what the idempotency journal must absorb on retry.
             faultinject.fire_service("mid_job_crash", detail=f"/ingest {stream}")

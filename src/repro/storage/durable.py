@@ -36,12 +36,13 @@ Durability contract
   only the current buffers.  The manifest references segment files by
   name + checksum and the WAL generation, so recovery replays exactly
   what the manifest does not hold, re-sealing as it goes.
-* A *log series* (``create_series(..., log=True)``) never seals: its
-  values live only in the shard WAL and the in-memory buffer, an append
-  costs its one WAL record, and :meth:`DurableStore.reset` replaces its
-  content with one more.  ``update_metadata`` is a WAL record too, so the
-  manifest is swapped only by ``create_series``/``drop_series``, recovery
-  and checkpoints.
+* A *log series* (``create_series(..., log=True)``) never seals by
+  itself: an append costs its one WAL record, and :meth:`DurableStore.
+  install` turns its oldest buffered values into a sealed segment encoded
+  elsewhere — in memory, with no record, so a crash before the next
+  checkpoint hands those values back raw.  ``update_metadata`` is a WAL
+  record too, so the manifest is swapped only by ``create_series``/
+  ``drop_series``, recovery and checkpoints.
 * Opening a store is always a recovery scan (see
   :mod:`repro.storage.recovery`): checksums verified, corrupt segments
   quarantined with a reason (reads of their range *raise*, they are never
@@ -267,7 +268,6 @@ class DurableStore:
         # Bytes the last rotation wrote at the head of each shard's current
         # generation (unknown, so 0, for a generation found at open).
         self._wal_floor: dict[str, int] = {}
-        self._logs: set[str] = set()
         # Segment files no manifest should reference any more; unlinked
         # after the next manifest swap.
         self._garbage: list[str] = []
@@ -322,13 +322,13 @@ class DurableStore:
                       log: bool = False) -> None:
         """Register a new series (durably — the manifest is swapped).
 
-        A ``log`` series never seals: appends only ever cost their WAL
-        record, and :meth:`reset` replaces the content.
+        A ``log`` series never seals by itself: appends only ever cost
+        their WAL record, and :meth:`install` seals its values.
         """
         self._check_open()
         self._memory.create_series(name, codec, segment_size=segment_size,
                                    codec_options=codec_options,
-                                   metadata=metadata)
+                                   metadata=metadata, log=log)
         name = str(name).strip()
         shard = self._shard_of(name)
         self._series_shard[name] = shard
@@ -336,8 +336,6 @@ class DurableStore:
         self._next_file_index[name] = 0
         self._generations.setdefault(shard, 0)
         self._next_sequence.setdefault(shard, 0)
-        if log:
-            self._logs.add(name)
         self._write_manifest()
 
     def append(self, name, values) -> int:
@@ -357,35 +355,27 @@ class DurableStore:
             return 0  # an empty append is acknowledged trivially
         values = as_float_array(values, name="values")
         self._log(name, values=values)
-        sealed = self._apply_values(name, values)
+        sealed = self._memory.append(name, values)
         self._checkpoint_if_due(name)
         return sealed
 
-    def reset(self, name, values=()) -> None:
-        """Durably replace a series' whole content: it starts over as a log.
+    def install(self, name, block):
+        """Seal a log series' oldest ``block.length`` buffered values as
+        ``block`` (see :meth:`TimeSeriesStore.install`).
 
-        One WAL record (fsynced per ``fsync_policy``, like an append)
-        replaces everything the series held — sealed segments included —
-        with ``values`` and clears its metadata, which described positions
-        in the old content.  The series is a log from here on.
+        Memory only, no WAL record: the next checkpoint publishes the
+        segment and rotates the values out of the WAL.  Until then a crash
+        reopens them as buffered raw values.
         """
         self._check_open()
-        name = str(name)
-        self._memory._state(name)  # noqa: SLF001 - existence check
-        values = np.asarray(values, dtype=np.float64).ravel()
-        self._log(name, values=values, kind=RESET)
-        self._checkpoint_if_due(name, force=self._apply_reset(name, values))
+        return self._memory.install(str(name), block)
 
     def flush(self, name: str | None = None) -> int:
         """Seal buffered values into (possibly short) segments and publish
         every sealed segment of their shards, durably."""
         self._check_open()
         names = [str(name)] if name is not None else self.list_series()
-        sealed = 0
-        for series_name in names:
-            state = self._memory._state(series_name)  # noqa: SLF001
-            if state.buffer and series_name not in self._logs:
-                sealed += self._memory.flush(series_name)
+        sealed = sum(self._memory.flush(series_name) for series_name in names)
         self._publish(names)
         return sealed
 
@@ -422,6 +412,12 @@ class DurableStore:
     def info(self, name):
         """Per-series footprint summary (see :class:`SeriesInfo`)."""
         return self._memory.info(name)
+
+    def published_points(self, name) -> int:
+        """End of the last segment the manifest references: where a reopen
+        after a crash finds the series' sealed values end, at least."""
+        refs = self._refs[str(name)]
+        return int(refs[-1]["start"]) + int(refs[-1]["length"]) if refs else 0
 
     def holes(self, name) -> list[dict]:
         """Quarantined position ranges of a series (empty when intact)."""
@@ -469,7 +465,6 @@ class DurableStore:
         self._garbage.extend(
             str(ref.get("file", "")) for ref in self._refs.pop(name, []))
         self._next_file_index.pop(name, None)
-        self._logs.discard(name)
         self._checkpoint({shard})
 
     # ------------------------------------------------------------------ #
@@ -488,11 +483,12 @@ class DurableStore:
         try:
             self._publish(self.list_series())
         finally:
-            self._abandon()
+            self.abandon()
 
-    def _abandon(self) -> None:
+    def abandon(self) -> None:
         """Close without publishing, as a process death would: the WAL
-        holds every acknowledged value and the next open replays it."""
+        holds every acknowledged value and the next open replays it (raw,
+        for values installed since the last checkpoint)."""
         for wal in self._wals.values():
             wal.close()
         self._wals.clear()
@@ -508,7 +504,7 @@ class DurableStore:
         if exc_type is None:
             self.close()
         else:
-            self._abandon()
+            self.abandon()
 
     def __del__(self):  # pragma: no cover - GC safety net
         self._release_lock()
@@ -597,15 +593,9 @@ class DurableStore:
             WalRecord(sequence=sequence, series=name, **record))
         self._next_sequence[shard] = sequence + 1
 
-    def _apply_values(self, name: str, values: np.ndarray) -> int:
-        """Apply a value record in memory; returns the segments sealed."""
-        if name in self._logs:
-            self._memory._state(name).buffer.extend(values.tolist())  # noqa: SLF001
-            return 0
-        return self._memory.append(name, values)
-
     def _apply_reset(self, name: str, values: np.ndarray) -> bool:
-        """Apply a reset record in memory.
+        """Replay a reset record, which older stores wrote to cut an
+        ingest spool: the series starts over as a log holding ``values``.
 
         Returns True when the series held sealed segments or holes — their
         files are garbage once a manifest without them is published, so
@@ -620,15 +610,15 @@ class DurableStore:
         state.holes.clear()
         state.buffer[:] = values.tolist()
         state.metadata.clear()
-        self._logs.add(name)
+        state.log = True
         return sealed
 
-    def _checkpoint_if_due(self, name: str, force: bool = False) -> None:
-        """Checkpoint ``name``'s shard when forced or its WAL is oversize."""
+    def _checkpoint_if_due(self, name: str) -> None:
+        """Checkpoint ``name``'s shard when its WAL is oversize."""
         shard = self._series_shard[name]
         floor = self._wal_floor.get(shard, 0)
-        if force or (self._wals[shard].size
-                     > floor + max(WAL_CHECKPOINT_BYTES, floor)):
+        if (self._wals[shard].size
+                > floor + max(WAL_CHECKPOINT_BYTES, floor)):
             self._checkpoint({shard})
 
     def _publish(self, names) -> None:
@@ -679,7 +669,7 @@ class DurableStore:
                 "holes": state.holes,
                 "next_segment_file": self._next_file_index[name],
             }
-            if name in self._logs:
+            if state.log:
                 series_documents[name]["log"] = True
         return {
             "format": "repro.timeseries-store",
@@ -928,7 +918,8 @@ class DurableStore:
         codec = get_codec(spec["name"], **spec.get("options", {}))
         self._memory.create_series(
             name, codec=codec, segment_size=int(entry["segment_size"]),
-            metadata=dict(entry.get("metadata", {})))
+            metadata=dict(entry.get("metadata", {})),
+            log=bool(entry.get("log")))
         state = self._memory._state(name)  # noqa: SLF001
         state.holes = [dict(hole) for hole in entry.get("holes", [])]
         report.prior_holes += len(state.holes)
@@ -936,8 +927,6 @@ class DurableStore:
         self._series_shard[name] = shard
         self._generations.setdefault(shard, 0)
         self._next_sequence.setdefault(shard, 0)
-        if entry.get("log"):
-            self._logs.add(name)
 
         kept_refs: list[dict] = []
         for ref in entry.get("segments", []):
@@ -969,6 +958,9 @@ class DurableStore:
                 segment, file_crc = _json_segment(data, codec)
             else:
                 block, start, summary = unpack_block(data)
+                if block.codec != codec.name:
+                    # A chunk that failed to encode was installed raw.
+                    codec = get_codec(block.codec)
                 segment = Segment(start, block, codec,
                                   summary=SegmentSummary(*summary))
                 file_crc = _trailing_crc_hex(data)
@@ -1061,9 +1053,13 @@ class DurableStore:
         rotation and its manifest swap); skipping them would silently lose
         acknowledged data.  Compaction records (each rotated generation's
         re-encoding of the buffers at rotation time) *replace* the series'
-        buffer instead of appending, so replaying multiple generations
-        never duplicates values an earlier generation already carried
-        (sequences stay strictly increasing across the chain).
+        buffer in the referenced generation.  In a newer one they are
+        skipped: the generation before it was replayed whole, so the buffer
+        already holds their values — behind the values of chunks installed
+        before the rotation, which the manifest that never got swapped
+        would have published — and replaying several generations never
+        duplicates a value (sequences stay strictly increasing across the
+        chain).
 
         Returns the shards whose replay sealed segments, spanned extra
         generations, or hit a corrupt tail (they need a checkpoint to
@@ -1119,12 +1115,10 @@ class DurableStore:
                     report.replayed_records += 1
                     report.replayed_values += int(record.values.size)
                     if record.kind == COMPACTION:
-                        # A rotation's authoritative buffer re-encoding:
-                        # replace the buffer so values an earlier generation
-                        # already replayed are not duplicated.
-                        state.buffer[:] = record.values.tolist()
+                        if not position:
+                            state.buffer[:] = record.values.tolist()
                         continue
-                    sealed = self._apply_values(record.series, record.values)
+                    sealed = self._memory.append(record.series, record.values)
                     if sealed:
                         report.resealed_segments += sealed
                         touched.add(shard)

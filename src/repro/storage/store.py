@@ -13,6 +13,8 @@ Main operations
 * :meth:`TimeSeriesStore.create_series` / :meth:`drop_series`
 * :meth:`TimeSeriesStore.append` — buffered ingest with automatic sealing
 * :meth:`TimeSeriesStore.flush` — seal a partial buffer
+* :meth:`TimeSeriesStore.install` — seal a log series' oldest values as a
+  block encoded elsewhere
 * :meth:`TimeSeriesStore.read` — reconstruct a value range
 * :meth:`TimeSeriesStore.info` — per-series footprint (Table 2 style)
 * :meth:`TimeSeriesStore.compact` — re-encode a series with another codec
@@ -77,6 +79,9 @@ class _SeriesState:
     #: durable-store recovery as ``{"start", "length", "file", "reason"}``.
     #: Reads overlapping a hole raise instead of silently skipping it.
     holes: list[dict] = field(default_factory=list)
+    #: A log series never seals its buffer itself: values stay buffered
+    #: until :meth:`TimeSeriesStore.install` seals them as a given block.
+    log: bool = False
 
     @property
     def sealed_points(self) -> int:
@@ -129,12 +134,14 @@ class TimeSeriesStore:
     # catalog management
     # ------------------------------------------------------------------ #
     def create_series(self, name: str, codec="cameo", *, segment_size: int | None = None,
-                      codec_options: dict | None = None, metadata: dict | None = None) -> None:
+                      codec_options: dict | None = None, metadata: dict | None = None,
+                      log: bool = False) -> None:
         """Register a new series.
 
         ``codec`` is either a registered codec name (``codec_options`` are
         forwarded to :func:`repro.codecs.get_codec`) or a
-        :class:`~repro.codecs.Codec` instance.
+        :class:`~repro.codecs.Codec` instance.  A ``log`` series never
+        seals: see :meth:`install`.
         """
         name = self._valid_name(name)
         if name in self._catalog:
@@ -150,7 +157,7 @@ class TimeSeriesStore:
                         else check_positive_int(segment_size, "segment_size"))
         self._catalog[name] = _SeriesState(
             name=name, codec=codec_instance, segment_size=segment_size,
-            metadata=dict(metadata or {}))
+            metadata=dict(metadata or {}), log=bool(log))
 
     def drop_series(self, name: str) -> None:
         """Remove a series and all its segments."""
@@ -173,14 +180,16 @@ class TimeSeriesStore:
     def append(self, name: str, values) -> int:
         """Append values to a series, sealing full segments along the way.
 
-        Returns the number of segments sealed by this call.  Scalars and
-        iterables are both accepted.
+        Returns the number of segments sealed by this call (always 0 for a
+        log series).  Scalars and iterables are both accepted.
         """
         state = self._state(name)
         if np.isscalar(values):
             values = [float(values)]
         values = as_float_array(values, name="values")
         state.buffer.extend(values.tolist())
+        if state.log:
+            return 0
         sealed = 0
         while len(state.buffer) >= state.segment_size:
             chunk_values = np.asarray(state.buffer[: state.segment_size], dtype=np.float64)
@@ -192,14 +201,14 @@ class TimeSeriesStore:
     def flush(self, name: str | None = None) -> int:
         """Seal any buffered values into (possibly short) segments.
 
-        Flushes one series, or every series when ``name`` is ``None``.
-        Returns the number of segments sealed.
+        Flushes one series, or every series when ``name`` is ``None``; a
+        log series keeps its buffer.  Returns the number of segments sealed.
         """
         names = [name] if name is not None else self.list_series()
         sealed = 0
         for series_name in names:
             state = self._state(series_name)
-            if not state.buffer:
+            if not state.buffer or state.log:
                 continue
             chunk_values = np.asarray(state.buffer, dtype=np.float64)
             state.buffer.clear()
@@ -214,6 +223,35 @@ class TimeSeriesStore:
                 f"codec {state.codec.name!r} encoded {chunk.length} values, "
                 f"expected {values.size}")
         state.segments.append(Segment(state.sealed_points, chunk, state.codec))
+
+    def install(self, name: str, block) -> Segment:
+        """Seal the oldest ``block.length`` buffered values of a log series
+        as ``block``, which encodes them; returns the new segment.
+
+        The block was encoded elsewhere (the ingest drainer encodes outside
+        every lock), so the store only checks its geometry.  A block whose
+        codec differs from the series' (a raw fallback for a chunk that
+        failed to encode) decodes with its own codec.
+        """
+        state = self._state(name)
+        if not state.log:
+            raise StorageError(
+                f"series {state.name!r} is not a log: it seals itself")
+        length = int(block.length)
+        if not 0 < length <= len(state.buffer):
+            raise StorageError(
+                f"cannot install a {length}-value block over the "
+                f"{len(state.buffer)} buffered values of {state.name!r}")
+        codec = (state.codec if block.codec == state.codec.name
+                 else get_codec(block.codec))
+        segment = Segment(state.sealed_points, block, codec)
+        if segment.summary.count != length:
+            raise StorageError(
+                f"block claims {length} values of {state.name!r} but "
+                f"decodes to {segment.summary.count}")
+        del state.buffer[:length]
+        state.segments.append(segment)
+        return segment
 
     # ------------------------------------------------------------------ #
     # reads

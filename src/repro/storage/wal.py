@@ -25,27 +25,25 @@ Record kinds, by ``flags``:
     series (sealing segments as the buffer fills, except on a log series).
 ``0x01`` compaction record
     Written at the head of a rotated WAL generation: the payload re-encodes
-    a series' entire unsealed buffer at rotation time, and replay *replaces*
-    the buffer with it instead of appending — so a recovery that replays
-    several generations of one shard (see ``DurableStore._replay_wals``)
-    never duplicates the values an ordinary value record already carried.
+    a series' entire unsealed buffer at rotation time, and replay of the
+    manifest's generation *replaces* the buffer with it instead of
+    appending; a newer generation's are skipped (see
+    ``DurableStore._replay_wals``), so no value is replayed twice.
 ``0x02`` metadata record
     The payload is a UTF-8 JSON object padded with spaces to a whole number
     of words; replay merges it into the series' metadata (a ``null`` value
     deletes the key).  Always fsynced, whatever the policy — it stands
     where a manifest swap used to.
 ``0x04`` reset record
+    Written only by older stores, to cut an ingest spool; still replayed.
     The series starts over as a log: replay replaces its whole content
     (sealed segments included) with the payload values and clears its
     metadata, which described positions in the old content.
 
 Every kind is applied in sequence order, so "record A was fsynced before
 record B was written" is the only ordering primitive a caller needs: the
-ingest spool's rules (intent before the append it describes, applied flips
-before the reset that invalidates their positions, reset only after the
-batch that consumed the values commits) are of that form.  Its fourth — a
-cut and the split boundaries it must keep travel in one record — relies
-only on a record being applied whole.
+ingest spool's one rule, intent before the append it describes, is of
+that form.
 
 A torn write leaves a truncated final record (header or CRC missing); a
 flipped bit fails the CRC.  Both stop the scan at the *previous* record —

@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 #: Reserved spool series whose metadata journals idempotency keys.  It never
-#: holds values (length stays 0, so :meth:`MultiStreamCompressor.replay_spool`
-#: would skip it even without its explicit guard) and is not a stream.
+#: holds values and is not a stream.
 IDEMPOTENCY_SERIES = "__idempotency__"
 
 #: Metadata key of one journal entry: this prefix plus the idempotency key.
@@ -171,6 +170,17 @@ def _account_policy(report: StreamReport, record) -> None:
     if record.sorted:
         report.reordered_adds += 1
     report.gaps += record.gaps
+
+
+def _record(report: StreamReport, result: ChunkResult) -> None:
+    """Add one sealed chunk to the stream report."""
+    report.chunks += 1
+    report.sealed_points += result.length
+    report.kept_points += result.kept_points
+    report.encoded_bits += result.block.bits
+    deviation = result.achieved_deviation
+    report.chunk_deviations.append(deviation)
+    report.worst_chunk_deviation = max(report.worst_chunk_deviation, deviation)
 
 
 class StreamingCompressor:
@@ -299,14 +309,7 @@ class StreamingCompressor:
         block = self.codec.encode(values)
         result = ChunkResult(index=len(self._results), start=start, block=block)
         self._results.append(result)
-        report = self._report
-        report.chunks += 1
-        report.sealed_points += values.size
-        report.kept_points += result.kept_points
-        report.encoded_bits += block.bits
-        deviation = result.achieved_deviation
-        report.chunk_deviations.append(deviation)
-        report.worst_chunk_deviation = max(report.worst_chunk_deviation, deviation)
+        _record(self._report, result)
         return result
 
     # ------------------------------------------------------------------ #
@@ -407,7 +410,7 @@ class MultiStreamCompressor:
     An ingest tier rarely serves one stream: a gateway handles hundreds of
     sensors at once, and sealing each stream's chunks independently wastes
     both parallel hardware and the engine's stacked XOR encode.  This
-    class keeps one buffer per stream and encodes *all* sealed chunks —
+    class cuts every stream into chunks and encodes *all* queued chunks —
     across every stream — in batched :class:`repro.engine.BatchEngine`
     passes: same-length lossless chunks stack through the XOR batch
     encoder, and the thread backend spreads the work over cores.
@@ -415,6 +418,13 @@ class MultiStreamCompressor:
     Chunks are sealed exactly like :class:`StreamingCompressor` seals them
     (same values, same codec), so every chunk's block is identical to the
     single-stream result; only the execution is batched.
+
+    Each stream is a log series of one store: a
+    :class:`repro.storage.durable.DurableStore` under ``spool_to``, an
+    in-memory :class:`repro.storage.store.TimeSeriesStore` otherwise.
+    :meth:`add` appends the raw values to it, and :meth:`commit` installs
+    each encoded chunk as the series' next segment, so the store's segments
+    are what :meth:`results` and :meth:`reconstruct` read.
 
     Parameters
     ----------
@@ -429,19 +439,15 @@ class MultiStreamCompressor:
         Optional :class:`~repro.sanitize.InputPolicy` applied per
         :meth:`add` batch, exactly as in :class:`StreamingCompressor`.
     spool_to:
-        Optional directory for a crash-safe ingest spool: every
-        :meth:`add` batch is appended to a
-        :class:`repro.storage.durable.DurableStore` series (raw codec,
-        one series per stream) *before* it is buffered, so an ingest-tier
-        crash loses nothing — a fresh compressor pointed at the same
-        directory calls :meth:`replay_spool` to re-ingest the undrained
-        tail (pending chunks and buffer, not chunks already emitted by
-        earlier drains).  The spool is a log: each drain's :meth:`commit`
-        cuts every drained stream's series back to its undrained tail with
-        one WAL record, and input-policy split boundaries are spooled too,
-        so replayed chunking matches the pre-crash run.  ``spool_fsync`` sets the
-        spool WAL's fsync policy (default ``"always"``; see
-        :data:`repro.storage.wal.FSYNC_POLICIES`).  The spool store is
+        Optional directory of the durable store: an :meth:`add` returns
+        once the store's WAL holds its values (``spool_fsync`` sets the
+        WAL's fsync policy, default ``"always"``; see
+        :data:`repro.storage.wal.FSYNC_POLICIES`), and the store's
+        checkpoints publish the installed chunks as segment files.  A
+        compressor opened on the directory again, after a close or a crash,
+        cuts every value the store holds past its installed chunks into the
+        same chunks as before — input-policy split boundaries are recorded
+        ahead of the values they split — and queues them.  The store is
         exclusively locked while the compressor holds it.
     idempotency_cap:
         Maximum retained idempotency-journal entries (see
@@ -472,6 +478,7 @@ class MultiStreamCompressor:
                  spool_to=None, spool_fsync: str = "always",
                  idempotency_cap: int = 1024):
         from ..engine import BatchEngine
+        from ..storage.store import TimeSeriesStore
 
         self.chunk_size = check_positive_int(chunk_size, "chunk_size")
         if policy is not None and not isinstance(policy, InputPolicy):
@@ -483,51 +490,63 @@ class MultiStreamCompressor:
                                   fastpath=fastpath, timeout=timeout,
                                   retries=retries, on_degrade=on_degrade)
         self.codec = get_codec(self.engine.codec, **(codec_options or {}))
-        self._buffers: dict[str, list[float]] = {}
-        self._pending: list[tuple[str, np.ndarray]] = []
-        self._results: dict[str, list[ChunkResult]] = {}
+        # Chunks cut but not taken yet, as (stream, start, length) spans of
+        # the stream's series, and per stream the position cut up to.
+        self._pending: list[tuple[str, int, int]] = []
+        self._cut_at: dict[str, int] = {}
         self._reports: dict[str, StreamReport] = {}
         self.errors: list = []
-        self.spool = None
         # Idempotency journal: key -> {stream, start, count, applied, seq},
         # and the keys whose entry changed since the journal was persisted.
         self._idem_keys: dict[str, dict] = {}
         self._idem_seq = 0
         self._idem_dirty: set[str] = set()
         self._idem_cap = check_positive_int(idempotency_cap, "idempotency_cap")
-        if spool_to is not None:
-            from ..storage.durable import DurableStore
+        if spool_to is None:
+            self.spool = None
+            self._store = self._memory = TimeSeriesStore()
+            return
+        from ..storage.durable import DurableStore
 
-            self.spool = DurableStore.open(spool_to, create=True,
-                                           fsync_policy=spool_fsync)
-            self._load_idempotency()
+        self.spool = self._store = DurableStore.open(
+            spool_to, create=True, fsync_policy=spool_fsync)
+        self._memory = self.spool.memory
+        self._load_idempotency()
+        for name in self.spool.list_series():
+            if name != IDEMPOTENCY_SERIES:
+                self._reopen(name)
 
     # ------------------------------------------------------------------ #
     @property
     def streams(self) -> list[str]:
         """Every stream seen so far (ingest order)."""
-        return list(self._buffers)
+        return list(self._reports)
 
-    def _stream_state(self, stream: str) -> tuple[list, list, StreamReport]:
-        stream = str(stream)
-        if stream not in self._buffers:
-            self._buffers[stream] = []
-            self._results[stream] = []
-            self._reports[stream] = StreamReport()
-        return self._buffers[stream], self._results[stream], self._reports[stream]
+    def _stream(self, name: str) -> StreamReport:
+        """Stream ``name``'s report; its first use creates its log series."""
+        if name not in self._reports:
+            if name == IDEMPOTENCY_SERIES:
+                raise InvalidParameterError(
+                    f"{IDEMPOTENCY_SERIES!r} is reserved for the idempotency "
+                    "journal and cannot be used as a stream name")
+            if name not in self._store:
+                self._store.create_series(name, self.codec, log=True)
+            self._reports[name] = StreamReport()
+            self._cut_at[name] = 0
+        return self._reports[name]
 
-    def add(self, stream: str, values, timestamps=None, *,
-            _spool: bool = True) -> int:
+    def add(self, stream: str, values, timestamps=None) -> int:
         """Feed values into one stream; returns chunks sealed by this call.
 
-        Sealed chunks are queued; call :meth:`drain` (or :meth:`flush`) to
-        encode everything queued across all streams in one engine batch.
-        With an input policy, split boundaries seal the stream's buffer
-        early (possibly as a short chunk) so no chunk bridges a gap.
-        With a spool configured, the (sanitized) values are durably
-        appended to it before they are buffered.
+        The (sanitized) values are appended to the stream's series first —
+        with a spool, durably — and sealed chunks are queued; call
+        :meth:`drain` (or :meth:`flush`) to encode everything queued across
+        all streams in one engine batch.  With an input policy, split
+        boundaries seal the stream's chunk early (possibly short) so no
+        chunk bridges a gap.
         """
-        buffer, _results, report = self._stream_state(str(stream))
+        name = str(stream)
+        report = self._stream(name)
         if np.isscalar(values):
             values = [float(values)]
         record = None
@@ -540,29 +559,51 @@ class MultiStreamCompressor:
         else:
             segments, record = _policy_segments(values, timestamps,
                                                 self.policy)
-        if self.spool is not None and _spool:
-            self._spool_segments(str(stream), segments)
-        # Account only now: an append the spool refused was never ingested.
+        boundaries = []
+        if len(segments) > 1:
+            boundaries = (self._store.length(name) + np.cumsum(
+                [segment.size for segment in segments[:-1]])).tolist()
+            if self.spool is not None:
+                self._record_splits(name, boundaries)
+        batch = segments[0] if len(segments) == 1 else np.concatenate(segments)
+        if batch.size:
+            self._store.append(name, batch)
+        # Account only now: an append the store refused was never ingested.
         if record is None:
-            report.ingested_points += segments[0].size
+            report.ingested_points += batch.size
         else:
             _account_policy(report, record)
-        sealed = 0
-        for position, segment in enumerate(segments):
-            if position and buffer:
-                # Segment boundary: seal the partial buffer as a short chunk.
-                chunk_values = np.asarray(buffer, dtype=np.float64)
-                buffer.clear()
-                self._pending.append((str(stream), chunk_values))
-                sealed += 1
-            buffer.extend(segment.tolist())
-            while len(buffer) >= self.chunk_size:
-                chunk_values = np.asarray(buffer[: self.chunk_size],
-                                          dtype=np.float64)
-                del buffer[: self.chunk_size]
-                self._pending.append((str(stream), chunk_values))
-                sealed += 1
-        return sealed
+        return self._cut(name, boundaries)
+
+    def _record_splits(self, name: str, boundaries) -> None:
+        """Durably record an add's split boundaries before its values: a
+        reopen must cut its chunks at the same positions.
+
+        Boundaries at or below the series' published end are pruned: a
+        reopen never cuts there again.  (Installed chunks past it are not
+        durable yet — a crash hands their values back raw to be cut anew.)
+        """
+        published = self.spool.published_points(name)
+        splits = {int(s) for s in self.spool.metadata(name).get("splits", [])}
+        splits.update(boundaries)
+        self.spool.update_metadata({name: {"splits": sorted(
+            s for s in splits if s > published)}})
+
+    def _cut(self, name: str, boundaries=()) -> int:
+        """Queue stream ``name``'s uncut values as chunks: every
+        ``chunk_size`` values, and a short chunk up to each boundary; what
+        follows the last boundary stays uncut unless it fills a chunk.
+        Returns the number of chunks queued."""
+        position, queued = self._cut_at[name], len(self._pending)
+        stops = [(int(stop), True) for stop in boundaries]
+        for stop, seal in stops + [(self._store.length(name), False)]:
+            while position < stop and (seal
+                                       or stop - position >= self.chunk_size):
+                length = min(self.chunk_size, stop - position)
+                self._pending.append((name, position, length))
+                position += length
+        self._cut_at[name] = position
+        return len(self._pending) - queued
 
     @property
     def pending_chunks(self) -> int:
@@ -572,9 +613,8 @@ class MultiStreamCompressor:
     def drain(self) -> list[tuple[str, ChunkResult]]:
         """Encode every queued sealed chunk in one batched engine pass.
 
-        Returns ``(stream, chunk_result)`` pairs in seal order.  A chunk
-        that fails to encode is recorded in :attr:`errors` (with its stream
-        in the outcome name) and skipped; the rest of the batch completes.
+        Returns ``(stream, chunk_result)`` pairs in seal order (see
+        :meth:`commit`).
 
         This is :meth:`take` → :meth:`encode` → :meth:`commit` in one call.
         A caller that ingests from other threads runs the three steps
@@ -592,8 +632,9 @@ class MultiStreamCompressor:
         :meth:`encode` and then :meth:`commit` consume.
         """
         count = len(self._pending) if count is None else int(count)
-        batch, self._pending = self._pending[:count], self._pending[count:]
-        return batch
+        spans, self._pending = self._pending[:count], self._pending[count:]
+        return [(name, self._memory.read(name, start, start + length))
+                for name, start, length in spans]
 
     def encode(self, batch):
         """Run one engine pass over a taken batch.
@@ -605,51 +646,41 @@ class MultiStreamCompressor:
                                     names=[stream for stream, _values in batch])
 
     def commit(self, batch, outcomes) -> list[tuple[str, ChunkResult]]:
-        """Record a taken batch's outcomes in seal order, then cut the spool.
+        """Install a taken batch's chunks as segments of their streams'
+        series, in seal order; batches commit in the order they were taken.
 
-        Returns the ``(stream, chunk_result)`` pairs of the chunks that
-        encoded (see :meth:`drain`).
+        A chunk that failed to encode is recorded in :attr:`errors` and
+        installed raw — lossless, so no acknowledged value is dropped and
+        the stream's later chunks install behind it.  Writes nothing to
+        disk: the store's next checkpoint publishes the segments.  Returns
+        the ``(stream, chunk_result)`` pairs.
         """
-        sealed: list[tuple[str, ChunkResult]] = []
+        installed: list[tuple[str, ChunkResult]] = []
         for (stream, values), outcome in zip(batch, outcomes):
-            _buffer, results, report = self._stream_state(stream)
+            block = outcome.block
             if not outcome.ok:
-                # The chunk's values were consumed from the buffer either
-                # way: advance the sealed count so later chunks' stream
-                # offsets (and buffered_points) stay truthful.
-                report.sealed_points += values.size
                 self.errors.append(outcome)
-                continue
-            result = ChunkResult(index=len(results),
-                                 start=report.sealed_points,
-                                 block=outcome.block)
-            results.append(result)
-            report.chunks += 1
-            report.sealed_points += values.size
-            report.kept_points += result.kept_points
-            report.encoded_bits += outcome.block.bits
-            deviation = result.achieved_deviation
-            report.chunk_deviations.append(deviation)
-            report.worst_chunk_deviation = max(report.worst_chunk_deviation,
-                                               deviation)
-            sealed.append((stream, result))
-        if self.spool is not None:
-            self._mark_drained(batch)
-        return sealed
+                block = get_codec("raw").encode(values)
+            segment = self._store.install(stream, block)
+            report = self._reports[stream]
+            result = ChunkResult(index=report.chunks, start=segment.start,
+                                 block=block)
+            _record(report, result)
+            installed.append((stream, result))
+        return installed
 
     def flush(self) -> list[tuple[str, ChunkResult]]:
-        """Seal every stream's remaining buffer and drain the whole queue."""
-        for stream, buffer in self._buffers.items():
-            if buffer:
-                chunk_values = np.asarray(buffer, dtype=np.float64)
-                buffer.clear()
-                self._pending.append((stream, chunk_values))
+        """Seal every stream's uncut values and drain the whole queue."""
+        for name in self._reports:
+            self._cut(name, [self._store.length(name)])
         return self.drain()
 
     # ------------------------------------------------------------------ #
     def results(self, stream: str) -> list[ChunkResult]:
-        """Sealed chunks of one stream, in stream order."""
-        return list(self._results.get(str(stream), []))
+        """Installed chunks of one stream, in stream order."""
+        return [ChunkResult(index=index, start=segment.start,
+                            block=segment.chunk)
+                for index, segment in enumerate(self._segments(stream))]
 
     def report(self, stream: str) -> StreamReport:
         """Per-stream ingest/compression statistics."""
@@ -658,16 +689,44 @@ class MultiStreamCompressor:
         return self._reports[str(stream)]
 
     def reconstruct(self, stream: str) -> np.ndarray:
-        """Reconstruction of one stream's successfully encoded chunks.
+        """Reconstruction of one stream's installed chunks, in order.
 
-        Chunks recorded in :attr:`errors` are omitted; check each
-        :class:`ChunkResult`'s ``start`` to detect the gap they leave.
+        Values not drained yet are not included; call :meth:`flush` first
+        to cover the whole stream.
         """
-        results = self._results.get(str(stream), [])
-        if not results:
+        segments = self._segments(stream)
+        if not segments:
             return np.empty(0, dtype=np.float64)
-        return np.concatenate([self.codec.decode(result.block)
-                               for result in results])
+        return np.concatenate([segment.decode() for segment in segments])
+
+    def _segments(self, stream: str) -> list:
+        name = str(stream)
+        return self._memory.segments(name) if name in self._reports else []
+
+    def _reopen(self, name: str) -> None:
+        """Take up a stream the store already holds.
+
+        Its segments are its installed chunks; every value past them is cut
+        into chunks again, at the recorded split boundaries, and queued.
+        """
+        state = self._memory._state(name)  # noqa: SLF001
+        if not state.log:
+            # Spooled before the spool became a log: its raw segments stay
+            # as installed chunks, and the next checkpoint records the log.
+            state.log = True
+        meta = self.spool.metadata(name)
+        if "drained" in meta:
+            # The values below this watermark were encoded only in the
+            # memory of a process that is gone: they are queued again.
+            self.spool.update_metadata({name: {"drained": None}})
+        report = self._reports[name] = StreamReport(
+            ingested_points=state.total_points)
+        for result in self.results(name):
+            _record(report, result)
+        self._cut_at[name] = state.sealed_points
+        self._cut(name, sorted(
+            s for s in map(int, meta.get("splits", []))
+            if state.sealed_points < s <= report.ingested_points))
 
     # ------------------------------------------------------------------ #
     # idempotent ingest
@@ -677,20 +736,19 @@ class MultiStreamCompressor:
         """Feed values exactly once per ``key``; returns ``(sealed, dup)``.
 
         The exactly-once protocol journals an *intent* record — stream,
-        spool start position, value count — into the reserved
+        series start position, value count — into the reserved
         :data:`IDEMPOTENCY_SERIES` metadata with a fsynced WAL metadata
-        record *before* the values are appended to the spool WAL.  A
+        record *before* the values are appended to the stream's series.  A
         journaled key is acknowledged as a duplicate without touching the
         stream.  A key whose append fails is taken back out of the journal
         (the caller was told it failed), and the crash window — intent
         durable, append or its applied flag possibly not — is reconciled at
-        construction by the landed check ``spool length >= start + count``
-        (see :meth:`_load_idempotency`), so a crashed-then-retried ingest
-        is applied exactly once after :meth:`replay_spool`.
+        construction by the landed check ``series length >= start + count``
+        (see :meth:`_load_idempotency`); series positions are never reused,
+        so a crashed-then-retried ingest is applied exactly once.
 
-        Requires a spool and ``policy=None`` — an input policy may split
-        one batch into several spool appends, which would make the
-        single-append landed check ambiguous.
+        Requires a spool and ``policy=None`` — an input policy may drop
+        values from a batch, which would make the landed check ambiguous.
         """
         if self.spool is None:
             raise InvalidParameterError(
@@ -698,9 +756,8 @@ class MultiStreamCompressor:
                 "construction)")
         if self.policy is not None:
             raise InvalidParameterError(
-                "idempotent ingest requires policy=None: a policy may split "
-                "one batch into several spool appends, which breaks the "
-                "landed check")
+                "idempotent ingest requires policy=None: a policy may drop "
+                "values from a batch, which breaks the landed check")
         key = str(key)
         if not key:
             raise InvalidParameterError("idempotency key must be non-empty")
@@ -716,7 +773,7 @@ class MultiStreamCompressor:
         if not segment.size:
             raise InvalidParameterError(
                 "idempotent ingest requires at least one value")
-        self._spool_series(name)
+        self._stream(name)
         self._idem_seq += 1
         self._idem_keys[key] = {
             "stream": name, "start": int(self.spool.length(name)),
@@ -730,7 +787,7 @@ class MultiStreamCompressor:
             sealed = self.add(name, segment)
         except Exception:
             # The append never landed and the caller is told so: a retry
-            # must apply fresh, and a later reset must not flag it applied.
+            # must apply fresh.
             del self._idem_keys[key]
             self._idem_dirty.add(key)
             raise
@@ -800,143 +857,9 @@ class MultiStreamCompressor:
             del self._idem_keys[key]
             self._idem_dirty.add(key)
 
-    # ------------------------------------------------------------------ #
-    # durable spool
-    # ------------------------------------------------------------------ #
-    def _spool_series(self, name: str) -> None:
-        """Make sure stream ``name`` has its spool series (a log)."""
-        if name == IDEMPOTENCY_SERIES:
-            raise InvalidParameterError(
-                f"{IDEMPOTENCY_SERIES!r} is reserved for the idempotency "
-                "journal and cannot be used as a stream name")
-        if name not in self.spool:
-            self.spool.create_series(name, codec="raw", log=True)
-
-    def _spool_segments(self, name: str, segments) -> None:
-        """Durably append one sanitized ``add()`` batch to the spool."""
-        self._spool_series(name)
-        if len(segments) > 1:
-            # Persist the policy's split boundaries *before* the values:
-            # replay must seal the buffer at the same positions, and a
-            # boundary pointing past the spooled data is harmless while
-            # a missing one would let a replayed chunk bridge a gap.
-            splits = [int(s) for s in
-                      self.spool.metadata(name).get("splits", [])]
-            position = int(self.spool.length(name))
-            for segment in segments[:-1]:
-                position += int(segment.size)
-                if position and (not splits or position > splits[-1]):
-                    splits.append(position)
-            self.spool.update_metadata({name: {"splits": splits}})
-        for segment in segments:
-            if segment.size:
-                self.spool.append(name, segment)
-
-    def _mark_drained(self, batch) -> None:
-        """Cut the chunks a committed batch emitted out of the spool.
-
-        Each drained stream's series is reset to its **undrained tail**
-        with one WAL record: the stream's chunks still queued — sealed
-        while the batch encoded, or left out of the take — followed by its
-        buffer.  The spool holds the emitted chunks, then exactly that
-        tail, so the cut is a prefix.  A reset also clears the series'
-        recorded split boundaries.  Replay still re-chunks the tail
-        identically while every retained chunk is full-size: it re-seals
-        every ``chunk_size`` values, and no split lies inside the buffer
-        (a split seals it).  A retained *short* chunk ends at a split the
-        reset record, which carries no metadata, cannot keep — and a second
-        record after it would leave a crash window with the values but not
-        the boundary.  So for such a stream the commit instead advances the
-        series' ``drained`` watermark past the emitted chunks with one
-        metadata record, the recorded splits stay in place, and the
-        stream's next commit without a short retained chunk resets it.
-
-        The cut is written when the batch commits, so a crash between a
-        take and its commit replays exactly that one batch again
-        (at-least-once); chunks from earlier commits are never re-ingested.
-        """
-        # Applied flips recorded since the last persist must be durable
-        # before any reset below: a reset restarts the spool positions that
-        # a pending entry's landed check relies on.
-        if self._idem_dirty:
-            self._persist_idempotency()
-        emitted: dict[str, int] = {}
-        for stream, values in batch:
-            emitted[stream] = emitted.get(stream, 0) + values.size
-        for stream in sorted(emitted):
-            if stream not in self.spool:
-                continue
-            retained = [values for name, values in self._pending
-                        if name == stream]
-            if all(values.size == self.chunk_size for values in retained):
-                self.spool.reset(stream, np.concatenate(
-                    [*retained, np.asarray(self._buffers[stream])]))
-            else:
-                drained = int(self.spool.metadata(stream).get("drained", 0))
-                self.spool.update_metadata(
-                    {stream: {"drained": drained + emitted[stream]}})
-
-    def replay_spool(self) -> int:
-        """Re-ingest the spool's undrained values; returns the count.
-
-        Meant for a *fresh* compressor after an ingest-tier crash: the
-        spool directory survives the crash (its WAL acknowledged every
-        :meth:`add`), and each series holds exactly its stream's undrained
-        suffix — the pending chunks and buffer tail, not chunks already
-        emitted by earlier drains — plus the input policy's recorded split
-        boundaries.  Replay re-ingests it and seals the buffer at every
-        recorded split so post-crash chunking matches the pre-crash run.
-        A crash between a drain and its caller persisting the results
-        duplicates exactly that one batch (see :meth:`_mark_drained`).
-        Values are re-added without being spooled again and without
-        re-applying the input policy (the spool holds already-sanitized
-        values).
-
-        A series may still carry drained chunks below a ``drained``
-        watermark in its metadata — written by a commit that retained a
-        short chunk (see :meth:`_mark_drained`), or by spools from before
-        the spool became a log; replay starts past it, and the stream's
-        next reset drops them.
-        """
-        if self.spool is None:
-            raise InvalidParameterError(
-                "no spool configured (pass spool_to=... at construction)")
-        if any(self._buffers.values()) or self._pending:
-            raise InvalidParameterError(
-                "replay_spool must run before any values are ingested")
-        policy, self.policy = self.policy, None
-        replayed = 0
-        try:
-            for name in self.spool.list_series():
-                if name == IDEMPOTENCY_SERIES:
-                    continue
-                meta = self.spool.metadata(name)
-                total = self.spool.length(name)
-                watermark = min(int(meta.get("drained", 0)), total)
-                values = self.spool.read(name, watermark)
-                if not values.size:
-                    continue
-                splits = sorted({int(s) - watermark
-                                 for s in meta.get("splits", [])
-                                 if watermark < int(s) <= total})
-                buffer, _results, _report = self._stream_state(name)
-                pieces = np.split(values, splits) if splits else [values]
-                for position, piece in enumerate(pieces):
-                    if position and buffer:
-                        # Recorded split boundary: seal the partial buffer
-                        # exactly as add() did before the crash.
-                        chunk_values = np.asarray(buffer, dtype=np.float64)
-                        buffer.clear()
-                        self._pending.append((name, chunk_values))
-                    if piece.size:
-                        self.add(name, piece, _spool=False)
-                replayed += int(values.size)
-        finally:
-            self.policy = policy
-        return replayed
-
     def close(self) -> None:
-        """Persist pending journal flips and close the spool, if any."""
+        """Persist pending journal flips and close the spool, if any: its
+        checkpoint publishes every installed chunk."""
         if self.spool is not None:
             if self._idem_dirty:
                 self._persist_idempotency()

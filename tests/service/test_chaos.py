@@ -3,16 +3,16 @@
 For each ``(site, kind)`` pair the contract is checked end to end:
 
 * **crash** — the client sees a dropped connection (never a half-written
-  response), the service aborts with the spool closed abruptly, the store
-  reopens with a clean recovery/fsck, and a retried idempotent ingest is
-  applied exactly once;
+  response), the service aborts with the store abandoned (nothing
+  published), the store reopens with a clean recovery/fsck, and a retried
+  idempotent ingest is applied exactly once;
 * **raise** — a well-formed JSON error with the documented status code;
 * **hang** — a delayed but otherwise correct response (or a 504 when the
   hang outlives the request deadline — tested separately).
 
 The matrix runs in-process: ``InjectedCrash`` at a service site makes the
-service close its WAL spool abruptly (no journal persistence, no drain),
-which leaves the same on-disk state as a killed process.
+service abandon its store (no journal persistence, no drain, no
+checkpoint), which leaves the same on-disk state as a killed process.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import http.client
 import json
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +46,8 @@ def _assert_connection_dropped(client, path, body, headers):
 
 def _assert_store_recovers_exactly_once(service_factory, store,
                                         expect_duplicate):
-    """Reboot on ``store``; the retried ingest lands exactly once."""
+    """Reboot on ``store``; the retried ingest lands exactly once, and
+    the store alone reads it back once the service stops."""
     rebooted, client = service_factory(store=store)
     status, body, _h = client.post("/ingest", INGEST, headers=KEY)
     assert status == 200
@@ -55,6 +57,8 @@ def _assert_store_recovers_exactly_once(service_factory, store,
     assert rebooted.stop(timeout=15)
     report = fsck(store)
     assert report.clean, report.summary()
+    with DurableStore.open(store) as reopened:
+        assert reopened.read("s").tolist() == INGEST["values"]
 
 
 class TestChaosMatrix:
@@ -100,12 +104,18 @@ class TestChaosMatrix:
                                                          service_factory):
         store = str(tmp_path / "crash-drain")
         with active_plan([ServiceFaultAction(kind="crash", site="drain")]):
-            service, client = service_factory(store=store)
+            service, client = service_factory(store=store, drain_batch=2)
             status, _body, _h = client.post("/ingest", INGEST, headers=KEY)
             assert status == 200
+            # The barrier: both sealed chunks are installed, in memory.
+            status, body, _h = client.get("/streams")
+            assert body["streams"]["s"]["chunks"] == 2
             service.initiate_drain(reason="test")
             assert service.lifecycle.drained.wait(10)
             assert service.drain_report.aborted
+        # A crash publishes nothing: the installed chunks died with the
+        # process, and their values reopen raw from the WAL.
+        assert not list(Path(store).rglob("*.seg"))
         _assert_store_recovers_exactly_once(service_factory, store,
                                             expect_duplicate=True)
 
@@ -191,8 +201,8 @@ class TestAbortMidEncode:
         gate.release.set()
         service._drainer.join(timeout=10)
         assert not service._drainer.is_alive()
-        # Never committed: no results in memory, and the spool still holds
-        # the batch, so the reboot replays it and the retry dedupes.
+        # Never committed: nothing installed, and the store still holds the
+        # batch raw, so the reboot queues it again and the retry dedupes.
         assert service.multi.results("s") == []
         _assert_store_recovers_exactly_once(service_factory, store,
                                             expect_duplicate=True)
@@ -234,9 +244,8 @@ class TestCrashDoesNotDoubleApply:
         status, body, _h = client.post("/ingest", INGEST, headers=KEY)
         assert status == 200 and body["duplicate"]
         status, body, _h = client.get("/streams")
-        # Boot 2 drained and compacted 16 of the 20 values at startup, so
-        # this boot replays only the 4-value tail.  A double-apply would
-        # show 24 here; a lost batch would show 0.
-        assert body["streams"]["s"]["ingested_points"] == 4
+        # Every boot reopens all 20 values: a double-apply would show 40
+        # here, a lost batch 0.
+        assert body["streams"]["s"]["ingested_points"] == 20
         assert final.stop(timeout=15)
         assert fsck(store).clean

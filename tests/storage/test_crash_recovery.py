@@ -261,14 +261,14 @@ def test_crash_during_recovery_checkpoint_is_survivable(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# the ingest spool protocol
+# the ingest spool: each stream a log series of the store
 # --------------------------------------------------------------------- #
-# ``MultiStreamCompressor(spool_to=...)`` layers an ordering protocol on the
-# store: split boundaries and idempotency intents durable before the values
-# they describe, applied flips durable before a reset invalidates their
-# positions, a stream's spool cut back only after the commit that emitted
-# its chunks, and cut to the undrained tail — chunks sealed while the batch
-# encoded included.  The same kill-at-every-hit loop runs that protocol.
+# ``MultiStreamCompressor(spool_to=...)`` appends every acked value to its
+# stream's log series, records split boundaries and idempotency intents
+# before the values they describe, and installs each drained chunk as a
+# segment in memory, which the store's checkpoints publish.  The same
+# kill-at-every-hit loop runs that workload; after every crash each acked
+# value must be readable exactly once from the reopened store alone.
 
 SPOOL_CHUNK = 8
 
@@ -292,9 +292,8 @@ _SPLIT_OPS = (
     ("add", "a", "v_vv", None), ("add", "b", "vvv", None),
     ("add", "a", "vvvv_v", None), ("drain", None, 0, None),
     ("add", "b", "vv_vvvvvv", None), ("add", "a", "vv", None),
-    # During the encode a seals a short chunk at a split, then a full one
-    # (its commit advances the watermark); b seals two full chunks (its
-    # commit resets the spool to them plus the buffer).
+    # During the encode a seals a short chunk at a split, then a full one;
+    # b seals two full chunks: all of them stay queued past the commit.
     ("add", "a", "vvvvv", None), ("take", None, 0, None),
     ("add", "a", "vvv_vvvvvvvvvv", None), ("add", "b", "vvvvvvvvvvv", None),
     ("commit", None, 0, None), ("add", "a", "vv", None),
@@ -323,9 +322,8 @@ def _spool_compressor(directory, policy):
 
 
 def _run_spool_workload(directory, ops, policy):
-    """Returns (compressor, acked ops, in-flight op, values of the chunks
-    the taken-but-uncommitted batch held per stream)."""
-    acked, in_flight, draining = [], None, {}
+    """Returns (compressor, acked ops, in-flight op)."""
+    acked, in_flight = [], None
     multi = batch = None
     try:
         in_flight = ("open", None, None, None)
@@ -335,12 +333,8 @@ def _run_spool_workload(directory, ops, policy):
             if op in ("drain", "take"):
                 batch = multi.take()
                 assert multi.pending_chunks == 0
-                draining = {}
-                for name, chunk in batch:
-                    draining.setdefault(name, []).extend(chunk.tolist())
             if op in ("drain", "commit"):
                 multi.commit(batch, multi.encode(batch))
-                draining = {}
             elif op == "add" and key is None:
                 multi.add(stream, values)
             elif op == "add":
@@ -351,22 +345,16 @@ def _run_spool_workload(directory, ops, policy):
         in_flight = None
     except InjectedCrash:
         pass
-    return multi, acked, in_flight, draining
+    return multi, acked, in_flight
 
 
-def _check_spool_recovery(directory, policy, multi, acked, in_flight,
-                          draining):
-    """Reboot on the crashed spool and account for every acked value."""
-    emitted, crashed_chunks = {}, []
+def _check_spool_recovery(directory, policy, multi, acked, in_flight):
+    """Reopen the crashed spool: every acked value, exactly once, from the
+    reopened store alone."""
     if multi is not None:
-        for stream in multi.streams:
-            emitted[stream] = multi.reconstruct(stream).tolist()
-            crashed_chunks += [multi.codec.decode(result.block).tolist()
-                               for result in multi.results(stream)]
-        multi.spool.close()        # process death: nothing graceful runs
+        multi.spool.abandon()      # process death: nothing graceful runs
 
     fresh = _spool_compressor(directory, policy)
-    fresh.replay_spool()
     # Every acknowledged key dedupes; the in-flight one lands exactly once.
     for op, stream, values, key in acked:
         if key is not None:
@@ -386,31 +374,23 @@ def _check_spool_recovery(directory, policy, multi, acked, in_flight,
         for position in np.flatnonzero(np.isnan(values)):
             gaps.add((values[position - 1], values[position + 1]))
     for stream, values in expected.items():
-        combined = emitted.get(stream, []) + fresh.reconstruct(stream).tolist()
-        once = list(dict.fromkeys(combined))
-        twice = {value for value in once if combined.count(value) > 1}
-        assert twice <= set(draining.get(stream, [])), (
-            f"{stream}: values outside the interrupted drain's batch were "
-            f"duplicated: {sorted(twice - set(draining.get(stream, [])))}")
+        stored = fresh.reconstruct(stream).tolist()
         if (in_flight and in_flight[0] == "add" and in_flight[1] == stream
                 and in_flight[3] is None):
-            # The unacknowledged plain add may have landed, whole or up to
-            # one of its split boundaries, or not at all.
-            flight = in_flight[2]
-            cuts = [0, *(np.flatnonzero(np.isnan(flight)) + 1), flight.size]
-            unacked = np.count_nonzero(~np.isnan(flight))
-            allowed = [values[: len(values) - unacked]
-                       + flight[:cut][~np.isnan(flight[:cut])].tolist()
-                       for cut in cuts]
-            assert once in allowed, f"{stream}: {once} not in {allowed}"
+            # The unacknowledged plain add is one append: it landed whole
+            # or not at all.
+            unacked = np.count_nonzero(~np.isnan(in_flight[2]))
+            assert stored in (values, values[: len(values) - unacked]), (
+                f"{stream}: {stored} is neither with nor without {in_flight}")
         else:
-            assert once == values, f"{stream}: {once} != {values}"
-    for chunk in crashed_chunks + [
-            fresh.codec.decode(result.block).tolist()
-            for stream in fresh.streams for result in fresh.results(stream)]:
-        for left, right in gaps:
-            assert not (left in chunk and right in chunk), (
-                f"chunk {chunk} bridges the split between {left} and {right}")
+            assert stored == values, f"{stream}: {stored} != {values}"
+    for stream in fresh.streams:
+        for result in fresh.results(stream):
+            chunk = fresh.codec.decode(result.block).tolist()
+            for left, right in gaps:
+                assert not (left in chunk and right in chunk), (
+                    f"chunk {chunk} bridges the split between {left} and "
+                    f"{right}")
     fresh.close()
 
     for _again in range(2):
@@ -429,21 +409,27 @@ def test_kill_spool_protocol_at_every_syncpoint(site, workload,
 
     if checkpoint_bytes is not None:
         # Make WAL-size checkpoints fire inside the workload, so their
-        # sites crash under log series and metadata records too.
+        # sites — segment_write among them, publishing installed chunks —
+        # crash under log series and metadata records too.
         monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES",
                             checkpoint_bytes, raising=False)
     ops = _KEYED_OPS if workload == "keyed" else _SPLIT_OPS
     policy = None if workload == "keyed" else InputPolicy(on_nan="split")
+    crashed_in = set()
     for k in range(400):
         directory = tmp_path / f"{site}-{k}"
         with active_plan([StorageFaultAction(kind="crash", site=site,
                                              skip_hits=k)]):
-            multi, acked, in_flight, draining = _run_spool_workload(
-                directory, ops, policy)
+            multi, acked, in_flight = _run_spool_workload(directory, ops,
+                                                          policy)
             if in_flight is None:
                 break
-            _check_spool_recovery(directory, policy, multi, acked, in_flight,
-                                  draining)
+            crashed_in.add(in_flight[0])
+            _check_spool_recovery(directory, policy, multi, acked, in_flight)
         shutil.rmtree(directory, ignore_errors=True)
     else:
         pytest.fail(f"site {site} fired more than 400 times")
+    if site == "segment_write" and checkpoint_bytes is not None:
+        assert "add" in crashed_in, (
+            f"no checkpoint published a chunk inside the workload: "
+            f"{sorted(crashed_in)}")

@@ -30,7 +30,8 @@ from repro.storage import (
 )
 from repro.codecs.checksum import crc32c_hex
 from repro.storage.durable import attach_footer, split_footer
-from repro.storage.wal import encode_record, scan_wal
+from repro.codecs import get_codec
+from repro.storage.wal import RESET, WalRecord, encode_record, scan_wal
 
 
 @pytest.fixture()
@@ -704,82 +705,76 @@ class TestLogSeries:
             assert np.array_equal(reopened.read("log"), values)
             assert reopened.append("log", [1.0]) == 0     # still a log
 
-    def test_reset_replaces_content_and_clears_metadata(self, root):
-        with DurableStore.create(root) as store:
-            store.create_series("log", codec="raw", log=True)
-            store.append("log", [1.0, 2.0, 3.0])
-            store.update_metadata({"log": {"splits": [2]}})
-            store.reset("log", [3.0])
-            store.append("log", [4.0])
-            assert store.read("log").tolist() == [3.0, 4.0]
-            assert store.metadata("log") == {}
-            store.reset("log")
-            assert store.length("log") == 0
-            store.append("log", [5.0])
-        with DurableStore.open(root) as reopened:
-            report = reopened.recovery
-            assert report.clean
-            assert (report.replayed_records, report.replayed_metadata_records,
-                    report.replayed_reset_records) == (3, 1, 2)
-            assert "1 metadata and 2 reset records" in report.summary()
-            assert reopened.read("log").tolist() == [5.0]
-            assert reopened.metadata("log") == {}
-
-    def test_reset_turns_a_sealed_series_into_a_log(self, root):
-        values = _values(20, seed=3)
-        with DurableStore.create(root, default_segment_size=8) as store:
-            store.create_series("a", codec="raw", metadata={"drained": 16})
-            store.append("a", values)
-            store.flush()                             # three segment files
-            assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 3
-            store.reset("a", values[16:])
-            assert not list(root.glob("segments/*/*/seg-*.seg"))
-            assert store.append("a", values[:12]) == 0
-        with DurableStore.open(root) as reopened:
-            assert reopened.recovery.clean
-            assert reopened.recovery.segments_verified == 0
-            assert np.array_equal(reopened.read("a"),
-                                  np.concatenate([values[16:], values[:12]]))
-            assert reopened.metadata("a") == {}
-
-    def test_crash_after_the_reset_record_still_retires_segments(self, root):
-        values = _values(20, seed=4)
-        store = DurableStore.create(root, default_segment_size=8)
-        store.create_series("a", codec="raw")
-        store.append("a", values)
-        store.flush()
-        # The reset record is durable; its checkpoint never runs.
-        with active_plan([StorageFaultAction(kind="crash",
-                                             site="wal_compact")]):
-            with pytest.raises(InjectedFault):
-                store.reset("a", values[16:])
-        store.close()
-        assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 3
-        with DurableStore.open(root) as reopened:
-            # The manifest still listed the segments: replay dropped them
-            # again and the recovery checkpoint retired their files.
-            assert reopened.recovery.clean
-            assert reopened.recovery.replayed_reset_records == 1
-            assert np.array_equal(reopened.read("a"), values[16:])
-        assert not list(root.glob("segments/*/*/seg-*.seg"))
-
-    def test_oversize_wal_generation_is_checkpointed(self, root, monkeypatch):
+    def test_installed_values_leave_the_wal_at_a_checkpoint(self, root,
+                                                            monkeypatch):
         monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES", 500)
+        raw = get_codec("raw")
         with DurableStore.create(root, shards=1) as store:
             store.create_series("log", codec="raw", log=True)
             store.update_metadata({"log": {"unit": "K"}})
             for i in range(40):
                 store.append("log", [float(i)] * 4)       # ~60 B a record
                 if i % 8 == 7:
-                    store.reset("log", [float(i)])
+                    store.install("log", raw.encode(
+                        np.repeat(np.arange(i - 7.0, i + 1.0), 4)))
             wal = list((root / "wal").glob("*.wal"))
             assert len(wal) == 1                          # the current one
             assert wal[0].stat().st_size < 700
         with DurableStore.open(root) as reopened:
             assert reopened.recovery.clean
             assert reopened.recovery.replayed_records < 12
-            assert reopened.read("log").tolist() == [39.0]
-            assert reopened.metadata("log") == {}
+            assert reopened.info("log").segments == 5
+            assert reopened.read("log").tolist() == np.repeat(
+                np.arange(40.0), 4).tolist()
+            assert reopened.metadata("log") == {"unit": "K"}
+
+    def test_abandoned_installs_come_back_as_buffered_values(self, root):
+        values = _values(20, seed=4)
+        gorilla = get_codec("gorilla")
+        store = DurableStore.create(root)
+        store.create_series("log", codec="gorilla", log=True)
+        store.append("log", values)
+        store.install("log", gorilla.encode(values[:8]))
+        assert store.info("log").buffered_points == 12
+        store.abandon()                       # a process death: no publish
+        assert not list(root.glob("segments/*/*/seg-*.seg"))
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.clean
+            info = reopened.info("log")
+            assert (info.segments, info.buffered_points) == (0, 20)
+            assert np.array_equal(reopened.read("log"), values)
+            reopened.install("log", gorilla.encode(values[:8]))
+        with DurableStore.open(root) as published:
+            assert published.recovery.segments_verified == 1
+            assert published.info("log").buffered_points == 12
+            assert np.array_equal(published.read("log"), values)
+
+    def test_reset_records_of_older_stores_still_replay(self, root):
+        """Older ingest spools cut a series with a reset record: replay
+        drops its content, segments included, and makes it a log."""
+        values = _values(20, seed=3)
+        with DurableStore.create(root, default_segment_size=8,
+                                 shards=1) as store:
+            store.create_series("a", codec="raw", metadata={"drained": 16})
+            store.append("a", values)
+            store.flush()                             # three segment files
+        wal = max((root / "wal").glob("*.wal"))
+        with open(wal, "ab") as handle:
+            handle.write(encode_record(WalRecord(
+                sequence=1000, series="a", values=values[16:], kind=RESET)))
+            handle.write(encode_record(WalRecord(
+                sequence=1001, series="a", values=values[:2])))
+        assert len(list(root.glob("segments/*/*/seg-*.seg"))) == 3
+        with DurableStore.open(root) as reopened:
+            assert reopened.recovery.replayed_reset_records == 1
+            assert np.array_equal(reopened.read("a"),
+                                  np.concatenate([values[16:], values[:2]]))
+            assert reopened.metadata("a") == {}
+            assert reopened.append("a", values[:12]) == 0   # a log now
+        assert not list(root.glob("segments/*/*/seg-*.seg"))
+        with DurableStore.open(root) as again:
+            assert again.recovery.clean
+            assert again.length("a") == 18
 
     def test_large_log_content_is_not_rewritten_by_every_append(
             self, root, monkeypatch):
@@ -872,7 +867,7 @@ class TestMetadataAndDrop:
 
 
 class TestSpool:
-    def test_multistream_spool_replay(self, tmp_path):
+    def test_multistream_spool_survives_a_crash(self, tmp_path):
         from repro.streaming import MultiStreamCompressor
 
         x = _values(300, seed=3)
@@ -885,30 +880,49 @@ class TestSpool:
 
         with MultiStreamCompressor(chunk_size=128, codec="gorilla",
                                    spool_to=spool) as fresh:
-            assert fresh.replay_spool() == 350
+            assert fresh.pending_chunks == 2          # queued again at open
             fresh.flush()
             assert np.array_equal(fresh.reconstruct("a"), x)
             assert np.array_equal(fresh.reconstruct("b"), x[:50])
 
-    def test_replay_requires_fresh_compressor(self, tmp_path):
-        from repro.exceptions import InvalidParameterError
+    def test_drained_values_are_readable_after_a_clean_close(self, tmp_path):
         from repro.streaming import MultiStreamCompressor
 
-        with MultiStreamCompressor(chunk_size=8, codec="raw",
-                                   spool_to=tmp_path / "s") as multi:
-            multi.add("a", [1.0, 2.0])
-            with pytest.raises(InvalidParameterError, match="before any"):
-                multi.replay_spool()
+        values = np.arange(20.0)
+        spool = tmp_path / "spool"
+        with MultiStreamCompressor(chunk_size=8, codec="gorilla",
+                                   spool_to=spool) as multi:
+            multi.add("s", values)
+            assert len(multi.drain()) == 2
+        with DurableStore.open(spool) as store:
+            assert store.recovery.clean
+            assert [s.chunk.codec for s in store.memory.segments("s")] == [
+                "gorilla", "gorilla"]
+            assert np.array_equal(store.read("s"), values)
 
-    def test_no_spool_configured_raises(self):
-        from repro.exceptions import InvalidParameterError
+    def test_a_failed_encode_is_installed_raw(self, tmp_path):
+        from repro.engine.report import SeriesOutcome
         from repro.streaming import MultiStreamCompressor
 
-        multi = MultiStreamCompressor(chunk_size=8, codec="raw")
-        with pytest.raises(InvalidParameterError, match="no spool"):
-            multi.replay_spool()
+        values = np.arange(20.0)
+        spool = tmp_path / "spool"
+        with MultiStreamCompressor(chunk_size=8, codec="gorilla",
+                                   spool_to=spool) as multi:
+            multi.add("s", values)
+            batch = multi.take()
+            outcomes = list(multi.encode(batch))
+            outcomes[0] = SeriesOutcome(index=0, name="s", length=8,
+                                        error="injected", error_type="X")
+            multi.commit(batch, outcomes)
+            assert len(multi.errors) == 1
+        with DurableStore.open(spool) as store:
+            assert store.recovery.clean
+            segments = store.memory.segments("s")
+            assert [s.chunk.codec for s in segments] == ["raw", "gorilla"]
+            assert np.array_equal(segments[0].decode(), values[:8])
+            assert np.array_equal(store.read("s"), values)
 
-    def test_replay_skips_drained_chunks(self, tmp_path):
+    def test_drained_chunks_survive_a_crash(self, tmp_path):
         from repro.streaming import MultiStreamCompressor
 
         x = _values(300, seed=4)
@@ -916,19 +930,20 @@ class TestSpool:
         multi = MultiStreamCompressor(chunk_size=128, codec="gorilla",
                                       spool_to=spool)
         multi.add("a", x)                 # seals 2x128, 44 stay buffered
-        emitted = multi.drain()           # two chunks leave the compressor
+        emitted = multi.drain()           # two chunks installed in memory
         assert len(emitted) == 2
-        del multi                         # crash after the drain
+        del multi                         # crash before any checkpoint
 
         with MultiStreamCompressor(chunk_size=128, codec="gorilla",
                                    spool_to=spool) as fresh:
-            # Only the undrained buffer tail is re-ingested; the two
-            # emitted chunks are not duplicated.
-            assert fresh.replay_spool() == 44
+            # The installs were never published: their values reopen raw
+            # and are queued again, nothing lost and nothing duplicated.
+            assert fresh.results("a") == []
+            assert fresh.report("a").ingested_points == 300
             fresh.flush()
-            assert np.array_equal(fresh.reconstruct("a"), x[256:])
+            assert np.array_equal(fresh.reconstruct("a"), x)
 
-    def test_spool_compacts_fully_drained_streams(self, tmp_path):
+    def test_drained_chunks_stay_in_the_stream_series(self, tmp_path):
         from repro.streaming import MultiStreamCompressor
 
         x = _values(256, seed=5)
@@ -936,20 +951,23 @@ class TestSpool:
         multi = MultiStreamCompressor(chunk_size=128, codec="gorilla",
                                       spool_to=spool)
         multi.add("a", x)
-        multi.drain()                     # everything spooled was emitted
-        assert multi.spool.length("a") == 0   # spool series was reset
+        multi.drain()                     # everything spooled was installed
+        assert multi.spool.length("a") == 256
+        assert multi.spool.info("a").buffered_points == 0
         tail = _values(30, seed=6)
-        multi.add("a", tail)              # post-compaction ingest
-        assert multi.spool.length("a") == 30
-        del multi
+        multi.add("a", tail)
+        assert multi.spool.length("a") == 286
+        multi.close()
 
         with MultiStreamCompressor(chunk_size=128, codec="gorilla",
                                    spool_to=spool) as fresh:
-            assert fresh.replay_spool() == 30
+            assert [r.start for r in fresh.results("a")] == [0, 128]
+            assert fresh.report("a").buffered_points == 30
             fresh.flush()
-            assert np.array_equal(fresh.reconstruct("a"), tail)
+            assert np.array_equal(fresh.reconstruct("a"),
+                                  np.concatenate([x, tail]))
 
-    def test_replay_preserves_policy_splits(self, tmp_path):
+    def test_reopen_preserves_policy_splits(self, tmp_path):
         from repro.sanitize import InputPolicy
         from repro.streaming import MultiStreamCompressor
 
@@ -965,9 +983,8 @@ class TestSpool:
         with MultiStreamCompressor(chunk_size=64, codec="raw",
                                    policy=InputPolicy(on_nan="split"),
                                    spool_to=spool) as fresh:
-            assert fresh.replay_spool() == 80
             fresh.flush()
-            # The recorded boundary keeps the replayed chunks from
+            # The recorded boundary keeps the reopened chunks from
             # bridging the gap: [50, 30], never [64, 16].
             assert [r.length for r in fresh.results("a")] == [50, 30]
             assert np.array_equal(fresh.reconstruct("a"),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.codecs import CompressedBlock, get_codec
 from repro.exceptions import InvalidParameterError, SeriesNotFoundError, StorageError
 from repro.storage import (
     QueryEngine,
@@ -144,6 +145,52 @@ class TestStoreIngest:
         store.create_series("s", codec="raw")
         store.drop_series("s")
         assert "s" not in store
+
+
+class TestInstall:
+    """A log series buffers every append; ``install`` seals its oldest
+    values as a block encoded elsewhere."""
+
+    @pytest.fixture
+    def store(self):
+        store = TimeSeriesStore(default_segment_size=4)
+        store.create_series("log", codec="gorilla", log=True)
+        store.append("log", np.arange(10.0))
+        return store
+
+    def test_a_log_series_never_seals_by_itself(self, store):
+        assert store.flush("log") == 0
+        assert store.info("log").buffered_points == 10
+
+    def test_install_seals_the_oldest_buffered_values(self, store):
+        gorilla, raw = get_codec("gorilla"), get_codec("raw")
+        first = store.install("log", gorilla.encode(np.arange(4.0)))
+        second = store.install("log", raw.encode(np.arange(4.0, 7.0)))
+        assert (first.start, second.start) == (0, 4)
+        info = store.info("log")
+        assert (info.segments, info.buffered_points) == (2, 3)
+        # A block of another codec decodes with its own.
+        assert np.array_equal(store.read("log"), np.arange(10.0))
+
+    def test_a_non_log_series_is_refused(self, store):
+        store.create_series("plain", codec="raw")
+        store.append("plain", [1.0, 2.0])
+        with pytest.raises(StorageError, match="not a log"):
+            store.install("plain", get_codec("raw").encode([1.0, 2.0]))
+
+    def test_a_block_longer_than_the_buffer_is_refused(self, store):
+        with pytest.raises(StorageError, match="10 buffered"):
+            store.install("log", get_codec("raw").encode(np.arange(11.0)))
+        assert store.info("log").buffered_points == 10
+
+    def test_a_block_of_the_wrong_length_is_refused(self, store):
+        block = get_codec("raw").encode(np.arange(4.0))
+        lying = CompressedBlock(codec="raw", payload=block.payload, length=5,
+                                bits=block.bits, lossless=True)
+        with pytest.raises(StorageError, match="decodes to 4"):
+            store.install("log", lying)
+        info = store.info("log")
+        assert (info.segments, info.buffered_points) == (0, 10)
 
 
 class TestStoreReads:

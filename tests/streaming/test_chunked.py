@@ -14,6 +14,21 @@ from repro.streaming import StreamingCameoCompressor, StreamingCompressor, conca
 RNG = np.random.default_rng(9)
 
 
+def _commit_failing(multi, failing):
+    """Drain ``multi`` with the encodes at the ``failing`` batch positions
+    turned into failed outcomes."""
+    from repro.engine.report import SeriesOutcome
+
+    batch = multi.take()
+    outcomes = list(multi.encode(batch))
+    for index in failing:
+        outcome = outcomes[index]
+        outcomes[index] = SeriesOutcome(
+            index=outcome.index, name=outcome.name, length=outcome.length,
+            error="injected encode failure", error_type="CodecError")
+    return multi.commit(batch, outcomes)
+
+
 def _seasonal(n: int, period: int = 24, noise: float = 0.05) -> np.ndarray:
     t = np.arange(n)
     return 5 + np.sin(2 * np.pi * t / period) + noise * RNG.standard_normal(n)
@@ -306,13 +321,17 @@ class TestMultiStreamCompressor:
         from repro.streaming import MultiStreamCompressor
 
         multi = MultiStreamCompressor(chunk_size=32, codec="gorilla")
-        multi.add("good", np.round(_seasonal(32), 3))
-        multi._pending.append(("bad", np.full(32, np.nan)))
-        sealed = multi.flush()
-        assert [stream for stream, _chunk in sealed] == ["good"]
+        good, bad = np.round(_seasonal(32), 3), np.round(_seasonal(32), 2)
+        multi.add("bad", bad)
+        multi.add("good", good)
+        sealed = _commit_failing(multi, failing=[0])
+        assert [stream for stream, _chunk in sealed] == ["bad", "good"]
         assert len(multi.errors) == 1
         assert multi.errors[0].name == "bad"
-        assert multi.results("bad") == []
+        # The failed chunk is installed raw: nothing acknowledged is lost.
+        assert [r.block.codec for r in multi.results("bad")] == ["raw"]
+        assert np.array_equal(multi.reconstruct("bad"), bad)
+        assert [r.block.codec for r in multi.results("good")] == ["gorilla"]
 
     def test_unknown_stream_report_raises(self):
         from repro.streaming import MultiStreamCompressor
@@ -326,18 +345,15 @@ class TestMultiStreamCompressor:
         from repro.streaming import MultiStreamCompressor
 
         multi = MultiStreamCompressor(chunk_size=32, codec="gorilla")
-        good = np.round(_seasonal(32), 3)
-        # NaN input is rejected at add(); an encode-time failure can still
-        # happen (codec-specific errors), simulated by injecting a sealed
-        # chunk that will fail, *before* a healthy one of the same stream.
-        multi._pending.append(("s", np.full(32, np.nan)))
-        multi.add("s", good)
-        multi.drain()
+        x = np.round(_seasonal(64), 3)
+        multi.add("s", x)
+        _commit_failing(multi, failing=[0])
         assert len(multi.errors) == 1
         results = multi.results("s")
-        assert len(results) == 1
-        # Chunk 1 starts at stream position 32 even though chunk 0 failed.
-        assert results[0].start == 32
+        # A poisoned chunk 0 does not block chunk 1, which starts at 32.
+        assert [(r.start, r.block.codec) for r in results] == [
+            (0, "raw"), (32, "gorilla")]
+        assert np.array_equal(multi.reconstruct("s"), x)
         report = multi.report("s")
         assert report.sealed_points == 64
-        assert report.chunks == 1
+        assert report.chunks == 2

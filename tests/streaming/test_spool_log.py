@@ -1,9 +1,9 @@
-"""The ingest spool is a log: what an acknowledged append costs, as counts.
+"""The ingest spool is the store: what an acknowledged append costs, as counts.
 
 Pins the storage hot path of ``MultiStreamCompressor(spool_to=...)`` — one
-fsync per acknowledged append, one per drained stream, no segment files and
-no manifest swaps on the request path — plus the bound that keeps the log
-from growing, and the layout older spools were written in.
+fsync per acknowledged append, none for a drain's commit, no segment files
+and no manifest swaps on the request path — plus the bound that keeps the
+WAL from growing, and the layout older spools were written in.
 """
 
 from __future__ import annotations
@@ -46,13 +46,16 @@ class TestRequestPathCosts:
             assert io_counts["manifest_swaps"] == 1 + len(STREAMS)
             io_counts.update(fsyncs=0, manifest_swaps=0)
             appends = _cycle(multi, rng)   # the steady state
-            assert io_counts["fsyncs"] <= appends + len(STREAMS) + 1
-            assert io_counts["manifest_swaps"] == 0
+            # A commit installs in memory: it writes no record at all.
+            assert io_counts == {"fsyncs": appends, "manifest_swaps": 0}
             assert not any((spool / "segments").rglob("*")), (
-                "a spool series sealed a segment file")
+                "the request path published a segment file")
             for stream in STREAMS:
-                assert multi.spool.length(stream) == 0
+                assert multi.spool.length(stream) == 2 * CHUNK
+                assert multi.spool.info(stream).segments == 2
                 assert multi.report(stream).buffered_points == 0
+        # Closing publishes every installed chunk.
+        assert len(list(spool.rglob("seg-*.seg"))) == 2 * len(STREAMS)
 
     def test_keyed_request_costs_its_intent_and_its_append(self, tmp_path,
                                                            io_counts):
@@ -65,7 +68,7 @@ class TestRequestPathCosts:
 
 
 class TestBoundedLog:
-    def test_spool_size_and_replay_stay_bounded(self, tmp_path):
+    def test_wal_size_and_replay_stay_bounded(self, tmp_path):
         spool = tmp_path / "spool"
         rng = np.random.default_rng(1)
         values = rng.normal(size=BATCH)
@@ -76,7 +79,6 @@ class TestBoundedLog:
                     for stream in STREAMS:
                         multi.add(stream, values)
                 multi.drain()
-                multi._results = {stream: [] for stream in STREAMS}
             for stream in STREAMS:
                 multi.add(stream, values)          # an undrained tail
         record_bytes = 8 * BATCH                    # and a 30-byte frame
@@ -84,26 +86,27 @@ class TestBoundedLog:
         shards = len({path.name.split(".")[0]
                       for path in (spool / "wal").iterdir()})
         # A shard keeps only its current generation, cut off by the append
-        # that crossed WAL_CHECKPOINT_BYTES.
+        # that crossed WAL_CHECKPOINT_BYTES; the installed chunks live in
+        # segment files, by design.
         generation = WAL_CHECKPOINT_BYTES + 64 * 1024
         bound = shards * generation
         assert bound < written, "the workload is too small to tell"
-        size = sum(path.stat().st_size for path in spool.rglob("*")
-                   if path.is_file())
+        size = sum(path.stat().st_size for path in (spool / "wal").iterdir())
         assert size < bound
         with DurableStore.open(spool) as store:
             assert store.recovery.clean
             assert (store.recovery.replayed_records * record_bytes
                     < shards * generation)
             for stream in STREAMS:
-                assert np.array_equal(store.read(stream), values)
+                assert np.array_equal(store.read(stream),
+                                      np.tile(values, 200 * 8 + 1))
 
 
-class TestUndrainedTail:
-    """A commit cuts each drained stream back to what is still undrained:
-    the chunks sealed while its batch encoded, then the buffer."""
+class TestUninstalledTail:
+    """A commit installs exactly the chunks it took; the rest of the
+    stream stays raw in its series, cut where it was cut."""
 
-    def test_retained_full_chunks_are_reset_into_the_log(self, tmp_path):
+    def test_a_chunk_sealed_mid_encode_stays_queued_and_raw(self, tmp_path):
         with MultiStreamCompressor(4, "raw",
                                    spool_to=tmp_path / "spool") as multi:
             multi.add("s", [1.0, 2.0, 3.0, 4.0])
@@ -111,10 +114,14 @@ class TestUndrainedTail:
             multi.add("s", [5.0, 6.0, 7.0, 8.0, 9.0])   # seals mid-encode
             multi.commit(batch, multi.encode(batch))
             assert multi.pending_chunks == 1
-            assert multi.spool.read("s").tolist() == [5, 6, 7, 8, 9]
+            assert multi.spool.read("s").tolist() == [1, 2, 3, 4, 5, 6, 7,
+                                                      8, 9]
+            info = multi.spool.info("s")
+            assert (info.segments, info.buffered_points) == (1, 5)
             assert multi.spool.metadata("s") == {}
 
-    def test_a_retained_short_chunk_keeps_its_split(self, tmp_path):
+    def test_split_boundaries_are_absolute_and_pruned_once_published(
+            self, tmp_path):
         from repro.sanitize import InputPolicy
 
         policy = InputPolicy(on_nan="split")
@@ -125,16 +132,19 @@ class TestUndrainedTail:
             batch = multi.take()
             multi.add("s", [5.0, np.nan, 6.0])          # seals [5] mid-encode
             multi.commit(batch, multi.encode(batch))
-            # A reset would drop the split at 5: the watermark keeps it.
-            assert multi.spool.metadata("s") == {"drained": 4, "splits": [5]}
+            assert multi.spool.metadata("s") == {"splits": [5]}
         with MultiStreamCompressor(4, "raw", policy=policy,
                                    spool_to=spool) as again:
-            assert again.replay_spool() == 2
+            assert again.pending_chunks == 1            # [5], cut at 5
             again.flush()
-            assert [r.length for r in again.results("s")] == [1, 1]
-            again.add("s", [7.0, 8.0, 9.0, 10.0])
-            again.drain()                               # nothing short left
-            assert again.spool.metadata("s") == {}
+            assert [r.length for r in again.results("s")] == [4, 1, 1]
+            # Installed but unpublished: a crash could still need split 5.
+            again.add("s", [7.0, np.nan, 8.0])
+            assert again.spool.metadata("s") == {"splits": [5, 7]}
+            again.drain()                               # installs [7]
+            again.spool.flush()                         # publishes [0, 7)
+            again.add("s", [9.0, np.nan, 10.0])
+            assert again.spool.metadata("s") == {"splits": [9]}
 
 
 class TestParentLayout:
@@ -146,34 +156,36 @@ class TestParentLayout:
     def spool(self, tmp_path):
         return shutil.copytree(PARENT_SPOOL, tmp_path / "spool")
 
-    def test_replays_the_undrained_suffix(self, spool):
+    def test_every_acked_value_is_readable(self, spool):
         with MultiStreamCompressor(4, "raw", spool_to=spool) as multi:
             assert multi.spool.recovery.clean
-            # Stream s: 10 spooled, 4 drained, a policy split recorded at 7.
-            assert multi.replay_spool() == 6 + 2
+            # Stream s: 10 spooled, 4 drained, a policy split at 7.  The
+            # values below the watermark were encoded only in the memory of
+            # the process that wrote it: the watermark goes, they stay.
+            assert "drained" not in multi.spool.metadata("s")
+            assert [r.length for r in multi.results("s")] == [4, 4]
+            assert multi.report("s").ingested_points == 10
             multi.flush()
-            assert [r.length for r in multi.results("s")] == [3, 3]
-            assert multi.reconstruct("s").tolist() == [5, 6, 7, 8, 9, 10]
+            assert multi.reconstruct("s").tolist() == list(range(1, 11))
             assert multi.reconstruct("t").tolist() == [11, 12]
             # key-1's append landed before the crash: the retry dedupes.
             assert multi.add_idempotent("t", [11, 12], "key-1") == (0, True)
 
-    def test_first_drain_moves_the_series_into_the_log_layout(self, spool):
+    def test_the_first_checkpoint_records_the_log_layout(self, spool):
         with MultiStreamCompressor(4, "raw", spool_to=spool) as multi:
-            multi.replay_spool()
-            multi.add("s", [13.0, 14.0, 15.0])       # [8, 9, 10, 13] seals
+            multi.add("s", [13.0, 14.0, 15.0])       # [9, 10, 13, 14] seals
             multi.drain()
-            assert multi.spool.read("s").tolist() == [14.0, 15.0]
-            assert multi.spool.metadata("s") == {}
         with MultiStreamCompressor(4, "raw", spool_to=spool) as again:
             assert again.spool.recovery.clean
-            assert not any((spool / "segments").rglob("seg-*")), (
-                "the drained segment files outlived the reset")
-            assert again.replay_spool() == 2 + 2
+            assert [r.start for r in again.results("s")] == [0, 4, 8]
+            assert again.report("s").buffered_points == 1
             assert again.add_idempotent("t", [11, 12], "key-1") == (0, True)
         with DurableStore.open(spool) as store:
             assert store.recovery.clean
             assert "keys" not in store.metadata("__idempotency__")
+            assert store.append("s", [16.0] * 4) == 0    # a log: no seal
+            assert store.read("s").tolist() == [*range(1, 11), 13, 14, 15,
+                                                16, 16, 16, 16]
 
 
 class TestFailedAppendAccounting:
@@ -220,5 +232,5 @@ class TestFailedAppendAccounting:
             assert multi.add_idempotent("s", [1.0, 2.0], "key") == (0, True)
             assert multi.report("s").ingested_points == 2
         with MultiStreamCompressor(4, "raw", spool_to=spool) as again:
-            assert again.replay_spool() == 2
+            assert again.report("s").ingested_points == 2
             assert again.add_idempotent("s", [1.0, 2.0], "key") == (0, True)

@@ -4,8 +4,8 @@
 Simulates an IoT gateway that receives an unbounded humidity-like feed and
 
 1. compresses it chunk-by-chunk with :class:`repro.streaming.
-   StreamingCameoCompressor` (per-chunk ACF bound, like the paper's
-   coarse-grained parallelization applied over time),
+   MultiStreamCompressor` and the CAMEO codec (per-chunk ACF bound, like
+   the paper's coarse-grained parallelization applied over time),
 2. tracks the exact ACF of the raw stream with an
    :class:`repro.streaming.OnlineAcfEstimator`, and
 3. watches for autocorrelation drift — here the feed's daily cycle abruptly
@@ -23,7 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.stats import acf
-from repro.streaming import AcfDriftMonitor, StreamingCameoCompressor, StreamingCompressor
+from repro.streaming import (
+    AcfDriftMonitor,
+    MultiStreamCompressor,
+    OnlineAcfEstimator,
+    concat_irregular,
+)
+
+#: The gateway's one stream.
+STREAM = "humidity"
 
 
 def sensor_feed(rng: np.random.Generator) -> np.ndarray:
@@ -41,7 +49,10 @@ def main() -> None:
     max_lag = 60
     epsilon = 0.02
 
-    stream = StreamingCameoCompressor(chunk_size=1_000, max_lag=max_lag, epsilon=epsilon)
+    stream = MultiStreamCompressor(
+        chunk_size=1_000, codec="cameo",
+        codec_options=dict(max_lag=max_lag, epsilon=epsilon))
+    estimator = OnlineAcfEstimator(max_lag)
     monitor = AcfDriftMonitor(max_lag=max_lag, window=1_200, threshold=0.25)
 
     print(f"streaming {feed.size} values in batches of 500 "
@@ -50,15 +61,18 @@ def main() -> None:
     print("-" * 46)
     for batch_index, start in enumerate(range(0, feed.size, 500)):
         batch = feed[start: start + 500]
-        chunks = stream.add(batch)
+        sealed = stream.add(STREAM, batch)
+        if sealed:
+            stream.drain()
+        estimator.update(batch)
         events = monitor.update(batch)
-        if chunks or events:
-            report = stream.report()
+        if sealed or events:
+            report = stream.report(STREAM)
             flag = f"at {events[0].position}" if events else ""
             print(f"{batch_index:>6} {report.chunks:>14} {report.kept_points:>12} {flag:>8}")
-    stream.finalize()
+    stream.flush()
 
-    report = stream.report()
+    report = stream.report(STREAM)
     print("\nstream summary")
     print(f"  chunks sealed        : {report.chunks}")
     print(f"  compression ratio    : {report.compression_ratio:.1f}x")
@@ -67,10 +81,12 @@ def main() -> None:
           f"(first at value {monitor.events[0].position if monitor.events else '-'})")
 
     # The stitched representation reconstructs the whole session.
-    stitched = stream.to_irregular("humidity-session")
+    stitched = concat_irregular(
+        [chunk.compressed for chunk in stream.results(STREAM)],
+        name="humidity-session")
     reconstruction = stitched.decompress()
     deviation = float(np.mean(np.abs(acf(feed, max_lag) - acf(reconstruction, max_lag))))
-    online_acf1 = stream.global_acf()[0]
+    online_acf1 = estimator.acf()[0]
     print("\nwhole-session check")
     print(f"  retained points      : {len(stitched)} of {feed.size}")
     print(f"  global ACF deviation : {deviation:.5f}")
@@ -80,13 +96,14 @@ def main() -> None:
     # The stream compressor is codec-generic: the same pipeline can seal
     # chunks losslessly (e.g. for a raw archival tier) by naming any
     # registered codec instead of CAMEO.
-    archive = StreamingCompressor(chunk_size=1_000, codec="gorilla")
-    archive.add(feed)
+    archive = MultiStreamCompressor(chunk_size=1_000, codec="gorilla")
+    archive.add(STREAM, feed)
     archive.flush()
-    archive_report = archive.report()
+    archive_report = archive.report(STREAM)
     print("\nlossless archival tier (gorilla, same chunking)")
     print(f"  bits/value           : {archive_report.bits_per_value:.2f} (raw: 64)")
-    print(f"  exact reconstruction : {bool(np.array_equal(archive.reconstruct(), feed))}")
+    print(f"  exact reconstruction : "
+          f"{bool(np.array_equal(archive.reconstruct(STREAM), feed))}")
 
 
 if __name__ == "__main__":

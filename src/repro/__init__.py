@@ -18,8 +18,8 @@ system:
 ``repro.data``          synthetic datasets and containers
 ``repro.io``            serialization of compressed representations
 ``repro.storage``       compression-aware segment store + query engine
-``repro.streaming``     chunked streaming CAMEO, online ACF, drift monitor
-``repro.engine``        multi-series batch engine (serial/thread/process)
+``repro.streaming``     chunked multi-stream compression, online ACF, drift monitor
+``repro.engine``        multi-series batch engine (serial/thread)
 
 Quickstart
 ----------

@@ -103,7 +103,6 @@ class CompressionService:
         self.multi = MultiStreamCompressor(
             self.config.chunk_size, self.config.codec,
             codec_options=dict(self.config.codec_options),
-            backend="serial",
             spool_to=self.config.store,
             spool_fsync=self.config.spool_fsync)
         # The compressor re-queued every value its store holds past the

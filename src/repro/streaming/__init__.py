@@ -1,19 +1,15 @@
-"""Streaming extensions: codec-generic chunked compression, online ACF tooling."""
+"""Streaming extensions: chunked multi-stream compression, online ACF tooling."""
 
 from .chunked import (
     IDEMPOTENCY_SERIES,
     ChunkResult,
     MultiStreamCompressor,
-    StreamingCameoCompressor,
-    StreamingCompressor,
     StreamReport,
     concat_irregular,
 )
 from .online_acf import AcfDriftMonitor, DriftEvent, OnlineAcfEstimator
 
 __all__ = [
-    "StreamingCompressor",
-    "StreamingCameoCompressor",
     "MultiStreamCompressor",
     "ChunkResult",
     "IDEMPOTENCY_SERIES",

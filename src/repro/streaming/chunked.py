@@ -1,17 +1,17 @@
-"""Chunked (streaming) compression for unbounded streams.
+"""Chunked compression of many concurrent, unbounded streams.
 
 The offline algorithms need a full series; for streams,
-:class:`StreamingCompressor` buffers values into fixed-size chunks and
+:class:`MultiStreamCompressor` cuts every stream into fixed-size chunks and
 encodes each sealed chunk independently with **any registered codec**
 (:mod:`repro.codecs`) — the same local-budget idea as the paper's
 coarse-grained parallelization (Section 4.4), applied over time instead of
-over threads.
+over threads.  A single stream is simply one stream name.
 
-:class:`StreamingCameoCompressor` is the CAMEO specialization (and the
-historical entry point): each chunk's ACF deviation is bounded by
-``epsilon``, so the autocorrelation structure within every chunk is
-preserved; chunk boundaries are always retained points, so reconstructions
-of adjacent chunks join exactly.
+With CAMEO, each chunk's ACF deviation is bounded by ``epsilon``, so the
+autocorrelation structure within every chunk is preserved; chunk
+boundaries are always retained points, so reconstructions of adjacent
+chunks join exactly.  To follow the raw stream's global ACF, feed the same
+values to a :class:`repro.streaming.OnlineAcfEstimator`.
 
 :func:`concat_irregular` stitches per-chunk point-retaining results back
 into one :class:`repro.data.timeseries.IrregularSeries` over the whole
@@ -27,18 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._validation import as_float_array, check_positive_int
-from ..codecs import CameoCodec, Codec, CompressedBlock, get_codec
+from ..codecs import CompressedBlock, get_codec
 from ..data.timeseries import BITS_PER_VALUE_RAW, IrregularSeries
-from ..exceptions import InvalidParameterError, InvalidSeriesError
+from ..exceptions import InvalidParameterError
+from ..faultinject import InjectedCrash
 from ..sanitize import InputPolicy, sanitize
-from .online_acf import OnlineAcfEstimator
 
 __all__ = [
     "ChunkResult",
     "IDEMPOTENCY_SERIES",
     "StreamReport",
-    "StreamingCompressor",
-    "StreamingCameoCompressor",
     "MultiStreamCompressor",
     "concat_irregular",
 ]
@@ -91,13 +89,19 @@ class ChunkResult:
 
         Available for codecs whose payload is an
         :class:`IrregularSeries` (CAMEO, the line simplifiers) and for
-        verbatim blocks (which become identity representations); other
-        codecs raise :class:`~repro.exceptions.InvalidParameterError`.
+        verbatim blocks of at least two values (which become identity
+        representations); other blocks raise
+        :class:`~repro.exceptions.InvalidParameterError`.
         """
         payload = self.block.payload
         if isinstance(payload, IrregularSeries):
             return payload
-        if isinstance(payload, np.ndarray) and payload.size >= 2:
+        if isinstance(payload, np.ndarray):
+            if payload.size < 2:
+                raise InvalidParameterError(
+                    f"chunk {self.index} holds {payload.size} value(s) and an "
+                    "IrregularSeries needs at least two points; decode the "
+                    "chunk through the stream's codec instead")
             return IrregularSeries(
                 indices=np.arange(payload.size, dtype=np.int64),
                 values=np.asarray(payload, dtype=np.float64).copy(),
@@ -148,30 +152,6 @@ class StreamReport:
         return self.encoded_bits / float(max(self.sealed_points, 1))
 
 
-def _policy_segments(values, timestamps, policy: InputPolicy):
-    """Sanitize one ``add()`` batch; returns ``(segments, sanitize report)``.
-
-    The segments come back in stream order.  A batch with recorded segment
-    boundaries (NaN runs under ``split``, timestamp gaps under ``split``)
-    comes back as multiple segments — the caller seals its buffer between
-    them so no sealed chunk ever bridges a gap.
-    """
-    result = sanitize(values, policy, timestamps=timestamps, name="values")
-    if result.segment_starts:
-        return np.split(result.values, result.segment_starts), result.report
-    return [result.values], result.report
-
-
-def _account_policy(report: StreamReport, record) -> None:
-    """Add one sanitized batch's counters to the stream report."""
-    report.ingested_points += record.original_length
-    report.dropped_points += record.dropped_nan + record.dropped_inf
-    report.nan_runs += len(record.nan_runs)
-    if record.sorted:
-        report.reordered_adds += 1
-    report.gaps += record.gaps
-
-
 def _record(report: StreamReport, result: ChunkResult) -> None:
     """Add one sealed chunk to the stream report."""
     report.chunks += 1
@@ -183,227 +163,6 @@ def _record(report: StreamReport, result: ChunkResult) -> None:
     report.worst_chunk_deviation = max(report.worst_chunk_deviation, deviation)
 
 
-class StreamingCompressor:
-    """Compress an unbounded stream chunk-by-chunk with any registered codec.
-
-    Parameters
-    ----------
-    chunk_size:
-        Values per sealed chunk.
-    codec:
-        A registered codec name (``codec_options`` are forwarded to
-        :func:`repro.codecs.get_codec`) or a ready
-        :class:`repro.codecs.Codec` instance.  Defaults to ``"cameo"``;
-        for CAMEO-specific ergonomics (``max_lag``/``epsilon`` up front,
-        global ACF tracking) prefer :class:`StreamingCameoCompressor`.
-    codec_options:
-        Keyword arguments for the registry factory when ``codec`` is a name.
-    track_acf_lags:
-        When set, an :class:`OnlineAcfEstimator` with that many lags follows
-        the raw stream so :meth:`global_acf` can report the reference ACF of
-        all data seen so far without retaining it.
-    policy:
-        Optional :class:`~repro.sanitize.InputPolicy` applied to every
-        :meth:`add` batch.  Required for timestamp-aware ingestion; split
-        boundaries (NaN runs, timestamp gaps) seal the buffer so no chunk
-        bridges a gap.  ``None`` (default) keeps the historical
-        raise-on-hostile behaviour and a bit-identical clean-input path.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.streaming import StreamingCompressor
-    >>> stream = StreamingCompressor(chunk_size=256, codec="gorilla")
-    >>> x = np.sin(np.arange(1000) * 2 * np.pi / 24)
-    >>> chunks = stream.add(x) + stream.flush()
-    >>> sum(c.length for c in chunks)
-    1000
-    >>> np.array_equal(stream.reconstruct(), x)
-    True
-    """
-
-    def __init__(self, chunk_size: int, codec="cameo", *,
-                 codec_options: dict | None = None,
-                 track_acf_lags: int | None = None,
-                 policy: InputPolicy | None = None):
-        self.chunk_size = check_positive_int(chunk_size, "chunk_size")
-        if policy is not None and not isinstance(policy, InputPolicy):
-            raise InvalidParameterError(
-                f"policy must be an InputPolicy or None, got {type(policy).__name__}")
-        self.policy = policy
-        if isinstance(codec, Codec):
-            if codec_options:
-                raise InvalidParameterError(
-                    "codec_options only apply when codec is given by name")
-            self.codec = codec
-        else:
-            self.codec = get_codec(str(codec), **(codec_options or {}))
-        self._buffer: list[float] = []
-        self._results: list[ChunkResult] = []
-        self._report = StreamReport()
-        self._estimator = None
-        if track_acf_lags is not None:
-            self._estimator = OnlineAcfEstimator(
-                check_positive_int(track_acf_lags, "track_acf_lags"))
-
-    # ------------------------------------------------------------------ #
-    # ingest
-    # ------------------------------------------------------------------ #
-    def add(self, values, timestamps=None) -> list[ChunkResult]:
-        """Feed values into the stream; returns chunks sealed by this call.
-
-        With an :class:`~repro.sanitize.InputPolicy` configured, hostile
-        input is handled per the policy (and ``timestamps`` enable the
-        ordering/gap policies); recorded split boundaries seal the buffer
-        early so no sealed chunk bridges a NaN run or timestamp gap.
-        """
-        if np.isscalar(values):
-            values = [float(values)]
-        if self.policy is None:
-            if timestamps is not None:
-                raise InvalidParameterError(
-                    "timestamps require an input policy (pass policy=... "
-                    "to enable timestamp-aware ingestion)")
-            segments = [as_float_array(values, name="values")]
-            self._report.ingested_points += segments[0].size
-        else:
-            segments, record = _policy_segments(values, timestamps,
-                                                self.policy)
-            _account_policy(self._report, record)
-
-        sealed: list[ChunkResult] = []
-        for position, segment in enumerate(segments):
-            if position:
-                # Segment boundary (NaN run / timestamp gap): seal whatever
-                # is buffered so no chunk bridges the gap.
-                sealed.extend(self.flush())
-            if segment.size == 0:
-                continue
-            if self._estimator is not None:
-                self._estimator.update(segment)
-            self._buffer.extend(segment.tolist())
-            while len(self._buffer) >= self.chunk_size:
-                chunk_values = np.asarray(self._buffer[: self.chunk_size],
-                                          dtype=np.float64)
-                del self._buffer[: self.chunk_size]
-                sealed.append(self._seal(chunk_values))
-        return sealed
-
-    def flush(self) -> list[ChunkResult]:
-        """Seal whatever remains in the buffer (possibly a short chunk).
-
-        Returns an empty list when nothing is buffered.
-        """
-        if not self._buffer:
-            return []
-        chunk_values = np.asarray(self._buffer, dtype=np.float64)
-        self._buffer.clear()
-        return [self._seal(chunk_values)]
-
-    def finalize(self) -> list[ChunkResult]:
-        """Alias of :meth:`flush` (the historical streaming name)."""
-        return self.flush()
-
-    def _seal(self, values: np.ndarray) -> ChunkResult:
-        start = self._report.sealed_points
-        block = self.codec.encode(values)
-        result = ChunkResult(index=len(self._results), start=start, block=block)
-        self._results.append(result)
-        _record(self._report, result)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # inspection and reconstruction
-    # ------------------------------------------------------------------ #
-    @property
-    def results(self) -> list[ChunkResult]:
-        """All sealed chunks, in stream order."""
-        return list(self._results)
-
-    def report(self) -> StreamReport:
-        """Aggregate ingest/compression statistics so far."""
-        return self._report
-
-    def global_acf(self) -> np.ndarray:
-        """Exact ACF of the raw stream observed so far (needs tracking enabled)."""
-        if self._estimator is None:
-            raise InvalidParameterError(
-                "global ACF tracking was not enabled (set track_acf_lags)")
-        return self._estimator.acf()
-
-    def decode_chunk(self, result: ChunkResult) -> np.ndarray:
-        """Reconstruct one sealed chunk through the stream's codec."""
-        return self.codec.decode(result.block)
-
-    def reconstruct(self) -> np.ndarray:
-        """Reconstruction of every *sealed* value, in stream order.
-
-        Buffered (not yet sealed) values are not included; call
-        :meth:`flush` first to cover the whole stream.
-        """
-        if not self._results:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate([self.decode_chunk(result) for result in self._results])
-
-    def to_irregular(self, name: str = "stream") -> IrregularSeries:
-        """Stitch every sealed chunk into one irregular series.
-
-        Only meaningful for point-retaining codecs (see
-        :attr:`ChunkResult.compressed`).
-        """
-        return concat_irregular([result.compressed for result in self._results],
-                                name=name)
-
-
-class StreamingCameoCompressor(StreamingCompressor):
-    """CAMEO streaming: per-chunk ACF/PACF bound over an unbounded stream.
-
-    Parameters
-    ----------
-    chunk_size:
-        Values per sealed chunk.  Must comfortably exceed ``max_lag`` (at
-        least twice), otherwise the per-chunk ACF is meaningless.
-    max_lag, epsilon, **cameo_options:
-        Forwarded to :class:`repro.core.CameoCompressor` for every chunk.
-    track_global_acf:
-        When ``True`` (default) the raw stream's ACF over ``max_lag`` lags
-        is tracked online (see :meth:`StreamingCompressor.global_acf`).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.streaming import StreamingCameoCompressor
-    >>> stream = StreamingCameoCompressor(chunk_size=256, max_lag=24, epsilon=0.05)
-    >>> x = np.sin(np.arange(1000) * 2 * np.pi / 24)
-    >>> chunks = stream.add(x) + stream.finalize()
-    >>> sum(c.length for c in chunks)
-    1000
-    """
-
-    def __init__(self, chunk_size: int, max_lag: int, epsilon: float | None = 0.01, *,
-                 track_global_acf: bool = True,
-                 policy: InputPolicy | None = None, **cameo_options):
-        chunk_size = check_positive_int(chunk_size, "chunk_size")
-        self.max_lag = check_positive_int(max_lag, "max_lag")
-        if chunk_size < 2 * self.max_lag:
-            raise InvalidParameterError(
-                "chunk_size should be at least twice max_lag "
-                f"(got chunk_size={chunk_size}, max_lag={self.max_lag})")
-        self.epsilon = epsilon
-        super().__init__(
-            chunk_size,
-            codec=CameoCodec(self.max_lag, epsilon, **cameo_options),
-            track_acf_lags=self.max_lag if track_global_acf else None,
-            policy=policy)
-
-    def flush(self) -> list[ChunkResult]:
-        if len(self._buffer) == 1:
-            raise InvalidSeriesError(
-                "cannot seal a final chunk with fewer than two values; "
-                "feed at least two values before finalizing")
-        return super().flush()
-
-
 class MultiStreamCompressor:
     """Many concurrent streams, compressed through the batch engine.
 
@@ -413,11 +172,9 @@ class MultiStreamCompressor:
     class cuts every stream into chunks and encodes *all* queued chunks —
     across every stream — in batched :class:`repro.engine.BatchEngine`
     passes: same-length lossless chunks stack through the XOR batch
-    encoder, and the thread backend spreads the work over cores.
-
-    Chunks are sealed exactly like :class:`StreamingCompressor` seals them
-    (same values, same codec), so every chunk's block is identical to the
-    single-stream result; only the execution is batched.
+    encoder.  Every chunk's block is identical to
+    ``get_codec(codec, **codec_options).encode`` of the chunk's values;
+    only the execution is batched.
 
     Each stream is a log series of one store: a
     :class:`repro.storage.durable.DurableStore` under ``spool_to``, an
@@ -432,12 +189,12 @@ class MultiStreamCompressor:
         Values per sealed chunk (shared by every stream).
     codec, codec_options:
         Registered codec for every sealed chunk.
-    backend, workers, fastpath, timeout, retries, on_degrade:
-        Engine execution and fault-handling knobs (see
-        :class:`repro.engine.BatchEngine`).
     policy:
-        Optional :class:`~repro.sanitize.InputPolicy` applied per
-        :meth:`add` batch, exactly as in :class:`StreamingCompressor`.
+        Optional :class:`~repro.sanitize.InputPolicy` applied to every
+        :meth:`add` batch.  Required for timestamp-aware ingestion; split
+        boundaries (NaN runs, timestamp gaps) seal the stream's chunk so no
+        chunk bridges a gap.  ``None`` (default) raises on hostile input
+        and keeps the clean-input path bit-identical.
     spool_to:
         Optional directory of the durable store: an :meth:`add` returns
         once the store's WAL holds its values (``spool_fsync`` sets the
@@ -470,10 +227,7 @@ class MultiStreamCompressor:
     """
 
     def __init__(self, chunk_size: int, codec: str = "cameo", *,
-                 codec_options: dict | None = None, backend: str = "serial",
-                 workers: int | None = None, fastpath: bool = True,
-                 timeout: float | None = None, retries: int = 1,
-                 on_degrade: str = "degrade",
+                 codec_options: dict | None = None,
                  policy: InputPolicy | None = None,
                  spool_to=None, spool_fsync: str = "always",
                  idempotency_cap: int = 1024):
@@ -485,10 +239,7 @@ class MultiStreamCompressor:
             raise InvalidParameterError(
                 f"policy must be an InputPolicy or None, got {type(policy).__name__}")
         self.policy = policy
-        self.engine = BatchEngine(codec, codec_options=codec_options,
-                                  backend=backend, workers=workers,
-                                  fastpath=fastpath, timeout=timeout,
-                                  retries=retries, on_degrade=on_degrade)
+        self.engine = BatchEngine(codec, codec_options=codec_options)
         self.codec = get_codec(self.engine.codec, **(codec_options or {}))
         # Chunks cut but not taken yet, as (stream, start, length) spans of
         # the stream's series, and per stream the position cut up to.
@@ -549,45 +300,62 @@ class MultiStreamCompressor:
         report = self._stream(name)
         if np.isscalar(values):
             values = [float(values)]
-        record = None
+        record, boundaries = None, []
         if self.policy is None:
             if timestamps is not None:
                 raise InvalidParameterError(
                     "timestamps require an input policy (pass policy=... "
                     "to enable timestamp-aware ingestion)")
-            segments = [as_float_array(values, name="values")]
+            batch = as_float_array(values, name="values")
         else:
-            segments, record = _policy_segments(values, timestamps,
-                                                self.policy)
-        boundaries = []
-        if len(segments) > 1:
-            boundaries = (self._store.length(name) + np.cumsum(
-                [segment.size for segment in segments[:-1]])).tolist()
-            if self.spool is not None:
-                self._record_splits(name, boundaries)
-        batch = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        if batch.size:
-            self._store.append(name, batch)
+            result = sanitize(values, self.policy, timestamps=timestamps,
+                              name="values")
+            batch, record = result.values, result.report
+            start = self._store.length(name)
+            boundaries = [start + int(s) for s in result.segment_starts]
+        before = None
+        if boundaries and self.spool is not None:
+            # Recorded ahead of the values they split: a reopen must cut
+            # its chunks at the same positions.
+            before = self._splits(name)
+            self._write_splits(name, before.union(boundaries))
+        try:
+            if batch.size:
+                self._store.append(name, batch)
+        except InjectedCrash:
+            raise  # simulated process death: nothing runs after it
+        except Exception:
+            if before is not None and self._store.length(name) == start:
+                # The values never landed, so neither may the boundaries
+                # between them.  (An append can also fail after they did,
+                # in the checkpoint it triggers; then the boundaries stay.)
+                self._write_splits(name, before)
+            raise
         # Account only now: an append the store refused was never ingested.
         if record is None:
             report.ingested_points += batch.size
         else:
-            _account_policy(report, record)
+            report.ingested_points += record.original_length
+            report.dropped_points += record.dropped_nan + record.dropped_inf
+            report.nan_runs += len(record.nan_runs)
+            report.reordered_adds += int(record.sorted)
+            report.gaps += record.gaps
         return self._cut(name, boundaries)
 
-    def _record_splits(self, name: str, boundaries) -> None:
-        """Durably record an add's split boundaries before its values: a
-        reopen must cut its chunks at the same positions.
+    def _splits(self, name: str) -> set[int]:
+        """Stream ``name``'s durably recorded split boundaries."""
+        return {int(s) for s in self.spool.metadata(name).get("splits", [])}
+
+    def _write_splits(self, name: str, splits) -> None:
+        """Durably set stream ``name``'s split boundaries.
 
         Boundaries at or below the series' published end are pruned: a
         reopen never cuts there again.  (Installed chunks past it are not
         durable yet — a crash hands their values back raw to be cut anew.)
         """
         published = self.spool.published_points(name)
-        splits = {int(s) for s in self.spool.metadata(name).get("splits", [])}
-        splits.update(boundaries)
         self.spool.update_metadata({name: {"splits": sorted(
-            s for s in splits if s > published)}})
+            s for s in splits if s > published) or None}})
 
     def _cut(self, name: str, boundaries=()) -> int:
         """Queue stream ``name``'s uncut values as chunks: every
@@ -714,8 +482,7 @@ class MultiStreamCompressor:
             # Spooled before the spool became a log: its raw segments stay
             # as installed chunks, and the next checkpoint records the log.
             state.log = True
-        meta = self.spool.metadata(name)
-        if "drained" in meta:
+        if "drained" in self.spool.metadata(name):
             # The values below this watermark were encoded only in the
             # memory of a process that is gone: they are queued again.
             self.spool.update_metadata({name: {"drained": None}})
@@ -723,10 +490,14 @@ class MultiStreamCompressor:
             ingested_points=state.total_points)
         for result in self.results(name):
             _record(report, result)
+        splits = self._splits(name)
+        landed = {s for s in splits if s <= state.total_points}
+        if landed != splits:
+            # Recorded by an add that crashed before its values landed: no
+            # gap is there, and values appended later must not be cut at it.
+            self._write_splits(name, landed)
         self._cut_at[name] = state.sealed_points
-        self._cut(name, sorted(
-            s for s in map(int, meta.get("splits", []))
-            if state.sealed_points < s <= report.ingested_points))
+        self._cut(name, sorted(s for s in landed if s > state.sealed_points))
 
     # ------------------------------------------------------------------ #
     # idempotent ingest
@@ -876,9 +647,10 @@ def concat_irregular(chunks, name: str = "stream") -> IrregularSeries:
     """Concatenate per-chunk irregular series into one global representation.
 
     The chunks must describe consecutive, non-overlapping ranges in stream
-    order (exactly what the streaming compressors produce for point-retaining
-    codecs).  Chunk boundary points are always retained, so the concatenation
-    reconstructs each chunk independently of its neighbours.
+    order (the ``compressed`` views of what
+    :meth:`MultiStreamCompressor.results` returns, for point-retaining
+    codecs).  Chunk boundary points are always retained, so the
+    concatenation reconstructs each chunk independently of its neighbours.
     """
     chunks = list(chunks)
     if not chunks:

@@ -3,7 +3,7 @@
 Covers the protocol/registry API, byte-identity of the adapters against the
 implementations they wrap, block serialization, and the acceptance matrix:
 every registered codec round-trips identically through all four consumers
-(direct ``get_codec``, ``TimeSeriesStore``, ``StreamingCompressor``, CLI
+(direct ``get_codec``, ``TimeSeriesStore``, ``MultiStreamCompressor``, CLI
 ``compress`` → ``decompress``).
 """
 
@@ -33,7 +33,7 @@ from repro.core import CameoCompressor
 from repro.exceptions import CodecError, InvalidParameterError, StorageError
 from repro.lossless import ChimpCodec, GorillaCodec
 from repro.storage import TimeSeriesStore
-from repro.streaming import StreamingCompressor
+from repro.streaming import MultiStreamCompressor
 
 RNG = np.random.default_rng(21)
 
@@ -191,10 +191,12 @@ class TestFourConsumerRoundTrip:
         np.testing.assert_array_equal(store.read("s"), direct)
 
         # 3. codec-generic streaming (one sealed chunk)
-        stream = StreamingCompressor(values.size, codec=name, codec_options=options)
-        stream.add(values)
-        stream.flush()
-        np.testing.assert_array_equal(stream.reconstruct(), direct)
+        multi = MultiStreamCompressor(values.size, codec=name,
+                                      codec_options=options)
+        multi.add("s", values)
+        multi.flush()
+        assert multi.errors == []
+        np.testing.assert_array_equal(multi.reconstruct("s"), direct)
 
         # 4. CLI compress -> decompress
         source = tmp_path / "input.csv"

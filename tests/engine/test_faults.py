@@ -15,7 +15,6 @@ import pytest
 from repro.engine import BatchEngine, SupervisorPolicy, compress_batch
 from repro.exceptions import InvalidParameterError
 from repro.faultinject import FaultAction, active_plan, random_plan
-from repro.streaming import MultiStreamCompressor
 
 BACKENDS = ("serial", "thread")
 
@@ -207,8 +206,6 @@ ENTRY_POINTS = {
     "BatchEngine": lambda **knobs: BatchEngine("gorilla", **knobs),
     "compress_batch": lambda **knobs: compress_batch(
         make_batch(count=2), codec="gorilla", **knobs),
-    "MultiStreamCompressor": lambda **knobs: MultiStreamCompressor(
-        64, "gorilla", **knobs),
 }
 
 

@@ -17,7 +17,7 @@ from repro import CameoCompressor, cameo_compress
 from repro.codecs import available_codecs, get_codec
 from repro.stats import acf
 from repro.storage import TimeSeriesStore
-from repro.streaming import StreamingCameoCompressor
+from repro.streaming import MultiStreamCompressor
 
 RNG = np.random.default_rng(31)
 
@@ -73,9 +73,10 @@ class TestStreamingOfflineConsistency:
         """A stream whose chunk covers the whole series is offline CAMEO."""
         values = _series(512, 24, 0.1, seed=3)
         offline = cameo_compress(values, max_lag=24, epsilon=0.02)
-        stream = StreamingCameoCompressor(chunk_size=512, max_lag=24, epsilon=0.02)
-        chunks = stream.add(values)
-        assert len(chunks) == 1
+        multi = MultiStreamCompressor(
+            512, "cameo", codec_options=dict(max_lag=24, epsilon=0.02))
+        assert multi.add("s", values) == 1
+        chunks = [chunk for _stream, chunk in multi.drain()]
         np.testing.assert_array_equal(chunks[0].compressed.indices, offline.indices)
         np.testing.assert_array_equal(chunks[0].compressed.values, offline.values)
 
@@ -85,10 +86,11 @@ class TestStreamingOfflineConsistency:
         epsilon = 0.02
         chunk_size = 200
         values = _series(chunk_size * num_chunks, 20, 0.1, seed=num_chunks)
-        stream = StreamingCameoCompressor(chunk_size=chunk_size, max_lag=20, epsilon=epsilon)
-        chunks = stream.add(values)
-        assert len(chunks) == num_chunks
-        assert stream.report().worst_chunk_deviation <= epsilon + 1e-9
+        multi = MultiStreamCompressor(
+            chunk_size, "cameo", codec_options=dict(max_lag=20, epsilon=epsilon))
+        assert multi.add("s", values) == num_chunks
+        assert len(multi.drain()) == num_chunks
+        assert multi.report("s").worst_chunk_deviation <= epsilon + 1e-9
 
 
 class TestStorageConsistency:

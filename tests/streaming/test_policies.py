@@ -2,7 +2,7 @@
 
 Hypothesis drives random NaN-run placements, gap patterns, and shuffled
 arrival orders through :func:`repro.sanitize.sanitize` and the streaming
-compressors, asserting the invariants the layer promises:
+compressor, asserting the invariants the layer promises:
 
 * kept values are exactly the finite input values, in (time)order;
 * ``restore_shape`` is the exact inverse of ``on_nan="split"``;
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import PolicyViolationError
 from repro.sanitize import InputPolicy, restore_shape, sanitize
-from repro.streaming import StreamingCompressor
+from repro.streaming import MultiStreamCompressor
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -161,14 +161,14 @@ class TestCleanInputIdentity:
     @given(values=finite_values)
     def test_streaming_bit_identity_on_clean_input(self, values):
         array = np.asarray(values, dtype=np.float64)
-        plain = StreamingCompressor(16, codec="gorilla")
-        policed = StreamingCompressor(16, codec="gorilla",
-                                      policy=InputPolicy(on_nan="split",
-                                                         on_gap="split"))
-        chunks_plain = plain.add(array) + plain.flush()
-        chunks_policed = policed.add(array) + policed.flush()
-        assert [chunk.block.payload for chunk in chunks_plain] \
-            == [chunk.block.payload for chunk in chunks_policed]
+        plain = MultiStreamCompressor(16, codec="gorilla")
+        policed = MultiStreamCompressor(16, codec="gorilla",
+                                        policy=InputPolicy(on_nan="split",
+                                                           on_gap="split"))
+        plain.add("s", array)
+        policed.add("s", array)
+        assert [chunk.block.payload for _stream, chunk in plain.flush()] \
+            == [chunk.block.payload for _stream, chunk in policed.flush()]
 
 
 class TestStreamingAccounting:
@@ -176,29 +176,30 @@ class TestStreamingAccounting:
     @given(values=values_with_nan_runs(),
            chunk_size=st.integers(min_value=2, max_value=40))
     def test_ingest_balance_invariant(self, values, chunk_size):
-        stream = StreamingCompressor(chunk_size, codec="gorilla",
-                                     policy=InputPolicy(on_nan="split"))
-        stream.add(values)
-        report = stream.report()
+        multi = MultiStreamCompressor(chunk_size, codec="gorilla",
+                                      policy=InputPolicy(on_nan="split"))
+        multi.add("s", values)
+        multi.drain()
+        report = multi.report("s")
         assert report.ingested_points == (report.sealed_points
                                           + report.buffered_points
                                           + report.dropped_points)
         assert report.dropped_points == int(np.isnan(values).sum())
-        stream.flush()
-        report = stream.report()
+        multi.flush()
         assert report.buffered_points == 0
         finite = values[~np.isnan(values)]
         assert report.sealed_points == finite.size
-        assert np.array_equal(stream.reconstruct(), finite)
+        assert np.array_equal(multi.reconstruct("s"), finite)
 
     @SETTINGS
     @given(values=values_with_nan_runs(),
            chunk_size=st.integers(min_value=2, max_value=40))
     def test_no_sealed_chunk_bridges_a_nan_run(self, values, chunk_size):
         """Each sealed chunk must come entirely from one gap-free segment."""
-        stream = StreamingCompressor(chunk_size, codec="gorilla",
-                                     policy=InputPolicy(on_nan="split"))
-        chunks = stream.add(values) + stream.flush()
+        multi = MultiStreamCompressor(chunk_size, codec="gorilla",
+                                      policy=InputPolicy(on_nan="split"))
+        multi.add("s", values)
+        chunks = [chunk for _stream, chunk in multi.flush()]
         # Segment boundaries in kept coordinates, straight from sanitize.
         boundaries = set(
             sanitize(values, InputPolicy(on_nan="split")).segment_starts)

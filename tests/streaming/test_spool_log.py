@@ -234,3 +234,68 @@ class TestFailedAppendAccounting:
         with MultiStreamCompressor(4, "raw", spool_to=spool) as again:
             assert again.report("s").ingested_points == 2
             assert again.add_idempotent("s", [1.0, 2.0], "key") == (0, True)
+
+
+class TestSplitsOfValuesThatNeverLanded:
+    """A split boundary is recorded ahead of the values it splits; one whose
+    values never landed must not cut the stream where no gap is."""
+
+    def _open(self, spool):
+        from repro.sanitize import InputPolicy
+
+        return MultiStreamCompressor(8, "raw",
+                                     policy=InputPolicy(on_nan="split"),
+                                     spool_to=spool)
+
+    def _reopened_chunks(self, spool):
+        with self._open(spool) as again:
+            again.flush()
+            return [(r.start, r.length) for r in again.results("s")]
+
+    def test_a_refused_append_takes_its_splits_back_out(self, tmp_path):
+        spool = tmp_path / "spool"
+        multi = self._open(spool)
+        multi.add("s", [0.0, 1.0, 2.0])
+        # skip_hits=1: the split record lands, the append is refused.
+        with active_plan([StorageFaultAction(kind="raise", skip_hits=1,
+                                             site="wal_append")]):
+            with pytest.raises(InjectedFault):
+                multi.add("s", [3.0, np.nan, 4.0, 5.0])
+        assert "splits" not in multi.spool.metadata("s")
+        multi.add("s", np.arange(20.0))
+        live = [(r.start, r.length) for _stream, r in multi.flush()]
+        assert live == [(0, 8), (8, 8), (16, 7)]
+        multi.spool.abandon()
+        assert self._reopened_chunks(spool) == live
+
+    def test_open_drops_a_split_past_the_series_end(self, tmp_path):
+        spool = tmp_path / "spool"
+        multi = self._open(spool)
+        multi.add("s", [0.0, 1.0, 2.0])
+        # What a crash between an add's split record and its append leaves.
+        multi.spool.update_metadata({"s": {"splits": [5]}})
+        multi.spool.abandon()
+        again = self._open(spool)
+        assert "splits" not in again.spool.metadata("s")
+        again.add("s", np.arange(20.0))
+        live = [(r.start, r.length) for _stream, r in again.flush()]
+        assert live == [(0, 8), (8, 8), (16, 7)]
+        again.spool.abandon()
+        assert self._reopened_chunks(spool) == live
+
+    def test_an_append_failing_after_its_values_landed_keeps_its_splits(
+            self, tmp_path, monkeypatch):
+        # Every append is due a checkpoint; its manifest write refuses, after
+        # the add's values are in the WAL and the series.
+        monkeypatch.setattr("repro.storage.durable.WAL_CHECKPOINT_BYTES", 1)
+        spool = tmp_path / "spool"
+        multi = self._open(spool)
+        multi.add("s", [0.0, 1.0, 2.0])
+        with active_plan([StorageFaultAction(kind="raise",
+                                             site="manifest_write")]):
+            with pytest.raises(InjectedFault):
+                multi.add("s", [3.0, np.nan, 4.0, 5.0])
+        assert multi.spool.length("s") == 6
+        assert multi.spool.metadata("s") == {"splits": [4]}
+        multi.spool.abandon()
+        assert self._reopened_chunks(spool) == [(0, 4), (4, 2)]

@@ -71,6 +71,12 @@ class RawCodec(Codec):
         self._check_block(block)
         return restore_dtype(block, np.asarray(block.payload, dtype=np.float64).copy())
 
+    def decode_prefix(self, block: CompressedBlock, count: int) -> np.ndarray:
+        # slice before copying: only the prefix is materialised
+        self._check_block(block)
+        values = np.asarray(block.payload, dtype=np.float64)[:count]
+        return restore_dtype(block, values.copy())
+
 
 class _XorCodec(Codec):
     """Shared adapter for the bit-level lossless codecs."""
@@ -92,6 +98,13 @@ class _XorCodec(Codec):
     def decode(self, block: CompressedBlock) -> np.ndarray:
         self._check_block(block)
         payload, bit_length, count = block.payload
+        return restore_dtype(block, self._codec.decode(payload, bit_length, count))
+
+    def decode_prefix(self, block: CompressedBlock, count: int) -> np.ndarray:
+        # The decoders are sequential and take a count: the values past
+        # ``count`` are never read.
+        self._check_block(block)
+        payload, bit_length, _ = block.payload
         return restore_dtype(block, self._codec.decode(payload, bit_length, count))
 
     def encode_many(self, matrix) -> list[CompressedBlock]:

@@ -10,7 +10,8 @@ This module defines the one interface they all share:
 
 * :meth:`Codec.encode` turns a value chunk into a :class:`CompressedBlock`
   that knows its size in bits, whether it is exact, and how it was produced;
-* :meth:`Codec.decode` reconstructs the regular values from a block.
+* :meth:`Codec.decode` reconstructs the regular values from a block, and
+  :meth:`Codec.decode_prefix` only the first of them.
 
 Storage segments, streaming chunks, the CLI, and the benchmark harness all
 speak this interface; the concrete adapters live in
@@ -188,6 +189,16 @@ class Codec(ABC):
         repro.exceptions.CodecMismatchError
             If ``block`` was encoded by a different codec.
         """
+
+    def decode_prefix(self, block: CompressedBlock, count: int) -> np.ndarray:
+        """The first ``count`` values of :meth:`decode` (``1 <= count <= length``).
+
+        A range read that stops inside a block needs no value past its stop.
+        This default decodes the whole block and slices it; codecs whose
+        decoders are sequential (the XOR codecs) or whose payload is the
+        values themselves (raw) override it to stop early.
+        """
+        return self.decode(block)[:count]
 
     # ------------------------------------------------------------------ #
     # uniform accounting helpers

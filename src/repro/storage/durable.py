@@ -399,18 +399,22 @@ class DurableStore:
 
     def read(self, name, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Reconstruct ``[start, stop)``; raises on quarantined ranges."""
+        self._check_open()
         return self._memory.read(name, start, stop)
 
     def value_at(self, name, position: int) -> float:
         """Reconstructed value at one global position."""
+        self._check_open()
         return self._memory.value_at(name, position)
 
     def length(self, name) -> int:
         """Number of ingested values (sealed + quarantined + buffered)."""
+        self._check_open()
         return self._memory.length(name)
 
     def info(self, name):
         """Per-series footprint summary (see :class:`SeriesInfo`)."""
+        self._check_open()
         return self._memory.info(name)
 
     def published_points(self, name) -> int:

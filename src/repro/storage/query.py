@@ -87,9 +87,8 @@ class QueryEngine:
         if agg not in SUPPORTED_AGGREGATES:
             raise InvalidParameterError(
                 f"unsupported aggregate {agg!r}; choose from {SUPPORTED_AGGREGATES}")
-        total_points = self.store.length(name)
-        stop = total_points if stop is None else min(stop, total_points)
-        start = max(int(start), 0)
+        start, stop = self.store._resolve_range(  # noqa: SLF001 - read()'s rule
+            start, stop, self.store.length(name))
         if start >= stop:
             raise StorageError("aggregate query over an empty range")
 

@@ -97,19 +97,34 @@ class Segment:
         return values
 
     def slice(self, start: int, stop: int) -> np.ndarray:
-        """Reconstructed values of the global range ``[start, stop)`` ∩ segment."""
+        """Reconstructed values of the global range ``[start, stop)`` ∩ segment.
+
+        The codec is asked for the values up to the local stop only
+        (:meth:`~repro.codecs.Codec.decode_prefix`).
+        """
         if not self.overlaps(start, stop):
             return np.empty(0, dtype=np.float64)
         local_start = max(start, self.start) - self.start
-        local_stop = min(stop, self.end) - self.start
-        return self.decode()[local_start:local_stop]
+        return self._decode_prefix(min(stop, self.end) - self.start)[local_start:]
 
     def value_at(self, position: int) -> float:
         """Reconstructed value at one global position."""
         if not self.contains(position):
             raise StorageError(
                 f"position {position} outside segment [{self.start}, {self.end})")
-        return float(self.decode()[position - self.start])
+        return float(self._decode_prefix(position - self.start + 1)[-1])
+
+    def _decode_prefix(self, count: int) -> np.ndarray:
+        """The segment's first ``count`` reconstructed values: one codec call."""
+        if count == self.length:
+            # the whole segment: the codec's own decode, as for decode()
+            return self.decode()
+        values = self._codec.decode_prefix(self.chunk, count)
+        if values.size != count:
+            raise StorageError(
+                f"codec {self._codec.name!r} returned {values.size} values, "
+                f"expected {count}")
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Segment(start={self.start}, length={self.length}, "

@@ -39,6 +39,9 @@ __all__ = ["SeriesInfo", "TimeSeriesStore", "DEFAULT_SEGMENT_SIZE"]
 #: Default number of values per sealed segment.
 DEFAULT_SEGMENT_SIZE = 1_024
 
+#: The bisect key of a range read's first segment (built once, not per read).
+_segment_start = attrgetter("start")
+
 
 @dataclass
 class SeriesInfo:
@@ -107,8 +110,8 @@ class _SeriesState:
         the segment whose start is the last one ``<= position`` is the only
         one that can hold it; a range read starts its walk there.
         """
-        return max(bisect_right(self.segments, position,
-                                key=attrgetter("start")) - 1, 0)
+        index = bisect_right(self.segments, position, key=_segment_start)
+        return index - 1 if index else 0
 
     def refuse_holes(self, start: int, stop: int) -> None:
         """Raise if ``[start, stop)`` overlaps a quarantine hole."""
@@ -293,7 +296,9 @@ class TimeSeriesStore:
                                      dtype=np.float64))
         if not pieces:
             return np.empty(0, dtype=np.float64)
-        return np.concatenate(pieces)
+        # Every piece is a fresh array (a decode or a copy of the buffer),
+        # so a lone piece is returned as is: the caller owns it.
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def value_at(self, name: str, position: int) -> float:
         """Reconstructed value at a single global position."""
@@ -381,6 +386,6 @@ class TimeSeriesStore:
     def _resolve_range(start: int, stop: int | None, total: int) -> tuple[int, int]:
         if start < 0 or (stop is not None and stop < 0):
             raise StorageError("start and stop must be non-negative")
-        stop = total if stop is None else min(stop, total)
-        start = min(start, total)
-        return int(start), int(stop)
+        # compares rather than min(): this runs once per range read
+        stop = total if stop is None or stop > total else int(stop)
+        return (total if start > total else int(start)), stop

@@ -247,6 +247,24 @@ class TestRefusals:
             assert outcomes["native"] == outcomes["numpy"]
             assert outcomes["native"][0] == "CodecError", cut
 
+    def test_every_prefix_truncation_at_every_count(self, scheme):
+        """A range read asks for fewer values than the stream holds: from a
+        cut payload both tiers return the exact prefix or the same refusal,
+        never different values."""
+        values, payload, bit_length = self._stream(scheme)
+        expected = values.view(np.uint64).tolist()
+        decoded_counts = set()
+        for cut in range(len(payload) + 1):
+            short = bytes(bytearray(payload[:cut]))
+            for count in range(1, values.size + 1):
+                outcome = decode_on("native", scheme, short, bit_length, count)
+                assert outcome == decode_on("numpy", scheme, short,
+                                            bit_length, count), (cut, count)
+                if outcome[0] != "CodecError":
+                    assert outcome == expected[:count], (cut, count)
+                    decoded_counts.add(count)
+        assert decoded_counts == set(range(1, values.size + 1))
+
     def test_every_bit_length(self, scheme):
         """A shorter stated length refuses where the Python loop does; the
         last byte's padding bits are readable but hold no value."""

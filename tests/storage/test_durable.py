@@ -152,6 +152,21 @@ class TestRoundTrip:
         with pytest.raises(StorageError, match="closed"):
             store.create_series("a")
 
+    def test_closed_store_rejects_reads(self, root):
+        """A closed handle answers nothing: another handle may have moved
+        the store on since, and its memory would be stale."""
+        store = DurableStore.create(root)
+        store.create_series("a", codec="raw")
+        store.append("a", np.arange(10.0))
+        store.close()
+        with DurableStore.open(root) as other:
+            other.append("a", [99.0, 98.0])
+            assert other.length("a") == 12
+            for read in (lambda: store.read("a"), lambda: store.value_at("a", 9),
+                         lambda: store.length("a"), lambda: store.info("a")):
+                with pytest.raises(StorageError, match="closed"):
+                    read()
+
     def test_invalid_fsync_policy_rejected(self, root):
         with pytest.raises(StorageError, match="fsync_policy"):
             DurableStore.create(root, fsync_policy="later")

@@ -111,6 +111,18 @@ class TestAggregatePushdown:
         with pytest.raises(StorageError):
             QueryEngine(store).aggregate("power", "mean", start=100, stop=100)
 
+    def test_negative_bounds_rejected_like_read(self):
+        store = TimeSeriesStore()
+        store.create_series("y", codec="raw", segment_size=4)
+        store.append("y", np.arange(10.0))
+        engine = QueryEngine(store)
+        for start, stop in ((-5, 4), (0, -1), (-1, None)):
+            with pytest.raises(StorageError, match="non-negative") as read:
+                engine.range("y", start, stop)
+            with pytest.raises(StorageError, match="non-negative") as aggregate:
+                engine.aggregate("y", "sum", start, stop)
+            assert str(aggregate.value) == str(read.value)
+
     def test_cameo_aggregate_close_to_truth(self, cameo_store):
         store, values = cameo_store
         result = QueryEngine(store).aggregate("power", "mean")
